@@ -29,6 +29,7 @@ def main():
     result = closure.lie_closure(gens)
     t_close = time.time() - t0
     print(f"closure: dim {result.dim}, {result.rounds} rounds, "
+          f"{result.offered} candidates offered, "
           f"saturated={result.saturated}, {t_close:.1f}s")
 
     blocks = casimir.isotypic_blocks(3, 3)

@@ -189,10 +189,9 @@ def cmd_closure(args) -> int:
     else:
         gens = _load_generator_spec(args.spec)
     try:
-        gens.validate(args.tol)
-    except Exception as exc:
+        result = _closure.lie_closure(gens, args.tol, args.max_dim)
+    except ValueError as exc:  # lie_closure validates the set before any bracket
         raise CliError(f"invalid generator set: {exc}") from exc
-    result = _closure.lie_closure(gens, args.tol, args.max_dim)
     if not result.saturated:
         payload = {
             "saturated": False,

@@ -87,7 +87,12 @@ class GeneratorSet:
 
 @dataclass(frozen=True)
 class LieClosureResult:
-    """Orthonormal basis of the generated Lie algebra plus provenance."""
+    """Orthonormal basis of the generated Lie algebra plus provenance.
+
+    ``offered`` counts the candidates given to
+    :func:`~qsymlie.linalg.orthonormal_extend`: the generators and every
+    bracket, accepted or not.
+    """
 
     d: int
     n: int
@@ -95,6 +100,7 @@ class LieClosureResult:
     dim: int
     rounds: int
     saturated: bool
+    offered: int
 
 
 def lie_closure(
@@ -102,13 +108,23 @@ def lie_closure(
 ) -> LieClosureResult:
     """Compute the Lie algebra generated by a set of skew-Hermitian matrices.
 
-    Seeds the span with the generators, then breadth-first by discovery
-    index brackets every new basis element against every generator and every
-    earlier basis element, offering each bracket to
-    :func:`~qsymlie.linalg.orthonormal_extend`.  Terminates when a full
-    round adds nothing (``saturated=True``) or when the dimension reaches
-    ``max_dim`` (``saturated=False``; default cap is the ambient invariant
-    algebra dimension C(n+d^2-1, d^2-1)).
+    Seeds the span with the k generators, then breadth-first by discovery
+    index brackets every basis element with each generator, in generator
+    order, offering each bracket to
+    :func:`~qsymlie.linalg.orthonormal_extend`.  A round brackets the
+    elements found in the round before it.
+
+    Brackets with the generators suffice.  The final span W lies in the
+    generated algebra L, contains the generators, and satisfies [s, W]
+    within W for every generator s.  By the Jacobi identity the x with
+    [x, W] within W form a Lie subalgebra; it contains the generators,
+    hence all of L, so [W, W] lies within [L, W], within W.  So W is a Lie
+    algebra containing the generators, and W = L.  A saturated closure
+    offers exactly ``k * (1 + dim)`` candidates (``offered``).
+
+    Terminates when a full round adds nothing (``saturated=True``) or when
+    the dimension reaches ``max_dim`` (``saturated=False``; default cap is
+    the ambient invariant algebra dimension C(n+d^2-1, d^2-1)).
     """
     if not gens.generators:
         raise ValueError("need a non-empty generator set")
@@ -118,6 +134,7 @@ def lie_closure(
     span = OrthonormalSpan(gens.d**gens.n, tol=tol)
     for g in gens.generators:
         _, span = orthonormal_extend(span, g)
+    offered = len(gens.generators)
     rounds = 0
     saturated = False
     start = 0
@@ -130,15 +147,16 @@ def lie_closure(
         rounds += 1
         for i in range(start, end):
             left = span.basis[i]
-            for partner in list(gens.generators) + list(span.basis[:i]):
-                added, span = orthonormal_extend(span, commutator(left, partner))
+            for g in gens.generators:
+                offered += 1
+                added, span = orthonormal_extend(span, commutator(left, g))
                 if added and span.dim >= max_dim:
                     capped = True
                     break
             if capped:
                 break
         start = end
-    return LieClosureResult(gens.d, gens.n, span, span.dim, rounds, saturated)
+    return LieClosureResult(gens.d, gens.n, span, span.dim, rounds, saturated, offered)
 
 
 def membership(x, closure: LieClosureResult, tol: float | None = None) -> tuple[bool, float]:

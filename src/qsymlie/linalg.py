@@ -176,38 +176,77 @@ def cluster_eigenvalues(values, cluster_tol: float = CLUSTER_TOL) -> EigenCluste
 # ---------------------------------------------------------------------------
 
 def _realvec(a: np.ndarray) -> np.ndarray:
-    # Re<A,B>_F equals the Euclidean dot product of these stacked vectors.
-    return np.concatenate([a.real.ravel(), a.imag.ravel()])
+    # Interleaved (re, im) entries of the row-major matrix: Re<A,B>_F equals
+    # the Euclidean dot product of these vectors, and a contiguous vector
+    # reads back as the matrix through a complex view.
+    return np.ascontiguousarray(a, dtype=complex).view(np.float64).ravel()
 
 
 def _mat_from_realvec(v: np.ndarray, dim: int) -> np.ndarray:
-    half = dim * dim
-    return (v[:half] + 1j * v[half:]).reshape(dim, dim)
+    return np.ascontiguousarray(v).view(complex).reshape(dim, dim)
+
+
+class _RowBuffer:
+    """Rows shared by a chain of spans, each span owning a prefix.
+
+    Rows below ``filled`` are final: no span ever writes them again.
+    """
+
+    __slots__ = ("data", "filled")
+
+    def __init__(self, capacity: int, width: int):
+        self.data = np.empty((capacity, width))
+        self.filled = 0
 
 
 class OrthonormalSpan:
     """Orthonormal basis of a real span of complex ``dim x dim`` matrices.
 
     Basis elements are pairwise orthonormal under Re<A,B>_F.  Instances are
-    immutable; :func:`orthonormal_extend` returns a new span.
+    immutable; :func:`orthonormal_extend` returns a new span.  The basis is
+    stored once, as the first ``dim`` rows of a float64 buffer (see
+    :func:`_realvec`) that the spans of one extension chain share; the
+    buffer grows by doubling.
     """
 
-    __slots__ = ("ambient_dim", "basis", "tol", "_rows")
+    __slots__ = ("ambient_dim", "tol", "_buf", "_n")
 
-    def __init__(self, ambient_dim: int, basis=(), tol: float = RANK_TOL, _rows=None):
+    def __init__(self, ambient_dim: int, tol: float = RANK_TOL):
         self.ambient_dim = int(ambient_dim)
-        self.basis = tuple(basis)
         self.tol = float(tol)
-        if _rows is None:
-            if self.basis:
-                _rows = np.vstack([_realvec(b) for b in self.basis])
-            else:
-                _rows = np.zeros((0, 2 * self.ambient_dim**2))
-        self._rows = _rows
+        self._buf = _RowBuffer(0, 2 * self.ambient_dim**2)
+        self._n = 0
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._n
+
+    @property
+    def _rows(self) -> np.ndarray:
+        return self._buf.data[: self._n]
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Read-only ``(dim, ambient_dim, ambient_dim)`` view of the basis."""
+        d = self.ambient_dim
+        view = self._rows.view(complex).reshape(self._n, d, d)
+        view.flags.writeable = False
+        return view
+
+    def _appended(self, row: np.ndarray) -> OrthonormalSpan:
+        """The span with one more basis row; this span is left unchanged."""
+        buf, n = self._buf, self._n
+        # Row n is free only if no other span extended this one first (a
+        # branch) and the buffer has room; otherwise continue on a copy.
+        if n < buf.filled or n == len(buf.data):
+            grown = _RowBuffer(max(4, 2 * n), buf.data.shape[1])
+            grown.data[:n] = buf.data[:n]
+            buf = grown
+        buf.data[n] = row
+        buf.filled = n + 1
+        out = OrthonormalSpan(self.ambient_dim, self.tol)
+        out._buf, out._n = buf, n + 1
+        return out
 
     def _validate(self, x) -> np.ndarray:
         x = _as_square(x, "candidate")
@@ -227,7 +266,7 @@ class OrthonormalSpan:
     def project(self, x) -> np.ndarray:
         """Orthogonal projection of ``x`` onto the span."""
         x = self._validate(x)
-        if not self.basis:
+        if not self.dim:
             return np.zeros_like(x)
         v = self._rows.T @ (self._rows @ _realvec(x))
         return _mat_from_realvec(v, self.ambient_dim)
@@ -237,9 +276,10 @@ class OrthonormalSpan:
         x = self._validate(x)
         v = _realvec(x)
         nrm = np.linalg.norm(v)
-        if self._rows.shape[0]:
-            v = v - self._rows.T @ (self._rows @ v)
-            v = v - self._rows.T @ (self._rows @ v)
+        rows = self._rows
+        if self.dim:
+            v = v - rows.T @ (rows @ v)
+            v = v - rows.T @ (rows @ v)
         return float(np.linalg.norm(v) / max(1.0, nrm))
 
     def contains(self, x, tol: float | None = None) -> bool:
@@ -264,16 +304,14 @@ def orthonormal_extend(span: OrthonormalSpan, candidate) -> tuple[bool, Orthonor
     x = span._validate(candidate)
     v = _realvec(x)
     norm_x = np.linalg.norm(v)
-    if span._rows.shape[0]:
-        v = v - span._rows.T @ (span._rows @ v)
-        v = v - span._rows.T @ (span._rows @ v)
+    rows = span._rows
+    if span.dim:
+        v = v - rows.T @ (rows @ v)
+        v = v - rows.T @ (rows @ v)
     r = np.linalg.norm(v)
     if r <= span.tol * max(1.0, norm_x):
         return False, span
-    v = v / r
-    new_mat = _mat_from_realvec(v, span.ambient_dim)
-    new_rows = np.vstack([span._rows, v])
-    return True, OrthonormalSpan(span.ambient_dim, span.basis + (new_mat,), span.tol, _rows=new_rows)
+    return True, span._appended(v / r)
 
 
 def span_of(matrices, ambient_dim: int | None = None, tol: float = RANK_TOL) -> OrthonormalSpan:

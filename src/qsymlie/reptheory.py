@@ -284,19 +284,20 @@ def _partitions_into(n: int, parts: int, cap: int | None = None):
 
 
 @lru_cache(maxsize=None)
-def _cg_multiplicity(m: IWeight) -> int:
-    # Recursion k_m = sum_i k_{m with m_i - 1}; base case the standard rep.
-    d = len(m)
-    if sum(m) == 1:
-        return 1  # (1,0,...,0) is the only admissible weight of sum 1
-    total = 0
-    for i in range(d):
-        if m[i] == 0:
-            continue
-        child = m[:i] + (m[i] - 1,) + m[i + 1 :]
-        if all(child[j] >= child[j + 1] for j in range(d - 1)):
-            total += _cg_multiplicity(child)
-    return total
+def _cg_table(n: int, d: int) -> dict[IWeight, int]:
+    # k_m = sum_i k_{m - e_i} over the non-increasing children m - e_i,
+    # built up from the standard rep (1,0,...,0) one entry sum at a time so
+    # that no call recurses n deep.
+    layer = {(1,) + (0,) * (d - 1): 1}
+    for _ in range(n - 1):
+        nxt: dict[IWeight, int] = {}
+        for m, k in layer.items():
+            for i in range(d):
+                if i == 0 or m[i - 1] > m[i]:
+                    parent = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                    nxt[parent] = nxt.get(parent, 0) + k
+        layer = nxt
+    return layer
 
 
 def cg_decompose(n: int, d: int) -> dict[IWeight, int]:
@@ -307,7 +308,8 @@ def cg_decompose(n: int, d: int) -> dict[IWeight, int]:
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    return {m: _cg_multiplicity(m) for m in _partitions_into(n, d)}
+    table = _cg_table(n, d)
+    return {m: table[m] for m in _partitions_into(n, d)}
 
 
 def ambient_commutant_dim(n: int, d: int) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from qsymlie import cli
 from qsymlie import generators as g
+from qsymlie import reptheory as rt
 from qsymlie.linalg import matrix_to_json
 
 
@@ -37,6 +38,17 @@ class TestDecompose:
         _, first, _ = run(capsys, "decompose", "--d", "3", "--n", "4", "--format", "json")
         _, second, _ = run(capsys, "decompose", "--d", "3", "--n", "4", "--format", "json")
         assert first == second
+
+    def test_large_n_same_cold_and_warm(self, capsys):
+        # n = 600 is past the depth of a recursion over the entry sum
+        argv = ("decompose", "--d", "2", "--n", "600", "--format", "json")
+        rt._cg_table.cache_clear()
+        code, cold, _ = run(capsys, *argv)
+        assert code == 0
+        obj = json.loads(cold)
+        assert obj["checks"]["sum_mult_dim"] == 2**600 and obj["ok"] is True
+        code, warm, _ = run(capsys, *argv)
+        assert code == 0 and warm == cold
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -18,6 +18,33 @@ def single_site_set(*mats, names=None):
     return cl.GeneratorSet(mats[0].shape[0], 1, tuple(mats), tuple(names))
 
 
+def all_pairs_closure(gens, tol=la.RANK_TOL):
+    """Reference closure: every new element bracketed with every generator
+    and every earlier basis element, round by round until nothing is added."""
+    span = la.span_of(gens.generators, gens.d**gens.n, tol)
+    start = 0
+    while start < span.dim:
+        end = span.dim
+        for i in range(start, end):
+            left = span.basis[i]
+            for partner in list(gens.generators) + list(span.basis[:i]):
+                _, span = la.orthonormal_extend(span, la.commutator(left, partner))
+        start = end
+    return span
+
+
+def haar_unitary(rng, dim):
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def assert_same_span(a, b, tol=1e-8):
+    assert a.dim == b.dim
+    assert max(b.residual(x) for x in a.basis) <= tol
+    assert max(a.residual(x) for x in b.basis) <= tol
+
+
 class TestLieClosure:
     def test_su2_from_two_directions(self):
         r = cl.lie_closure(single_site_set(1j * SX, 1j * SZ))
@@ -89,6 +116,53 @@ class TestLieClosure:
         u = g.permutation_operator((1, 0, 2), 3)
         for x in qutrit_closure_h.span.basis[:: 40]:
             assert np.linalg.norm(x @ u - u @ x) <= 1e-9
+
+
+_ORACLE_CASES = (
+    [(f"qubits:n={n}", 1e-7) for n in (2, 3, 4)]
+    + [(f"qutrits:n={n}:{kind}", la.RANK_TOL) for n in (2, 3) for kind in ("H", "Sz2")]
+    + [
+        (f"lemma2:{n1},{n2},({j},{m})", la.RANK_TOL)
+        for n1, n2 in ((2, 1), (2, 2), (3, 2))
+        for j in range(1, n1 + 1)
+        for m in range(n1 + 1, n1 + n2 + 1)
+    ]
+)
+
+
+class TestGeneratorSchedule:
+    @pytest.mark.parametrize("name,tol", _ORACLE_CASES)
+    def test_matches_all_pairs_oracle(self, name, tol):
+        gens = cl.preset(name)
+        r = cl.lie_closure(gens, tol=tol)
+        assert r.saturated
+        # one offer per generator, then one per (basis element, generator)
+        assert r.offered == len(gens.generators) * (1 + r.dim)
+        assert_same_span(r.span, all_pairs_closure(gens, tol))
+
+    def test_haar_conjugated_flagship_matches_oracle(self, rng):
+        gens = cl.preset("qutrits:n=3:H")
+        u = haar_unitary(rng, 3)
+        u3 = np.kron(np.kron(u, u), u)
+        rotated = cl.GeneratorSet(
+            3, 3, tuple(u3 @ x @ u3.conj().T for x in gens.generators), gens.names
+        )
+        r = cl.lie_closure(rotated)
+        assert r.saturated and r.dim == 163 and r.offered == 9 * (1 + 163)
+        assert_same_span(r.span, all_pairs_closure(rotated))
+
+    def test_flagship_closed_under_brackets(self, qutrit_closure_h, rng):
+        basis = qutrit_closure_h.span.basis
+        pairs = rng.integers(0, len(basis), size=(200, 2))
+        worst = max(
+            qutrit_closure_h.span.residual(la.commutator(basis[i], basis[j])) for i, j in pairs
+        )
+        assert worst <= 1e-8
+
+    def test_flagship_rounds_and_offers(self, qutrit_closure_h):
+        assert (qutrit_closure_h.dim, qutrit_closure_h.rounds, qutrit_closure_h.offered) == (
+            163, 6, 1476
+        )
 
 
 class TestQubitPresets:

@@ -125,6 +125,30 @@ class TestOrthonormalSpan:
             added, _ = la.orthonormal_extend(span, b)
             assert not added
 
+    def test_branching_leaves_earlier_spans_unchanged(self):
+        a = la.span_of([1j * SX])
+        _, b = la.orthonormal_extend(a, 1j * SY)
+        before = b.basis.copy()
+        # a is no longer the latest span over its rows: c must not overwrite b's
+        _, c = la.orthonormal_extend(a, 1j * SZ)
+        assert a.dim == 1 and b.dim == 2 and c.dim == 2
+        assert np.array_equal(b.basis, before)
+        b.check()
+        c.check()
+        assert b.contains(1j * SY) and not b.contains(1j * SZ)
+        assert c.contains(1j * SZ) and not c.contains(1j * SY)
+        # b is still the latest span over its own rows and grows in place
+        _, b3 = la.orthonormal_extend(b, 1j * SZ)
+        assert b3.dim == 3 and np.array_equal(b3.basis[:2], before)
+        b3.check()
+
+    def test_basis_is_a_read_only_view(self):
+        span = la.span_of([1j * SX, 1j * SZ])
+        assert span.basis.shape == (2, 2, 2)
+        assert np.allclose(span.basis[0], 1j * SX / np.sqrt(2))
+        with pytest.raises(ValueError):
+            span.basis[0, 0, 0] = 1.0
+
     def test_nonfinite_rejected(self):
         span = la.OrthonormalSpan(2)
         bad = np.array([[np.nan, 0], [0, 0]], dtype=complex)
