@@ -6,12 +6,18 @@ recovers the blocks.  Two non-isomorphic su(3) blocks can share a C2
 eigenvalue (the quadratic eigenvalue c2(p,q) is symmetric in p,q); the cubic
 Casimir C3 then refines the cluster.  Raw C2 eigenvalues are never compared
 against c2(p,q) values, only their equality patterns are matched.
+
+Both Casimirs are applied matrix-free, as sums of collective applications
+(:func:`~qsymlie.generators.collective_apply`) to a block of columns.  C2 is
+materialized for its eigendecomposition; C3 is applied only to the columns
+of a C2-degenerate cluster and is never formed as a d^n x d^n matrix there.
+``build_C2`` and ``build_C3`` are the actions applied to the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isqrt
 
 import numpy as np
 
@@ -25,6 +31,7 @@ from .linalg import (
 )
 from .generators import (
     adjacent_transpositions,
+    collective_apply,
     gell_mann_basis,
     hat_f,
     permutation_operator,
@@ -35,7 +42,6 @@ from .reptheory import (
     cg_decompose,
     content_sum,
     irrep_dimension,
-    quantum_numbers,
 )
 
 
@@ -67,33 +73,45 @@ def casimir_set(d: int, n: int) -> CasimirSet:
     return CasimirSet(d, n, build_C2(d, n), build_C3(d, n) if d == 3 else None)
 
 
-def build_C2(d: int, n: int) -> np.ndarray:
-    """Quadratic Casimir: sum over the d^2-1 traceless slots of hat(F_k)^2."""
-    dim = d**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, d * d):
-        fk = hat_f(k, d, n)
-        out += fk @ fk
+def apply_C2(x, d: int, n: int) -> np.ndarray:
+    """C2 @ x = sum_k hat(F_k) (hat(F_k) x) for x of shape (d^n, m)."""
+    out = np.zeros(np.shape(x), dtype=complex)
+    for e in gell_mann_basis(d).elements[1:]:
+        out += collective_apply(e, collective_apply(e, x, n), n)
     return out
+
+
+def apply_C3(x, d: int, n: int) -> np.ndarray:
+    """C3 @ x = sum_l hat(F_l) sum_m hat(F_m) (sum_q d_{lm}^q hat(F_q) x) (d = 3 only).
+
+    Costs 8 + 54 + 8 collective applications: the hat(F_q) x, one per pair
+    (l, m) with a nonzero d_{lm}^q, and one per l after the sum over m.
+    """
+    if d != 3:
+        raise ValueError("the cubic Casimir is implemented for d = 3 only")
+    basis = gell_mann_basis(d)
+    es = basis.elements[1:]
+    dsym = structure_constants(basis).dsym
+    fx = [collective_apply(e, x, n) for e in es]
+    out = np.zeros(np.shape(x), dtype=complex)
+    for l, el in enumerate(es):
+        inner = np.zeros(np.shape(x), dtype=complex)
+        for m, em in enumerate(es):
+            coeffs = [(c, fx[q]) for q, c in enumerate(dsym[l, m]) if c != 0.0]
+            if coeffs:
+                inner += collective_apply(em, sum(c * y for c, y in coeffs), n)
+        out += collective_apply(el, inner, n)
+    return out
+
+
+def build_C2(d: int, n: int) -> np.ndarray:
+    """Quadratic Casimir sum over the d^2-1 traceless slots of hat(F_k)^2, as a matrix."""
+    return apply_C2(np.eye(d**n, dtype=complex), d, n)
 
 
 def build_C3(d: int, n: int) -> np.ndarray:
-    """Cubic Casimir sum_{l,m,q} d_{lm}^q hat(F_l) hat(F_m) hat(F_q) (d = 3 only)."""
-    if d != 3:
-        raise ValueError("build_C3 supports d = 3 only")
-    sc = structure_constants(gell_mann_basis(d))
-    hats = [hat_f(k, d, n) for k in range(1, d * d)]
-    dim = d**n
-    out = np.zeros((dim, dim), dtype=complex)
-    m = d * d - 1
-    for l in range(m):
-        for mm in range(m):
-            prod_lm = hats[l] @ hats[mm]
-            for q in range(m):
-                c = sc.dsym[l, mm, q]
-                if c != 0.0:
-                    out += c * (prod_lm @ hats[q])
-    return out
+    """Cubic Casimir sum_{l,m,q} d_{lm}^q hat(F_l) hat(F_m) hat(F_q), as a matrix (d = 3 only)."""
+    return apply_C3(np.eye(d**n, dtype=complex), d, n)
 
 
 def c2_eigenvalue(p: int, q: int) -> int:
@@ -111,68 +129,28 @@ def c2_eigenvalue(p: int, q: int) -> int:
 # Degenerate c2 search
 # ---------------------------------------------------------------------------
 
-def _triangle_candidates(p0: int, q0: int):
-    """Candidate lattice points below the p=q line that could share c2(p0,q0).
-
-    c2 strictly increases along +p, +q and along (1,-1) inside q <= p, and
-    strictly decreases along (1,-2); points outside the two cones bounded by
-    the lines p+q = p0+q0 and 2p+q = 2p0+q0 therefore differ strictly.
-    """
-    s1 = p0 + q0       # line of direction (1,-1)
-    s2 = 2 * p0 + q0   # line of direction (1,-2)
-    for q in range(q0):  # triangle below q0
-        lo = max(q, -(-(s2 - q) // 2))  # ceil((s2-q)/2)
-        hi = s1 - q
-        for p in range(lo, hi + 1):
-            yield p, q
-    q = q0 + 1  # triangle above q0, capped by q <= p
-    while 3 * q <= s2:
-        lo = max(q, s1 - q)
-        hi = (s2 - q) // 2
-        for p in range(lo, hi + 1):
-            yield p, q
-        q += 1
-
-
-def _disc_hits(target: int):
-    """All (p, q) with q <= p and c2 = target inside the rigorous disc bound.
-
-    Outside (p+3/2)^2 + (q+3/2)^2 <= target + 9/2 the value strictly
-    exceeds the target.
-    """
-    hits = []
-    p = 0
-    while (p + 1.5) ** 2 + 2.25 <= target + 4.5 or p == 0:
-        for q in range(p + 1):
-            if (p + 1.5) ** 2 + (q + 1.5) ** 2 <= target + 4.5 and c2_eigenvalue(p, q) == target:
-                hits.append((p, q))
-        p += 1
-    return hits
-
-
 def degeneracy_search(p0: int, q0: int) -> list[tuple[int, int]]:
-    """All lattice pairs sharing the quadratic eigenvalue of (p0, q0).
+    """All lattice pairs (p, q) >= 0 sharing the quadratic eigenvalue of (p0, q0), sorted.
 
-    Runs the triangle-pruned search seeded at the representative with
-    q <= p, iterating the pruning from every hit until nothing new appears,
-    then verifies the result against the disc bound (which wins on any
-    disagreement).  The full answer is mirrored across p = q and sorted.
+    Exact and complete.  Let T = c2(p0, q0).  For q >= 0,
+    c2(p, q) >= p^2 + 3p, so every solution has p^2 + 3p <= T, and only
+    those p are scanned.  For fixed p, c2 is strictly increasing in q >= 0,
+    so at most one q matches: the root of q^2 + (p+3)q + p^2 + 3p - T = 0,
+    q = (s - p - 3)/2 with s^2 = 4T + 9 - 6p - 3p^2.  It is an integer
+    solution exactly when that discriminant is a perfect square (checked
+    with :func:`math.isqrt`), s - p - 3 is even and q >= 0.  All arithmetic
+    is on integers.
     """
     target = c2_eigenvalue(p0, q0)
-    seed = (max(p0, q0), min(p0, q0))
-    hits = {seed}
-    frontier = [seed]
-    while frontier:
-        base = frontier.pop(0)
-        for cand in _triangle_candidates(*base):
-            if cand not in hits and c2_eigenvalue(*cand) == target:
-                hits.add(cand)
-                frontier.append(cand)
-    safety = set(_disc_hits(target))
-    if hits != safety:
-        hits = safety
-    full = set(hits) | {(q, p) for p, q in hits}
-    return sorted(full)
+    hits = []
+    p = 0
+    while p * p + 3 * p <= target:
+        disc = 4 * target + 9 - 6 * p - 3 * p * p
+        s = isqrt(disc)
+        if s * s == disc and s >= p + 3 and (s - p - 3) % 2 == 0:
+            hits.append((p, (s - p - 3) // 2))
+        p += 1
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +177,6 @@ class IsotypicBlock:
         return self.basis @ self.basis.conj().T
 
 
-def _label_key(label, d: int):
-    # Exact integer key whose equality/order pattern matches the raw C2
-    # spectrum at fixed (n, d).
-    if d == 3:
-        p, q = quantum_numbers(label)
-        return c2_eigenvalue(p, q)
-    return content_sum(label)
-
-
 def isotypic_blocks(
     d: int, n: int, cluster_tol: float = CLUSTER_TOL, tol: float = RANK_TOL
 ) -> list[IsotypicBlock]:
@@ -215,25 +184,20 @@ def isotypic_blocks(
 
     Clusters the C2 eigenvalues, matches clusters to the expected labels by
     equality pattern and block dimension, and refines any cluster shared by
-    two labels with C3 (d = 3).  Blocks are returned by ascending C2
-    eigenvalue, sub-ordered by ascending C3 eigenvalue inside a refined
-    cluster.
+    two labels with C3 (d = 3).  C3 is applied only to the orthonormal
+    eigenvectors V of such a C2-degenerate cluster, as V^dag (C3 V), so no
+    d^n x d^n C3 is formed.  Blocks are returned by ascending C2 eigenvalue,
+    sub-ordered by ascending C3 eigenvalue inside a refined cluster.
 
     Raises :class:`UnresolvedDegeneracyError` when labels cannot be
     separated or attached unambiguously.
     """
     labels = cg_decompose(n, d)
-    groups: dict[object, list[tuple[int, ...]]] = {}
+    # On label lambda, C2 = 2n(d^2-1)/d - 2n(n-1)/d + 4 content_sum(lambda):
+    # the exact integer content sum has the spectrum's equality and order.
+    groups: dict[int, list[tuple[int, ...]]] = {}
     for m in labels:
-        groups.setdefault(_label_key(m, d), []).append(m)
-    if d == 3:
-        # Cross-check: the content-sum pattern must agree with the c2(p,q)
-        # pattern (both are the quadratic Casimir in fixed scalings).
-        alt: dict[int, set] = {}
-        for m in labels:
-            alt.setdefault(content_sum(m), set()).add(m)
-        if sorted(map(sorted, alt.values())) != sorted(map(sorted, groups.values())):
-            raise UnresolvedDegeneracyError("c2 equality patterns disagree")
+        groups.setdefault(content_sum(m), []).append(m)
     ordered_keys = sorted(groups)
     if any(len(groups[k]) > 1 for k in ordered_keys) and d != 3:
         raise UnresolvedDegeneracyError(
@@ -249,7 +213,6 @@ def isotypic_blocks(
             f"found {len(clustering.clusters)} C2 clusters, expected {len(ordered_keys)}"
         )
 
-    c3 = None
     blocks: list[IsotypicBlock] = []
     for ci, (key, idx) in enumerate(zip(ordered_keys, clustering.clusters)):
         members = groups[key]
@@ -272,9 +235,7 @@ def isotypic_blocks(
             raise UnresolvedDegeneracyError(
                 f"labels {members} share both C2 value and block dimension"
             )
-        if c3 is None:
-            c3 = build_C3(d, n)
-        sub = vecs.conj().T @ c3 @ vecs
+        sub = vecs.conj().T @ apply_C3(vecs, d, n)
         w3, u3 = hermitian_eig(sub, 1e-7)
         subcl = cluster_eigenvalues(w3, cluster_tol)
         if len(subcl.clusters) != len(members):

@@ -119,18 +119,22 @@ def lie_closure(
     within W for every generator s.  By the Jacobi identity the x with
     [x, W] within W form a Lie subalgebra; it contains the generators,
     hence all of L, so [W, W] lies within [L, W], within W.  So W is a Lie
-    algebra containing the generators, and W = L.  A saturated closure
-    offers exactly ``k * (1 + dim)`` candidates (``offered``).
+    algebra containing the generators, and W = L.  A closure that stops
+    because a round added nothing offers exactly ``k * (1 + dim)``
+    candidates (``offered``).
 
     Terminates when a full round adds nothing (``saturated=True``) or when
-    the dimension reaches ``max_dim`` (``saturated=False``; default cap is
-    the ambient invariant algebra dimension C(n+d^2-1, d^2-1)).
+    the dimension reaches ``max_dim`` (default: the ambient invariant
+    algebra dimension C(n+d^2-1, d^2-1)).  A run that reaches the ambient
+    dimension, with no smaller cap, is saturated: the validated span is then
+    the whole invariant algebra.
     """
     if not gens.generators:
         raise ValueError("need a non-empty generator set")
     gens.validate(tol)
+    ambient = ambient_commutant_dim(gens.n, gens.d)
     if max_dim is None:
-        max_dim = ambient_commutant_dim(gens.n, gens.d)
+        max_dim = ambient
     span = OrthonormalSpan(gens.d**gens.n, tol=tol)
     for g in gens.generators:
         _, span = orthonormal_extend(span, g)
@@ -156,6 +160,9 @@ def lie_closure(
             if capped:
                 break
         start = end
+    # A validated span of the ambient dimension is the whole invariant
+    # algebra, which is closed under brackets; a cap below it stays a cap.
+    saturated = saturated or (span.dim >= ambient and max_dim >= ambient)
     return LieClosureResult(gens.d, gens.n, span, span.dim, rounds, saturated, offered)
 
 

@@ -222,16 +222,28 @@ def symmetric_term_count(counts) -> int:
     return out
 
 
+def collective_apply(op, x, n: int) -> np.ndarray:
+    """``collective(op, n) @ x`` without forming the d^n x d^n lift.
+
+    ``x`` has shape (d^n, m) (or (d^n,)).  For each site j the rows of x are
+    viewed as (d^j, d, rest) and op acts on the middle index by one batched
+    d x d matmul, at cost n * d^2 * d^n * m.
+    """
+    op = _as_square(op)
+    d = op.shape[0]
+    x = np.ascontiguousarray(x, dtype=complex)
+    if x.shape[0] != d**n:
+        raise ValueError(f"operand has {x.shape[0]} rows, need d^n = {d**n}")
+    out = np.zeros(x.shape, dtype=complex)
+    for j in range(n):
+        out.reshape(d**j, d, -1)[...] += op @ x.reshape(d**j, d, -1)
+    return out
+
+
 def collective(op, n: int) -> np.ndarray:
     """sum_j 1 (x) ... (x) op (x) ... (x) 1 over the n factor positions."""
     op = _as_square(op)
-    d = op.shape[0]
-    eye = np.eye(d, dtype=complex)
-    dim = d**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for j in range(n):
-        out += kron_all([eye] * j + [op] + [eye] * (n - 1 - j))
-    return out
+    return collective_apply(op, np.eye(op.shape[0] ** n, dtype=complex), n)
 
 
 def hat_f(k: int, d: int, n: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,51 @@ class TestC2Identities:
         w, _ = la.hermitian_eig(cas.build_C2(2, 4))
         cl = la.cluster_eigenvalues(w, 1e-8)
         assert sorted(cl.sizes) == [2, 5, 9]
+
+
+def kron_collective(op, n):
+    """Collective lift as a sum of Kronecker products, apart from the package."""
+    eye = np.eye(op.shape[0])
+    return sum(la.kron_all([eye] * j + [op] + [eye] * (n - 1 - j)) for j in range(n))
+
+
+def dense_C2(d, n):
+    """The dense loop: sum_k hat(F_k) @ hat(F_k)."""
+    hats = [kron_collective(e, n) for e in g.gell_mann_basis(d).elements[1:]]
+    return sum(f @ f for f in hats)
+
+
+def dense_C3(d, n):
+    """The dense triple loop: sum_{l,m,q} d_lmq hat(F_l) @ hat(F_m) @ hat(F_q)."""
+    dsym = g.structure_constants(g.gell_mann_basis(d)).dsym
+    hats = [kron_collective(e, n) for e in g.gell_mann_basis(d).elements[1:]]
+    out = np.zeros((d**n, d**n), dtype=complex)
+    for l, fl in enumerate(hats):
+        for m, fm in enumerate(hats):
+            prod_lm = fl @ fm
+            for q, fq in enumerate(hats):
+                if dsym[l, m, q] != 0.0:
+                    out += dsym[l, m, q] * (prod_lm @ fq)
+    return out
+
+
+class TestCasimirAction:
+    @pytest.mark.parametrize("d,n", [(2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+    def test_builds_match_dense_oracle(self, d, n):
+        assert np.abs(cas.build_C2(d, n) - dense_C2(d, n)).max() <= 1e-10
+        if d == 3:
+            assert np.abs(cas.build_C3(d, n) - dense_C3(d, n)).max() <= 1e-10
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
+    def test_apply_on_columns(self, d, n, rng):
+        x = rng.standard_normal((d**n, 5)) + 1j * rng.standard_normal((d**n, 5))
+        assert np.abs(cas.apply_C2(x, d, n) - dense_C2(d, n) @ x).max() <= 1e-10
+        if d == 3:
+            assert np.abs(cas.apply_C3(x, d, n) - dense_C3(d, n) @ x).max() <= 1e-10
+
+    def test_apply_c3_rejects_other_d(self):
+        with pytest.raises(ValueError):
+            cas.apply_C3(np.eye(4), 2, 2)
 
 
 @pytest.fixture(scope="module")
@@ -142,12 +188,28 @@ class TestDegeneracySearch:
     def test_matches_brute_force(self, p0, q0):
         assert cas.degeneracy_search(p0, q0) == brute_force_equal_c2(p0, q0)
 
+    def test_large_seed_matches_brute_force(self):
+        # c2 >= p^2 and c2 >= q^2, so no match lies past isqrt(target)
+        target = cas.c2_eigenvalue(3000, 5)
+        q = np.arange(math.isqrt(target) + 1, dtype=np.int64)
+        want = []
+        for p in range(math.isqrt(target) + 1):
+            c2 = p * p + q * q + 3 * (p + q) + p * q
+            want += [(p, int(x)) for x in q[c2 == target]]
+        got = cas.degeneracy_search(3000, 5)
+        assert got == want and (3000, 5) in got and (5, 3000) in got
+
     def test_n12_degeneracy_is_admissible(self):
         # both (5,2) and (2,5) occur among the 12-qutrit labels, so C2 alone
         # cannot separate them there
         labels = rt.admissible_reps(12, 3)
         assert (5, 2) in labels and (2, 5) in labels
         assert cas.c2_eigenvalue(5, 2) == cas.c2_eigenvalue(2, 5)
+
+
+@pytest.fixture(scope="module")
+def six_qutrit_blocks():
+    return cas.isotypic_blocks(3, 6)
 
 
 class TestIsotypicBlocks:
@@ -182,9 +244,9 @@ class TestIsotypicBlocks:
         # same projector
         assert np.allclose(sym.projector(), dicke @ dicke.conj().T, atol=1e-9)
 
-    def test_c3_refinement_at_six_qutrits(self):
+    def test_c3_refinement_at_six_qutrits(self, six_qutrit_blocks):
         # first C2-degenerate case: labels (4,1,1) and (3,3,0) share c2 = 18
-        blocks = cas.isotypic_blocks(3, 6)
+        blocks = six_qutrit_blocks
         got = {b.label: (b.block_dim, b.c3_refined) for b in blocks}
         assert got[(4, 1, 1)] == (100, True)
         assert got[(3, 3, 0)] == (50, True)
@@ -196,6 +258,38 @@ class TestIsotypicBlocks:
         blocks = cas.isotypic_blocks(5, 1)
         assert len(blocks) == 1 and blocks[0].label == (1, 0, 0, 0, 0)
         assert blocks[0].block_dim == 5
+
+    @pytest.mark.parametrize(
+        "d,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 7)] + [(4, 2), (4, 3)]
+    )
+    def test_c2_value_per_block(self, d, n, six_qutrit_blocks):
+        # C2 = 2n(d^2-1)/d - 2n(n-1)/d + 4 content_sum(lambda) on block lambda
+        blocks = six_qutrit_blocks if (d, n) == (3, 6) else cas.isotypic_blocks(d, n)
+        for b in blocks:
+            sub = b.basis.conj().T @ cas.apply_C2(b.basis, d, n)
+            want = 2 * n * (d * d - 1) / d - 2 * n * (n - 1) / d + 4 * rt.content_sum(b.label)
+            assert np.abs(sub - want * np.eye(b.block_dim)).max() <= 1e-9
+
+    def test_c3_scalar_and_distinct_on_refined_blocks(self, six_qutrit_blocks):
+        values = {}
+        for b in six_qutrit_blocks:
+            if b.c3_refined:
+                sub = b.basis.conj().T @ cas.apply_C3(b.basis, 3, 6)
+                lam = np.trace(sub).real / b.block_dim
+                assert np.abs(sub - lam * np.eye(b.block_dim)).max() <= 1e-9
+                values[b.label] = lam
+        assert set(values) == {(3, 3, 0), (4, 1, 1)}
+        assert abs(values[(3, 3, 0)] - values[(4, 1, 1)]) > 1.0
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_content_sum_orders_like_qutrit_c2(self, n):
+        # the block key: same ties and order as c2(p, q) for every qutrit label
+        labels = sorted(rt.cg_decompose(n, 3))
+        for a, b in itertools.combinations(labels, 2):
+            ka, kb = rt.content_sum(a), rt.content_sum(b)
+            ca = cas.c2_eigenvalue(*rt.quantum_numbers(a))
+            cb = cas.c2_eigenvalue(*rt.quantum_numbers(b))
+            assert (ka > kb) - (ka < kb) == (ca > cb) - (ca < cb)
 
 
 class TestCenterBasis:

@@ -129,6 +129,32 @@ class TestClosure:
         obj = json.loads(out)
         assert obj["saturated"] is False and obj["dim_reached"] == 5
 
+    @staticmethod
+    def _u3_spec(tmp_path):
+        # the 8 Gell-Mann matrices and the identity close to all of u(3)
+        basis = g.gell_mann_basis(3).elements
+        spec = {"d": 3, "n": 1, "hamiltonians": [matrix_to_json(e) for e in basis[1:] + basis[:1]]}
+        path = tmp_path / "u3.json"
+        path.write_text(json.dumps(spec))
+        return str(path)
+
+    def test_ambient_dimension_is_saturated(self, capsys, tmp_path):
+        spec = self._u3_spec(tmp_path)
+        code, out, _ = run(capsys, "closure", "--spec", spec, "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["saturated"] is True and obj["total_dim"] == 9 == rt.ambient_commutant_dim(1, 3)
+        assert obj["subspace_controllable"] is True and obj["center_dim"] == 1
+
+    def test_cap_below_ambient_stays_unsaturated(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "closure", "--spec", self._u3_spec(tmp_path), "--max-dim", "5",
+            "--format", "json",
+        )
+        assert code == 2
+        obj = json.loads(out)
+        assert obj["saturated"] is False and obj["max_dim"] == 5
+
     def test_preset_and_spec_mutually_exclusive(self, capsys):
         code, _, err = run(capsys, "closure", "--preset", "qubits:n=2", "--spec", "x.json")
         assert code == 1

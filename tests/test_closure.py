@@ -99,6 +99,13 @@ class TestLieClosure:
         r = cl.lie_closure(gens, max_dim=2)
         assert not r.saturated and r.dim == 2
 
+    def test_reaching_ambient_dimension_is_saturated(self):
+        # u(2) is the whole invariant algebra at n = 1
+        gens = single_site_set(1j * SX, 1j * SY, 1j * SZ, 1j * np.eye(2))
+        r = cl.lie_closure(gens)
+        assert r.saturated and r.dim == 4 == rt.ambient_commutant_dim(1, 2)
+        assert not cl.lie_closure(gens, max_dim=3).saturated
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             cl.lie_closure(cl.GeneratorSet(2, 1, (), ()))

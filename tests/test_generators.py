@@ -228,6 +228,29 @@ class TestCollective:
     def test_identity(self):
         assert np.allclose(g.collective(np.eye(3), 4), 4 * np.eye(81))
 
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 3), (4, 2)])
+    def test_matches_kronecker_sum(self, d, n, rng):
+        # a non-Hermitian op, so a transposed site action would show
+        op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        eye = np.eye(d)
+        want = sum(la.kron_all([eye] * j + [op] + [eye] * (n - 1 - j)) for j in range(n))
+        assert np.abs(g.collective(op, n) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("d,n,m", [(2, 5, 3), (3, 4, 7), (4, 3, 1)])
+    def test_apply_matches_dense_product(self, d, n, m, rng):
+        op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = rng.standard_normal((d**n, m)) + 1j * rng.standard_normal((d**n, m))
+        dense = g.collective(op, n)
+        assert np.abs(g.collective_apply(op, x, n) - dense @ x).max() <= 1e-12
+        # a single vector, and a column block that is not C-contiguous
+        assert np.abs(g.collective_apply(op, x[:, 0], n) - dense @ x[:, 0]).max() <= 1e-12
+        xf = np.asfortranarray(x)
+        assert np.abs(g.collective_apply(op, xf, n) - dense @ x).max() <= 1e-12
+
+    def test_apply_rejects_wrong_row_count(self):
+        with pytest.raises(ValueError):
+            g.collective_apply(np.eye(2), np.ones((6, 2)), 2)
+
 
 class TestSpinOps:
     def test_qutrit_l1(self):
