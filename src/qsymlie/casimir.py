@@ -7,16 +7,20 @@ eigenvalue (the quadratic eigenvalue c2(p,q) is symmetric in p,q); the cubic
 Casimir C3 then refines the cluster.  Raw C2 eigenvalues are never compared
 against c2(p,q) values, only their equality patterns are matched.
 
-Both Casimirs are applied matrix-free, as sums of collective applications
-(:func:`~qsymlie.generators.collective_apply`) to a block of columns.  C2 is
-materialized for its eigendecomposition; C3 is applied only to the columns
-of a C2-degenerate cluster and is never formed as a d^n x d^n matrix there.
-``build_C2`` and ``build_C3`` are the actions applied to the identity.
+Both Casimirs are applied matrix-free to a block of columns.  C2 is a
+constant plus a sum of tensor-factor transpositions, so it keeps every su(d)
+weight space (the basis states with one set of occupation numbers) and is
+diagonalized one weight space at a time; no d^n x d^n C2 is formed there.
+C3 is a sum of collective applications
+(:func:`~qsymlie.generators.collective_apply`), applied only to the columns
+of a C2-degenerate cluster.  ``build_C2`` and ``build_C3`` are the actions
+applied to the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial, isqrt
 
 import numpy as np
@@ -73,12 +77,34 @@ def casimir_set(d: int, n: int) -> CasimirSet:
     return CasimirSet(d, n, build_C2(d, n), build_C3(d, n) if d == 3 else None)
 
 
-def apply_C2(x, d: int, n: int) -> np.ndarray:
-    """C2 @ x = sum_k hat(F_k) (hat(F_k) x) for x of shape (d^n, m)."""
-    out = np.zeros(np.shape(x), dtype=complex)
-    for e in gell_mann_basis(d).elements[1:]:
-        out += collective_apply(e, collective_apply(e, x, n), n)
+def _transpositions(d: int, n: int) -> list[np.ndarray]:
+    """Row maps of the factor transpositions P_ij, i < j: (P_ij x)[r] = x[perm[r]].
+
+    Each map is the axis swap (i, j) of the basis indices viewed as shape (d,)*n.
+    """
+    grid = np.arange(d**n).reshape((d,) * n)
+    return [np.swapaxes(grid, i, j).ravel() for i, j in combinations(range(n), 2)]
+
+
+def _c2_from_transpositions(x: np.ndarray, perms, d: int, n: int) -> np.ndarray:
+    """C2 x = c0 x + 4 sum_{i<j} P_ij x with c0 = 2n(d^2-1)/d - 2n(n-1)/d.
+
+    With Tr(F_a F_b) = 2 delta_ab, sum_k F_k (x) F_k = 2 P - (2/d) 1 on two
+    factors, and each F_k^2 sums to 2(d^2-1)/d times 1 on one factor.
+    ``perms`` are the row maps of the P_ij on the rows of x.
+    """
+    out = (2 * n * (d * d - 1) / d - 2 * n * (n - 1) / d) * x
+    for perm in perms:
+        out += 4 * x[perm]
     return out
+
+
+def apply_C2(x, d: int, n: int) -> np.ndarray:
+    """C2 @ x for x of shape (d^n, m) (or (d^n,)), as a sum of transpositions."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape[0] != d**n:
+        raise ValueError(f"operand has {x.shape[0]} rows, need d^n = {d**n}")
+    return _c2_from_transpositions(x, _transpositions(d, n), d, n)
 
 
 def apply_C3(x, d: int, n: int) -> np.ndarray:
@@ -177,14 +203,32 @@ class IsotypicBlock:
         return self.basis @ self.basis.conj().T
 
 
+def _weight_spaces(d: int, n: int) -> list[np.ndarray]:
+    """Ascending basis indices of each su(d) weight space of (C^d)^(x)n.
+
+    A weight space holds the basis states with one tuple of occupation
+    numbers (n_0, ..., n_{d-1}).  Every transposition maps it onto itself,
+    and so does C2.
+    """
+    # A state's digits, sorted, fix its occupation numbers.
+    digits = np.sort(np.indices((d,) * n).reshape(n, -1), axis=0)
+    _, space = np.unique(digits.T, axis=0, return_inverse=True)
+    space = space.ravel()
+    order = np.argsort(space, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(space[order])) + 1)
+
+
 def isotypic_blocks(
     d: int, n: int, cluster_tol: float = CLUSTER_TOL, tol: float = RANK_TOL
 ) -> list[IsotypicBlock]:
     """Isotypic decomposition of (C^d)^(x)n from Casimir spectra.
 
-    Clusters the C2 eigenvalues, matches clusters to the expected labels by
-    equality pattern and block dimension, and refines any cluster shared by
-    two labels with C3 (d = 3).  C3 is applied only to the orthonormal
+    Diagonalizes C2 one weight space at a time, so the largest
+    eigendecomposition has the size of the largest weight space, and each
+    eigenvector is supported on one weight space.  Clusters the pooled C2
+    eigenvalues, matches clusters to the expected labels by equality
+    pattern and block dimension, and refines any cluster shared by two
+    labels with C3 (d = 3).  C3 is applied only to the orthonormal
     eigenvectors V of such a C2-degenerate cluster, as V^dag (C3 V), so no
     d^n x d^n C3 is formed.  Blocks are returned by ascending C2 eigenvalue,
     sub-ordered by ascending C3 eigenvalue inside a refined cluster.
@@ -204,9 +248,20 @@ def isotypic_blocks(
             f"labels share a C2 eigenvalue and no cubic Casimir is available for d={d}"
         )
 
-    c2 = build_C2(d, n)
-    evals, evecs = hermitian_eig(c2, tol)
-    clustering = cluster_eigenvalues(evals, cluster_tol)
+    perms = _transpositions(d, n)
+    pos = np.empty(d**n, dtype=np.intp)
+    values, columns = [], []
+    for states in _weight_spaces(d, n):
+        # Each transposition maps this weight space onto itself, so only
+        # the positions just written are read.
+        pos[states] = np.arange(len(states))
+        local = [pos[perm[states]] for perm in perms]
+        w, v = hermitian_eig(_c2_from_transpositions(np.eye(len(states)), local, d, n), tol)
+        values.append(w)
+        columns += [(states, v[:, j]) for j in range(len(w))]
+    evals = np.concatenate(values)
+    order = np.argsort(evals, kind="stable")
+    clustering = cluster_eigenvalues(evals[order], cluster_tol)
     clustering.check()
     if len(clustering.clusters) != len(ordered_keys):
         raise UnresolvedDegeneracyError(
@@ -216,7 +271,10 @@ def isotypic_blocks(
     blocks: list[IsotypicBlock] = []
     for ci, (key, idx) in enumerate(zip(ordered_keys, clustering.clusters)):
         members = groups[key]
-        vecs = evecs[:, list(idx)]
+        vecs = np.zeros((d**n, len(idx)), dtype=complex)
+        for col, e in enumerate(order[list(idx)]):
+            states, vec = columns[e]
+            vecs[states, col] = vec
         expected = sum(labels[m] * irrep_dimension(m) for m in members)
         if len(idx) != expected:
             raise UnresolvedDegeneracyError(

@@ -33,7 +33,7 @@ from .generators import (
     permutation_operator,
     two_body_hamiltonian,
 )
-from .casimir import CenterBasis, IsotypicBlock, center_coefficients
+from .casimir import CenterBasis, IsotypicBlock, center_coefficients, center_project
 from .reptheory import ambient_commutant_dim
 
 # Rank decisions on restricted blocks compound restriction error on top of
@@ -125,7 +125,8 @@ def lie_closure(
 
     Terminates when a full round adds nothing (``saturated=True``) or when
     the dimension reaches ``max_dim`` (default: the ambient invariant
-    algebra dimension C(n+d^2-1, d^2-1)).  A run that reaches the ambient
+    algebra dimension C(n+d^2-1, d^2-1)).  Seeding stops at the cap too, so
+    ``dim`` never exceeds ``max_dim``.  A run that reaches the ambient
     dimension, with no smaller cap, is saturated: the validated span is then
     the whole invariant algebra.
     """
@@ -136,9 +137,12 @@ def lie_closure(
     if max_dim is None:
         max_dim = ambient
     span = OrthonormalSpan(gens.d**gens.n, tol=tol)
+    offered = 0
     for g in gens.generators:
+        if span.dim >= max_dim:
+            break
+        offered += 1
         _, span = orthonormal_extend(span, g)
-    offered = len(gens.generators)
     rounds = 0
     saturated = False
     start = 0
@@ -182,12 +186,10 @@ def levi_split(gens: GeneratorSet, cb: CenterBasis, rank_tol: float = VERDICT_RA
     traceless = []
     rows = []
     for g in gens.generators:
-        coeffs = center_coefficients(g, cb)
-        c = np.zeros_like(np.asarray(g, dtype=complex))
-        for coeff, p in zip(coeffs, cb.elements):
-            c = c + coeff * p
+        c, s = center_project(g, cb)
         centers.append(c)
-        traceless.append(g - c)
+        traceless.append(s)
+        coeffs = center_coefficients(g, cb)
         # Scale-free row: a center direction counts only if it carries a
         # non-negligible fraction of the generator's size.
         rows.append(np.concatenate([coeffs.real, coeffs.imag]) / max(1e-300, np.linalg.norm(g)))

@@ -110,6 +110,18 @@ class TestCasimirAction:
         if d == 3:
             assert np.abs(cas.apply_C3(x, d, n) - dense_C3(d, n) @ x).max() <= 1e-10
 
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 3)])
+    def test_c2_keeps_each_weight_space(self, d, n):
+        # occupation numbers of each basis state, read off its base-d digits
+        weights = [tuple(s.count(a) for a in range(d)) for s in itertools.product(range(d), repeat=n)]
+        c2 = cas.apply_C2(np.eye(d**n), d, n)
+        for col, w in enumerate(weights):
+            assert {weights[r] for r in np.flatnonzero(np.abs(c2[:, col]) > 1e-12)} == {w}
+
+    def test_apply_c2_rejects_wrong_row_count(self):
+        with pytest.raises(ValueError):
+            cas.apply_C2(np.eye(8), 3, 2)
+
     def test_apply_c3_rejects_other_d(self):
         with pytest.raises(ValueError):
             cas.apply_C3(np.eye(4), 2, 2)
@@ -253,6 +265,32 @@ class TestIsotypicBlocks:
         assert sum(b.block_dim for b in blocks) == 729
         refined = [b for b in blocks if b.c3_refined]
         assert {b.c2_cluster_index for b in refined} == {refined[0].c2_cluster_index}
+
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 3)])
+    def test_projectors_match_dense_eigh(self, d, n):
+        w, v = np.linalg.eigh(dense_C2(d, n))
+        clusters = la.cluster_eigenvalues(w).clusters
+        blocks = cas.isotypic_blocks(d, n)
+        assert len(clusters) == len({b.c2_cluster_index for b in blocks})
+        for ci, idx in enumerate(clusters):
+            want = v[:, list(idx)] @ v[:, list(idx)].conj().T
+            got = sum(b.projector() for b in blocks if b.c2_cluster_index == ci)
+            assert np.abs(got - want).max() <= 1e-9
+
+    @pytest.mark.parametrize("d,n,largest", [(2, 6, 20), (3, 5, 30), (4, 4, 24)])
+    def test_largest_eigh_is_one_weight_space(self, d, n, largest, monkeypatch):
+        # no C3 refinement at these sizes, so every eigh is a C2 weight space:
+        # the largest holds multinomial(n; occupations) states
+        sizes = []
+
+        def recording_eig(h, tol):
+            sizes.append(len(h))
+            return la.hermitian_eig(h, tol)
+
+        monkeypatch.setattr(cas, "hermitian_eig", recording_eig)
+        blocks = cas.isotypic_blocks(d, n)
+        assert not any(b.c3_refined for b in blocks)
+        assert max(sizes) == largest and sum(sizes) == d**n
 
     def test_single_site_any_d(self):
         blocks = cas.isotypic_blocks(5, 1)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,40 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def partitions(n, parts, cap=None):
+    """Partitions of n into at most ``parts`` positive parts, each at most ``cap``."""
+    cap = n if cap is None else cap
+    if n == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in partitions(n - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def content(lam):
+    return sum(j - i for i, row in enumerate(lam) for j in range(row))
+
+
+def hook_table(n, d):
+    """{label: (irrep_dim, multiplicity, shares its content sum)} from the hook formulas.
+
+    irrep_dim = prod (d + content) / prod hook and multiplicity = n! / prod hook,
+    over the cells of the Young diagram; labels are padded with zeros to d parts.
+    """
+    table = {}
+    for lam in partitions(n, d):
+        cols = [sum(1 for row in lam if row > j) for j in range(lam[0])]
+        cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+        hooks = math.prod(lam[i] - j + cols[j] - i - 1 for i, j in cells)
+        dim = math.prod(d + j - i for i, j in cells) // hooks
+        table[lam + (0,) * (d - len(lam))] = (dim, math.factorial(n) // hooks)
+    sums = [content(lam) for lam in table]
+    return {lam: (dim, mult, sums.count(content(lam)) > 1) for lam, (dim, mult) in table.items()}
 
 
 class TestDecompose:
@@ -99,6 +134,20 @@ class TestSpectrum:
         assert rows[(2, 2)]["block_dim"] == 2
         assert [b["c2_cluster_index"] for b in obj["blocks"]] == [0, 1, 2]
 
+    def test_seven_qutrits_match_hook_formulas(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--d", "3", "--n", "7", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["blocks"]
+        want = hook_table(7, 3)
+        got = {
+            tuple(b["block_label"]): (b["block_dim"], b["irrep_dim"], b["multiplicity"], b["c3_refined"])
+            for b in rows
+        }
+        assert got == {lam: (dim * mult, dim, mult, refined) for lam, (dim, mult, refined) in want.items()}
+        # blocks come in ascending C2, that is ascending content sum
+        sums = [content(tuple(b["block_label"])) for b in rows]
+        assert sums == sorted(sums)
+
     def test_three_qutrits_text(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--d", "3", "--n", "3")
         assert code == 0
@@ -154,6 +203,7 @@ class TestClosure:
         assert code == 2
         obj = json.loads(out)
         assert obj["saturated"] is False and obj["max_dim"] == 5
+        assert obj["dim_reached"] <= obj["max_dim"]
 
     def test_preset_and_spec_mutually_exclusive(self, capsys):
         code, _, err = run(capsys, "closure", "--preset", "qubits:n=2", "--spec", "x.json")

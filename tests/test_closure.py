@@ -106,6 +106,12 @@ class TestLieClosure:
         assert r.saturated and r.dim == 4 == rt.ambient_commutant_dim(1, 2)
         assert not cl.lie_closure(gens, max_dim=3).saturated
 
+    def test_cap_holds_while_seeding(self):
+        # the cap falls inside the generator list: seeding stops at it
+        gens = single_site_set(1j * SX, 1j * SY, 1j * SZ, 1j * np.eye(2))
+        r = cl.lie_closure(gens, max_dim=3)
+        assert r.dim == 3 and r.offered == 3 and not r.saturated
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             cl.lie_closure(cl.GeneratorSet(2, 1, (), ()))
