@@ -9,7 +9,7 @@ sum((2j+1)^2 - 1) + 1 over j = n/2, n/2-1, ...
 import argparse
 import time
 
-from qsymlie import casimir, closure, reptheory
+from qsymlie import closure, reptheory
 
 
 def main():
@@ -21,9 +21,7 @@ def main():
     for n in range(2, args.max_n + 1):
         t0 = time.time()
         result = closure.lie_closure(closure.preset(f"qubits:n={n}"), tol=1e-7)
-        blocks = casimir.isotypic_blocks(2, n)
-        cb = casimir.center_basis_from_blocks(blocks)
-        report = closure.subspace_controllability(result, blocks, cb)
+        report = closure.subspace_controllability(result)
         formula = sum(
             reptheory.irrep_dimension(m) ** 2 - 1 for m in reptheory.cg_decompose(n, 2)
         ) + 1

@@ -12,7 +12,11 @@ import argparse
 import json
 import time
 
-from qsymlie import casimir, closure
+from qsymlie import closure
+
+
+def _sigma(value):
+    return "-" if value is None else f"{value:.2e}"
 
 
 def main():
@@ -30,11 +34,17 @@ def main():
     t_close = time.time() - t0
     print(f"closure: dim {result.dim}, {result.rounds} rounds, "
           f"{result.offered} candidates offered, "
-          f"saturated={result.saturated}, {t_close:.1f}s")
+          f"saturated={result.saturated}, {t_close:.2f}s")
 
-    blocks = casimir.isotypic_blocks(3, 3)
-    cb = casimir.center_basis_from_blocks(blocks)
-    report = closure.subspace_controllability(result, blocks, cb)
+    # Each batch accepts singular values above the tolerance; its margin is
+    # the distance of the smallest accepted and largest rejected ones to it.
+    print(f"\nbatch  traceless_dim  offered  accepted  smallest_accepted  "
+          f"largest_rejected  (tol {result.tol:g})")
+    for i, t in enumerate(result.trace):
+        print(f"{'seeds' if i == 0 else i:>5}  {t.dim:>13}  {t.offered:>7}  {t.accepted:>8}"
+              f"  {_sigma(t.smallest_accepted):>17}  {_sigma(t.largest_rejected):>16}")
+
+    report = closure.subspace_controllability(result)
 
     print("\nlabel        irrep_dim  mult  restricted_dim  ok")
     for b in report.per_block:

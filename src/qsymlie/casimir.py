@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -312,6 +313,167 @@ def isotypic_blocks(
                     m, vecs @ u3[:, list(part)], bd, irrep_dimension(m), labels[m], ci, True
                 )
             )
+    return blocks
+
+
+# ---------------------------------------------------------------------------
+# Highest-weight bases: one copy of each irrep, with no Casimir
+# ---------------------------------------------------------------------------
+
+class HighestWeightError(RuntimeError):
+    """A highest-weight count or a lowered span disagrees with the exact counts."""
+
+
+class _WeightSpaces:
+    """Basis states of (C^d)^(x)n grouped by occupation numbers, with ladder maps.
+
+    The collective E_ij = sum over sites of |i><j| maps weight space mu to
+    mu + e_i - e_j; restricted to one weight space it is a 0/1 matrix.
+    """
+
+    def __init__(self, d: int, n: int):
+        self.d, self.n = d, n
+        self.digits = np.indices((d,) * n).reshape(n, -1)
+        self.place = d ** np.arange(n - 1, -1, -1)
+        occ = np.stack([(self.digits == k).sum(axis=0) for k in range(d)])
+        key = (n + 1) ** np.arange(d) @ occ
+        order = np.argsort(key, kind="stable")
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        self.spaces = {
+            tuple(int(x) for x in occ[:, states[0]]): states
+            for states in np.split(order, cuts)
+        }
+        # position of each state inside its weight space
+        self.pos = np.empty(d**n, dtype=np.intp)
+        for states in self.spaces.values():
+            self.pos[states] = np.arange(len(states))
+
+    def ladder(self, mu, i: int, j: int):
+        """(target weight, matrix of E_ij from weight space mu), i != j, or None if it is zero."""
+        if mu[j] == 0:
+            return None
+        target = list(mu)
+        target[i] += 1
+        target[j] -= 1
+        target = tuple(target)
+        src = self.spaces[mu]
+        sites, cols = np.nonzero(self.digits[:, src] == j)
+        rows = self.pos[src[cols] + (i - j) * self.place[sites]]
+        out = np.zeros((len(self.spaces[target]), len(src)))
+        out[rows, cols] = 1.0
+        return target, out
+
+
+def _highest_weight_space(ws: _WeightSpaces, label, tol: float) -> np.ndarray:
+    """Orthonormal real columns spanning the kernel on weight space ``label`` of every E_{i,i+1}."""
+    steps = filter(None, (ws.ladder(label, i, i + 1) for i in range(ws.d - 1)))
+    maps = [m for _, m in steps]
+    if not maps:  # no raising map reaches a weight: the whole space is highest
+        return np.eye(len(ws.spaces[label]))
+    w, v = hermitian_eig(sum(m.T @ m for m in maps), tol)
+    return v[:, w <= tol * max(1.0, w[-1])]
+
+
+def highest_weight_counts(d: int, n: int, tol: float = RANK_TOL) -> dict[tuple[int, ...], int]:
+    """Number of highest-weight vectors of weight lambda, for every label lambda.
+
+    Weight space lambda holds the basis states with occupation numbers
+    lambda; the kernel there of the stacked collective raising maps
+    E_{i,i+1} holds the highest-weight vectors, one per copy of the irrep,
+    so each count should equal the CG multiplicity.  Works on one weight
+    space at a time and forms no d^n x d^n matrix.
+    """
+    ws = _WeightSpaces(d, n)
+    return {m: _highest_weight_space(ws, m, tol).shape[1] for m in cg_decompose(n, d)}
+
+
+class WeightBlock(NamedTuple):
+    """One copy of the irrep ``label`` inside (C^d)^(x)n.
+
+    ``basis`` is real with orthonormal columns, shape (d^n, irrep_dim): the
+    lowerings of one highest-weight vector.  An S_n-invariant X acts on the
+    isotypic block of ``label`` as X_lambda (x) 1 over the ``multiplicity``
+    copies, so X maps this span into itself, and X -> basis^T X basis,
+    taken over every label, is faithful on the invariant algebra.
+    """
+
+    label: tuple[int, ...]
+    basis: np.ndarray
+    irrep_dim: int
+    multiplicity: int
+
+
+def _lowered_span(ws: _WeightSpaces, label, top: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis (d^n rows) of the span of all lowerings of ``top``.
+
+    Each lowering E_{i+1,i} moves one box from row i to row i+1, so it raises
+    sum_k k*mu_k by one; weights are visited one such level at a time, and
+    the lowered vectors reaching a weight from all its parents are
+    orthonormalized together.
+    """
+    parts = []
+    level = {tuple(label): top[:, None]}
+    while level:
+        below: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for mu, vecs in level.items():
+            parts.append((ws.spaces[mu], vecs))
+            for i in range(ws.d - 1):
+                step = ws.ladder(mu, i + 1, i)
+                if step is not None:
+                    below.setdefault(step[0], []).append(step[1] @ vecs)
+        level = {}
+        for mu, lowered in below.items():
+            u, s, _ = np.linalg.svd(np.hstack(lowered), full_matrices=False)
+            keep = s > tol * max(1.0, s.max(initial=0.0))
+            if keep.any():
+                level[mu] = u[:, keep]
+    dim = sum(vecs.shape[1] for _, vecs in parts)
+    if dim != irrep_dimension(label):
+        raise HighestWeightError(
+            f"lowerings of the highest weight {label} span {dim} dimensions, "
+            f"irrep dimension is {irrep_dimension(label)}"
+        )
+    out = np.zeros((ws.d**ws.n, dim))
+    col = 0
+    for states, vecs in parts:
+        out[states, col : col + vecs.shape[1]] = vecs
+        col += vecs.shape[1]
+    return out
+
+
+def highest_weight_blocks(d: int, n: int, tol: float = RANK_TOL) -> list[WeightBlock]:
+    """One copy of every irrep in (C^d)^(x)n, from highest-weight vectors.
+
+    For each label lambda, the highest-weight vectors of weight lambda (see
+    :func:`highest_weight_counts`) must number exactly the CG multiplicity,
+    and the lowerings of one of them must span exactly ``irrep_dimension``
+    columns; either mismatch raises :class:`HighestWeightError`.  No
+    Casimir is needed: the vectors of weight lambda that every raising
+    operator kills are exactly the highest-weight vectors of the copies of
+    irrep lambda, whatever other labels share its C2 value.  Blocks come in
+    the order of :func:`isotypic_blocks`:
+    ascending content sum, which orders C2, and for d = 3 ties by ascending
+    C3, which is a positive multiple of (p-q)(2p+q+3)(p+2q+3).
+    """
+    ws = _WeightSpaces(d, n)
+    labels = cg_decompose(n, d)
+
+    def order(m):
+        if d != 3:
+            return content_sum(m), 0
+        p, q = m[0] - m[1], m[1] - m[2]
+        return content_sum(m), (p - q) * (2 * p + q + 3) * (p + 2 * q + 3)
+
+    blocks = []
+    for m in sorted(labels, key=order):
+        top = _highest_weight_space(ws, m, tol)
+        if top.shape[1] != labels[m]:
+            raise HighestWeightError(
+                f"weight {m} holds {top.shape[1]} highest-weight vectors, "
+                f"CG multiplicity is {labels[m]}"
+            )
+        basis = _lowered_span(ws, m, top[:, 0], tol)
+        blocks.append(WeightBlock(m, basis, basis.shape[1], labels[m]))
     return blocks
 
 

@@ -101,11 +101,14 @@ def cmd_center(args) -> int:
     payload = {"d": args.d, "n": args.n, "center_dim": f}
     lines = [f"center dimension f(n={args.n}, d={args.d}) = {f}"]
     if args.d**args.n <= 4096:
-        # One block projector per isotypic block: count blocks, form no projectors.
-        dim = len(_casimir.isotypic_blocks(args.d, args.n, args.cluster_tol, args.tol))
+        # One center direction per label whose highest-weight vectors number
+        # exactly its CG multiplicity.
+        counts = _casimir.highest_weight_counts(args.d, args.n, args.tol)
+        labels = _rt.cg_decompose(args.n, args.d)
+        dim = sum(counts[m] == k for m, k in labels.items())
         payload["materialized_dim"] = dim
         payload["verified"] = dim == f
-        lines.append(f"materialized projector basis has dimension {dim}: "
+        lines.append(f"highest-weight vectors verify center dimension {dim}: "
                      f"{'OK' if dim == f else 'FAIL'}")
         if dim != f:
             _emit(payload, lines, args)
@@ -203,9 +206,7 @@ def cmd_closure(args) -> int:
         lines = [f"closure NOT saturated: dim reached {result.dim} after {result.rounds} rounds"]
         _emit(payload, lines, args)
         return EXIT_UNSATURATED
-    blocks = _casimir.isotypic_blocks(gens.d, gens.n, args.cluster_tol, args.tol)
-    cb = _casimir.center_basis_from_blocks(blocks)
-    report = _closure.subspace_controllability(result, blocks, cb)
+    report = _closure.subspace_controllability(result)
     payload = report.to_json_dict()
     lines = [
         f"closure dim {report.total_dim} (saturated after {report.rounds} rounds)",
@@ -242,11 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("center", help="center dimension f(n,d), verified when materializable")
+    p = sub.add_parser("center", help="center dimension f(n,d), verified from highest weights "
+                                      "when d^n <= 4096")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=RANK_TOL)
-    p.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_center)
 
@@ -262,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default=None)
     p.add_argument("--spec", default=None, help="generator-spec JSON path")
     p.add_argument("--tol", type=float, default=RANK_TOL)
-    p.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL)
     p.add_argument("--max-dim", type=int, default=None,
-                   help="dimension cap (default: the ambient bound C(n+d^2-1,d^2-1))")
+                   help="cap on the traceless dimension "
+                        "(default: the ambient bound C(n+d^2-1,d^2-1))")
     _add_common(p)
     p.set_defaults(func=cmd_closure)
 
@@ -293,6 +294,7 @@ def main(argv=None) -> int:
         return EXIT_UNSATURATED
     except (
         _casimir.UnresolvedDegeneracyError,
+        _casimir.HighestWeightError,
         _closure.ClosureError,
         np.linalg.LinAlgError,
     ) as exc:

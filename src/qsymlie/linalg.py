@@ -32,8 +32,8 @@ class NonFiniteError(ValueError):
     """Matrix contains NaN or infinite entries."""
 
 
-def _as_square(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+def _as_square(a, name: str = "matrix", dtype=complex) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     return a
@@ -87,8 +87,12 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
+def _real_or_complex(a) -> type:
+    return complex if np.iscomplexobj(a) else float
+
+
 def is_hermitian(a, tol: float = RANK_TOL) -> bool:
-    a = _as_square(a)
+    a = _as_square(a, dtype=_real_or_complex(a))
     return np.linalg.norm(a - a.conj().T) <= tol * max(1.0, np.linalg.norm(a))
 
 
@@ -101,10 +105,11 @@ def hermitian_eig(h, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
+    Real input stays real (a real symmetric eigh, real eigenvectors).
     Raises :class:`NonHermitianError` if the input fails the Hermiticity
     check at relative tolerance ``tol``.
     """
-    h = _as_square(h)
+    h = _as_square(h, dtype=_real_or_complex(h))
     if not is_hermitian(h, tol):
         raise NonHermitianError("hermitian_eig requires a Hermitian matrix")
     w, v = np.linalg.eigh(h)

@@ -45,9 +45,7 @@ def test_criterion_02_three_qutrit_headline():
         gens = cl.preset("qutrits:n=3:H")
         result = cl.lie_closure(gens)
         assert result.saturated
-        blocks = cas.isotypic_blocks(3, 3)
-        cb = cas.center_basis_from_blocks(blocks)
-        report = cl.subspace_controllability(result, blocks, cb)
+        report = cl.subspace_controllability(result)
         by_label = {v.label: v for v in report.per_block}
         assert by_label[(3, 0, 0)].restricted_dim == 99
         assert by_label[(2, 1, 0)].restricted_dim == 63

@@ -330,6 +330,57 @@ class TestIsotypicBlocks:
             assert (ka > kb) - (ka < kb) == (ca > cb) - (ca < cb)
 
 
+class TestHighestWeightBlocks:
+    @pytest.mark.parametrize("d,n", [(2, 12), (3, 7), (4, 6), (8, 4), (5, 3)])
+    def test_counts_match_cg_multiplicities(self, d, n):
+        assert cas.highest_weight_counts(d, n) == rt.cg_decompose(n, d)
+
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 3), (3, 6), (4, 6)])
+    def test_c2_value_on_each_copy(self, d, n):
+        # real orthonormal columns, one irrep copy each, on which C2 is
+        # 2n(d^2-1)/d - 2n(n-1)/d + 4 content_sum(lambda)
+        c0 = 2 * n * (d * d - 1) / d - 2 * n * (n - 1) / d
+        blocks = cas.highest_weight_blocks(d, n)
+        for b in blocks:
+            q = b.basis
+            assert q.dtype == float and q.shape == (d**n, rt.irrep_dimension(b.label))
+            assert np.abs(q.T @ q - np.eye(b.irrep_dim)).max() <= 1e-12
+            want = c0 + 4 * rt.content_sum(b.label)
+            assert np.abs(cas.apply_C2(q, d, n) - want * q).max() <= 1e-9
+
+    @pytest.mark.parametrize("d,n", [(2, 6), (4, 4), (3, 6)])
+    def test_order_matches_isotypic_blocks(self, d, n, six_qutrit_blocks):
+        # at (3, 6), (4,1,1) and (3,3,0) share C2 and are ordered by C3
+        blocks = six_qutrit_blocks if (d, n) == (3, 6) else cas.isotypic_blocks(d, n)
+        assert [b.label for b in cas.highest_weight_blocks(d, n)] == [b.label for b in blocks]
+
+    def test_copies_invariant_under_symmetric_basis(self):
+        for b in cas.highest_weight_blocks(3, 3):
+            for counts in g.multi_indices(3, 3):
+                fq = g.symmetric_sum(counts, 3, 3) @ b.basis
+                leak = np.linalg.norm(fq - b.basis @ (b.basis.T @ fq))
+                assert leak <= 1e-9 * max(1.0, np.linalg.norm(fq))
+
+    def test_count_gate(self, monkeypatch):
+        real = cas.cg_decompose
+        monkeypatch.setattr(
+            cas, "cg_decompose", lambda n, d: {m: k + 1 for m, k in real(n, d).items()}
+        )
+        with pytest.raises(cas.HighestWeightError, match="CG multiplicity"):
+            cas.highest_weight_blocks(2, 3)
+
+    def test_dimension_gate(self, monkeypatch):
+        real = cas.irrep_dimension
+        monkeypatch.setattr(cas, "irrep_dimension", lambda m: real(m) + 1)
+        with pytest.raises(cas.HighestWeightError, match="irrep dimension"):
+            cas.highest_weight_blocks(3, 2)
+
+    def test_single_site_is_the_identity(self):
+        (b,) = cas.highest_weight_blocks(5, 1)
+        assert b.label == (1, 0, 0, 0, 0) and b.multiplicity == 1
+        assert np.array_equal(np.abs(b.basis), np.eye(5))
+
+
 class TestCenterBasis:
     def test_dimensions(self, qutrit_center):
         assert qutrit_center.dim == 3 == rt.center_dimension(3, 3)

@@ -115,6 +115,29 @@ class TestCenter:
         assert obj["center_dim"] == 5
         assert obj["verified"] is True
 
+    def test_four_level_six_sites_verified(self, capsys):
+        # labels (3,3,0,0) and (4,1,1,0) share a content sum; highest-weight
+        # counts need no Casimir to tell them apart
+        code, out, _ = run(capsys, "center", "--d", "4", "--n", "6", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["center_dim"], obj["materialized_dim"], obj["verified"]) == (9, 9, True)
+
+    def test_count_mismatch_exits_3(self, capsys, monkeypatch):
+        from qsymlie import casimir
+
+        real = casimir.highest_weight_counts
+
+        def short(d, n, tol):
+            counts = real(d, n, tol)
+            counts[(2, 1, 0)] -= 1
+            return counts
+
+        monkeypatch.setattr(casimir, "highest_weight_counts", short)
+        code, out, _ = run(capsys, "center", "--d", "3", "--n", "3")
+        assert code == 3
+        assert "dimension 2: FAIL" in out
+
     def test_large_space_skips_materialization(self, capsys):
         code, out, _ = run(capsys, "center", "--d", "3", "--n", "8", "--format", "json")
         assert code == 0
@@ -169,6 +192,23 @@ class TestClosure:
         code, out, _ = run(capsys, "closure", "--preset", "lemma2:2,1,(1,3)", "--format", "json")
         assert code == 0
         assert json.loads(out)["total_dim"] == 8
+
+    def test_eight_qubits_close_at_the_bound(self, capsys):
+        code, out, _ = run(capsys, "closure", "--preset", "qubits:n=8", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        # sum over spins 4, 3, 2, 1, 0 of ((2j+1)^2 - 1), plus one center direction
+        assert obj["total_dim"] == 80 + 48 + 24 + 8 + 0 + 1 == 161
+        assert obj["subspace_controllable"] is True and obj["center_dim"] == 1
+        assert all(b["ok"] for b in obj["blocks"])
+
+    def test_highest_weight_gate_exits_3(self, capsys, monkeypatch):
+        from qsymlie import casimir
+
+        monkeypatch.setattr(casimir, "irrep_dimension", lambda m: rt.irrep_dimension(m) + 1)
+        code, _, err = run(capsys, "closure", "--preset", "qubits:n=3")
+        assert code == 3
+        assert "irrep dimension" in err
 
     def test_unsaturated_exit_code(self, capsys):
         code, out, _ = run(

@@ -39,10 +39,48 @@ def haar_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def assert_same_span(a, b, tol=1e-8):
-    assert a.dim == b.dim
-    assert max(b.residual(x) for x in a.basis) <= tol
-    assert max(a.residual(x) for x in b.basis) <= tol
+def residuals(rows, basis):
+    """||x - Px|| / max(1, ||x||) for each row x; P projects onto the orthonormal ``basis``."""
+    rows = np.atleast_2d(rows)
+    res = rows - (rows @ basis.T) @ basis
+    return np.linalg.norm(res, axis=1) / np.maximum(1.0, np.linalg.norm(rows, axis=1))
+
+
+def orthonormal_rows(rows, tol=1e-8):
+    _, s, vt = np.linalg.svd(np.atleast_2d(rows), full_matrices=False)
+    return vt[: int(np.sum(s > tol * max(1.0, s[0])))]
+
+
+def assert_same_block_span(result, span, tol=1e-8):
+    """The closure equals the dense span, restricted to the closure's blocks."""
+    restricted = np.array([result.frame.restrict(x) for x in span.basis])
+    assert result.dim == span.dim == len(orthonormal_rows(restricted))
+    assert residuals(restricted, result.basis).max() <= tol
+    assert residuals(result.basis, orthonormal_rows(restricted)).max() <= tol
+
+
+def dense_verdicts(span, d, n, rank_tol=cl.VERDICT_RANK_TOL):
+    """Per-block traceless ranks and center rank of a dense span, from the Casimir blocks."""
+    blocks = cas.isotypic_blocks(d, n)
+    cb = cas.center_basis_from_blocks(blocks)
+    ranks = {}
+    for b in blocks:
+        restricted = []
+        for x in span.basis:
+            m = cl.restrict_to_block(x, b, rank_tol)
+            restricted.append(m - (np.trace(m) / b.block_dim) * np.eye(b.block_dim))
+        ranks[b.label] = la.real_span_dim(restricted, rank_tol, scale=1.0)
+    coeffs = [cas.center_coefficients(x, cb) for x in span.basis]
+    center = la.real_span_dim([np.concatenate([c.real, c.imag]) for c in coeffs], rank_tol, 1.0)
+    return ranks, center
+
+
+def bracket_residuals(result, pairs):
+    rows = result.traceless
+    brackets = np.vstack(
+        [result.frame.brackets(rows[i : i + 1], rows[j : j + 1]) for i, j in pairs]
+    )
+    return residuals(brackets, rows)
 
 
 class TestLieClosure:
@@ -107,10 +145,16 @@ class TestLieClosure:
         assert not cl.lie_closure(gens, max_dim=3).saturated
 
     def test_cap_holds_while_seeding(self):
-        # the cap falls inside the generator list: seeding stops at it
+        # the cap falls inside the seed batch, which offers every generator
+        # and is cut at the cap
         gens = single_site_set(1j * SX, 1j * SY, 1j * SZ, 1j * np.eye(2))
         r = cl.lie_closure(gens, max_dim=3)
-        assert r.dim == 3 and r.offered == 3 and not r.saturated
+        assert r.dim == 3 and r.offered == 4 and not r.saturated
+        r = cl.lie_closure(gens, max_dim=2)
+        assert r.dim == 2 and r.offered == 4 and not r.saturated
+        assert r.trace[0].accepted == 2 and r.rounds == 0
+        r = cl.lie_closure(gens, max_dim=0)
+        assert r.dim == 0 and not r.saturated
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -118,17 +162,21 @@ class TestLieClosure:
 
     def test_saturated_span_closed_under_brackets(self):
         r = cl.lie_closure(cl.preset("lemma2:2,2,(1,3)"))
-        basis = r.span.basis
-        for i in range(0, len(basis), 3):
-            for j in range(0, len(basis), 4):
-                assert r.span.residual(la.commutator(basis[i], basis[j])) <= 1e-9
+        n = len(r.traceless)
+        pairs = [(i, j) for i in range(0, n, 3) for j in range(0, n, 4)]
+        assert bracket_residuals(r, pairs).max() <= 1e-9
 
     def test_closure_stays_inside_invariant_algebra(self, qutrit_closure_h):
-        cap = rt.ambient_commutant_dim(3, 3)
-        assert qutrit_closure_h.dim <= cap
-        u = g.permutation_operator((1, 0, 2), 3)
-        for x in qutrit_closure_h.span.basis[:: 40]:
-            assert np.linalg.norm(x @ u - u @ x) <= 1e-9
+        # rows are coordinates of skew-Hermitian invariant operators:
+        # orthonormal, within the traceless bound, each block in su(d)
+        r = qutrit_closure_h
+        assert r.dim <= rt.ambient_commutant_dim(3, 3)
+        assert len(r.traceless) <= r.frame.bound
+        assert np.abs(r.basis @ r.basis.T - np.eye(r.dim)).max() <= 1e-12
+        for i, b in enumerate(r.frame.blocks):
+            mats = r.frame.matrices(r.traceless[::40], i)
+            assert np.abs(mats + mats.conj().swapaxes(1, 2)).max() == 0.0
+            assert np.abs(np.trace(mats, axis1=1, axis2=2)).max() <= 1e-12
 
 
 _ORACLE_CASES = (
@@ -149,9 +197,16 @@ class TestGeneratorSchedule:
         gens = cl.preset(name)
         r = cl.lie_closure(gens, tol=tol)
         assert r.saturated
-        # one offer per generator, then one per (basis element, generator)
-        assert r.offered == len(gens.generators) * (1 + r.dim)
-        assert_same_span(r.span, all_pairs_closure(gens, tol))
+        # one offer per generator, then one per (traceless basis element,
+        # generator): every preset generator has a nonzero traceless part
+        assert r.offered == len(gens.generators) * (1 + len(r.traceless))
+        oracle = all_pairs_closure(gens, tol)
+        assert_same_block_span(r, oracle)
+        # the verdicts of the dense oracle on the Casimir blocks
+        ranks, center = dense_verdicts(oracle, gens.d, gens.n)
+        report = cl.subspace_controllability(r)
+        assert {v.label: v.restricted_dim for v in report.per_block} == ranks
+        assert (report.center_component_dim, report.total_dim) == (center, oracle.dim)
 
     def test_haar_conjugated_flagship_matches_oracle(self, rng):
         gens = cl.preset("qutrits:n=3:H")
@@ -161,34 +216,137 @@ class TestGeneratorSchedule:
             3, 3, tuple(u3 @ x @ u3.conj().T for x in gens.generators), gens.names
         )
         r = cl.lie_closure(rotated)
-        assert r.saturated and r.dim == 163 and r.offered == 9 * (1 + 163)
-        assert_same_span(r.span, all_pairs_closure(rotated))
+        assert r.saturated and r.dim == 163 and r.offered == 9 * (1 + 162)
+        assert_same_block_span(r, all_pairs_closure(rotated))
+        assert cl.subspace_controllability(r).subspace_controllable
 
     def test_flagship_closed_under_brackets(self, qutrit_closure_h, rng):
-        basis = qutrit_closure_h.span.basis
-        pairs = rng.integers(0, len(basis), size=(200, 2))
-        worst = max(
-            qutrit_closure_h.span.residual(la.commutator(basis[i], basis[j])) for i, j in pairs
-        )
-        assert worst <= 1e-8
+        pairs = rng.integers(0, len(qutrit_closure_h.traceless), size=(200, 2))
+        assert bracket_residuals(qutrit_closure_h, pairs).max() <= 1e-8
 
     def test_flagship_rounds_and_offers(self, qutrit_closure_h):
         assert (qutrit_closure_h.dim, qutrit_closure_h.rounds, qutrit_closure_h.offered) == (
-            163, 6, 1476
+            163, 6, 1467
         )
 
 
+_MARGIN_CASES = (
+    [f"qubits:n={n}" for n in range(2, 9)]
+    + [f"qutrits:n={n}:{kind}" for n in (2, 3) for kind in ("H", "Sz2")]
+    + [name for name, _ in _ORACLE_CASES if name.startswith("lemma2")]
+)
+
+
+class TestRoundTrace:
+    @pytest.mark.parametrize("name", _MARGIN_CASES)
+    def test_margins(self, name):
+        gens = cl.preset(name)
+        r = cl.lie_closure(gens)
+        assert r.saturated and len(r.trace) == r.rounds + 1
+        accepted = [t.smallest_accepted for t in r.trace if t.smallest_accepted is not None]
+        rejected = [t.largest_rejected for t in r.trace if t.largest_rejected is not None]
+        assert min(accepted) >= 1e-3
+        assert max(rejected, default=0.0) <= r.tol / 5
+        # the trace adds up to the result
+        assert [t.dim for t in r.trace] == list(np.cumsum([t.accepted for t in r.trace]))
+        assert r.trace[-1].dim == len(r.traceless) and r.trace[-1].accepted == 0
+        assert sum(t.offered for t in r.trace) == r.offered
+        assert r.trace[0].offered == len(gens.generators)
+
+    def test_seconds_take_no_part_in_comparisons(self):
+        first = cl.lie_closure(cl.preset("qubits:n=3")).trace
+        second = cl.lie_closure(cl.preset("qubits:n=3")).trace
+        assert first == second
+        assert all(t.seconds >= 0.0 for t in first)
+
+
+class TestBlockCoordinates:
+    def test_abelian_pair_keeps_center_apart(self):
+        # i*Sz and i*Sz^2 commute: L is 2-dimensional, with one center
+        # direction, and the traceless part of i*Sz^2 vanishes on spin 1/2
+        sz = g.hat_f(3, 2, 3)
+        gens = cl.GeneratorSet(2, 3, (1j * sz, 1j * sz @ sz), ("i*Sz", "i*Sz^2"))
+        r = cl.lie_closure(gens)
+        rep = cl.subspace_controllability(r)
+        assert (rep.total_dim, rep.center_component_dim) == (2, 1)
+        assert [v.restricted_dim for v in rep.per_block] == [1, 2]
+        assert cl.membership(1j * sz @ sz, r)[0]
+
+    def test_center_of_the_traceless_part(self):
+        # su(2) on the first two levels of C^6 plus i*diag(1,1,1,0,0,0):
+        # L' = su(2) + a central traceless direction z, D = [L', L'] = su(2),
+        # and dim L = dim D + rank{c_i + z_i} = 3 + 1
+        mats = []
+        for p in (SX, SY, SZ):
+            m = np.zeros((6, 6), dtype=complex)
+            m[:2, :2] = p
+            mats.append(1j * m)
+        mats.append(1j * np.diag([1.0, 1, 1, 0, 0, 0]))
+        gens = single_site_set(*mats)
+        r = cl.lie_closure(gens)
+        assert (len(r.traceless), r.dim, r.center_dim) == (4, 4, 1)
+        assert r.dim == all_pairs_closure(gens).dim
+        assert all(cl.membership(x, r)[0] for x in mats)
+        assert not cl.membership(1j * np.diag([1.0, 0, 0, 0, 0, 0]), r)[0]
+
+    def test_generators_restricted_once(self, monkeypatch):
+        calls = []
+        restrict = cl.restrict_to_block
+
+        def counting(x, block, tol=la.RANK_TOL):
+            calls.append(block.label)
+            return restrict(x, block, tol)
+
+        monkeypatch.setattr(cl, "restrict_to_block", counting)
+        r = cl.lie_closure(cl.preset("qutrits:n=3:H"))
+        assert len(calls) == 9 * len(r.frame.blocks) == 27
+
+    def test_noise_above_the_bound_is_an_error(self, monkeypatch):
+        # noise 1e-6 on every bracket is accepted as new directions until
+        # the span passes sum(irrep_dim^2 - 1); it must not pass as saturated
+        brackets = cl.BlockFrame.brackets
+        noise = np.random.default_rng(7)
+
+        def noisy(self, left, right):
+            out = brackets(self, left, right)
+            return out + 1e-6 * noise.standard_normal(out.shape)
+
+        monkeypatch.setattr(cl.BlockFrame, "brackets", noisy)
+        with pytest.raises(cl.ClosureError, match="exceeds the traceless bound"):
+            cl.lie_closure(cl.preset("qubits:n=3"))
+
+    def test_membership_sees_other_copies(self, qutrit_closure_h, qutrit_blocks):
+        # the projector onto the other copy of the adjoint irrep restricts to
+        # zero on the closure's copy, but it is not invariant
+        block = next(b for b in qutrit_closure_h.frame.blocks if b.label == (2, 1, 0))
+        both = next(b for b in qutrit_blocks if b.label == (2, 1, 0)).basis
+        other = orthonormal_rows((both - block.basis @ (block.basis.T @ both)).T).T
+        assert other.shape == (27, 8)
+        x = 1j * other @ other.conj().T
+        assert np.abs(cl.restrict_to_block(x, block)).max() <= 1e-12
+        member, res = cl.membership(x, qutrit_closure_h)
+        assert not member and res > 0.1
+
+    def test_leaky_operator_raises(self, qutrit_blocks):
+        frame = cl.BlockFrame.build(3, 3)
+        sym = next(b for b in qutrit_blocks if b.label == (3, 0, 0)).basis[:, 0]
+        adj = next(b for b in qutrit_blocks if b.label == (2, 1, 0)).basis[:, 0]
+        leaky = 1j * (np.outer(sym, adj.conj()) + np.outer(adj, sym.conj()))
+        with pytest.raises(cl.BlockLeakageError):
+            frame.restrict(leaky)
+
+
 class TestQubitPresets:
-    @pytest.mark.parametrize("n,want", [(2, 9), (3, 19), (4, 33)])
+    @pytest.mark.parametrize(
+        "n,want", [(2, 9), (3, 19), (4, 33), (5, 54), (6, 81), (7, 117), (8, 161)]
+    )
     def test_closure_dimensions(self, n, want):
         r = cl.lie_closure(cl.preset(f"qubits:n={n}"), tol=1e-7)
         assert r.dim == want and r.saturated
 
     def test_report_three_qubits(self):
         r = cl.lie_closure(cl.preset("qubits:n=3"), tol=1e-7)
-        blocks = cas.isotypic_blocks(2, 3)
-        cb = cas.center_basis_from_blocks(blocks)
-        rep = cl.subspace_controllability(r, blocks, cb)
+        rep = cl.subspace_controllability(r)
         assert rep.subspace_controllable
         assert rep.center_component_dim == 1
         assert rep.total_dim == 19
@@ -197,10 +355,12 @@ class TestQubitPresets:
         assert by_label[(2, 1)].restricted_dim == 3
 
     def test_levi_dimension_split(self):
-        # dim(closure) = dim(traceless part closure) + dim span(center parts)
+        # dim(closure) = dim(traceless part closure) + dim span(center parts);
+        # the traceless parts come from the Casimir center projection
         gens = cl.preset("qubits:n=3")
         cb = cas.center_basis(2, 3)
-        centers, traceless, cdim = cl.levi_split(gens, cb)
+        _, _, cdim = cl.levi_split(gens, cl.BlockFrame.build(2, 3))
+        traceless = [cas.center_project(x, cb)[1] for x in gens.generators]
         tset = cl.GeneratorSet(2, 3, tuple(traceless), gens.names)
         t_dim = cl.lie_closure(tset, tol=1e-7).dim
         full_dim = cl.lie_closure(gens, tol=1e-7).dim
@@ -211,30 +371,32 @@ class TestLeviSplit:
     def test_qubit_preset_center_components(self):
         gens = cl.preset("qubits:n=3")
         cb = cas.center_basis(2, 3)
-        centers, traceless, cdim = cl.levi_split(gens, cb)
+        frame = cl.BlockFrame.build(2, 3)
+        centers, traceless, cdim = cl.levi_split(gens, frame)
         norms = [np.linalg.norm(c) for c in centers]
         # only i*Sz^2 carries a center component
         assert norms[0] <= 1e-9 and norms[1] <= 1e-9 and norms[2] <= 1e-9
         assert norms[3] > 1.0
         assert cdim == 1
+        # the same split as the Casimir block projectors give
         for c, t, x in zip(centers, traceless, gens.generators):
-            assert np.allclose(c + t, x)
+            dense_c, dense_t = cas.center_project(x, cb)
+            assert np.allclose(frame.restrict(dense_c), np.concatenate([0 * t, c]))
+            assert np.allclose(frame.restrict(dense_t), np.concatenate([t, 0 * c]))
 
     def test_all_central_set(self):
         cb = cas.center_basis(2, 2)
         gens = cl.GeneratorSet(
             2, 2, tuple(1j * p for p in cb.elements), ("p0", "p1")
         )
-        centers, traceless, cdim = cl.levi_split(gens, cb)
+        centers, traceless, cdim = cl.levi_split(gens, cl.BlockFrame.build(2, 2))
         assert cdim == 2
         for t in traceless:
             assert np.linalg.norm(t) <= 1e-9
 
     def test_traceless_set_has_zero_center_dim(self):
         gens = cl.preset("lemma2:2,2,(1,3)")
-        blocks = cas.isotypic_blocks(4, 1)
-        cb = cas.center_basis_from_blocks(blocks)
-        _, _, cdim = cl.levi_split(gens, cb)
+        _, _, cdim = cl.levi_split(gens, cl.BlockFrame.build(4, 1))
         assert cdim == 0
 
 
@@ -313,15 +475,15 @@ class TestLemma1BlockAlgebras:
 
 
 class TestSubspaceControllability:
-    def test_refuses_unsaturated(self, qutrit_blocks, qutrit_center):
+    def test_refuses_unsaturated(self):
         gens = cl.preset("qutrits:n=3:H")
         r = cl.lie_closure(gens, max_dim=20)
         assert not r.saturated
         with pytest.raises(cl.UnsaturatedClosureError):
-            cl.subspace_controllability(r, qutrit_blocks, qutrit_center)
+            cl.subspace_controllability(r)
 
-    def test_three_qutrit_report(self, qutrit_closure_h, qutrit_blocks, qutrit_center):
-        rep = cl.subspace_controllability(qutrit_closure_h, qutrit_blocks, qutrit_center)
+    def test_three_qutrit_report(self, qutrit_closure_h):
+        rep = cl.subspace_controllability(qutrit_closure_h)
         by_label = {v.label: v for v in rep.per_block}
         assert by_label[(3, 0, 0)].restricted_dim == 99
         assert by_label[(2, 1, 0)].restricted_dim == 63
@@ -331,8 +493,8 @@ class TestSubspaceControllability:
         assert rep.total_dim == 163
         assert rep.subspace_controllable
 
-    def test_json_schema(self, qutrit_closure_h, qutrit_blocks, qutrit_center):
-        rep = cl.subspace_controllability(qutrit_closure_h, qutrit_blocks, qutrit_center)
+    def test_json_schema(self, qutrit_closure_h):
+        rep = cl.subspace_controllability(qutrit_closure_h)
         obj = rep.to_json_dict()
         assert set(obj) == {
             "blocks", "center_dim", "total_dim",
@@ -343,35 +505,27 @@ class TestSubspaceControllability:
             for b in obj["blocks"]
         )
 
-    def test_local_generators_alone_are_not_controllable(self, qutrit_blocks, qutrit_center):
+    def test_local_generators_alone_are_not_controllable(self):
         # the 8 collective Gell-Mann generators close on an su(3) image
         gens = cl.preset("qutrits:n=3:H")
         locals_only = cl.GeneratorSet(3, 3, gens.generators[:8], gens.names[:8])
         r = cl.lie_closure(locals_only)
         assert r.saturated and r.dim == 8
-        rep = cl.subspace_controllability(r, qutrit_blocks, qutrit_center)
+        rep = cl.subspace_controllability(r)
         assert not rep.subspace_controllable
         assert rep.center_component_dim == 0
 
 
 class TestSz2Preset:
-    def test_equivalent_to_two_body_up_to_center(self, qutrit_closure_h, qutrit_center):
+    def test_equivalent_to_two_body_up_to_center(self, qutrit_closure_h):
         r2 = cl.lie_closure(cl.preset("qutrits:n=3:Sz2"))
         assert r2.saturated and r2.dim == qutrit_closure_h.dim == 163
-        # the block-traceless projections of the two closures span the same
+        # the block-traceless parts of the two closures span the same
         # 162-dimensional algebra
-        def traceless_span(result):
-            span = la.OrthonormalSpan(27, tol=1e-9)
-            for x in result.span.basis:
-                _, s = cas.center_project(x, qutrit_center)
-                _, span = la.orthonormal_extend(span, s)
-            return span
-
-        sa = traceless_span(qutrit_closure_h)
-        sb = traceless_span(r2)
-        assert sa.dim == sb.dim == 162
-        for x in sb.basis[::20]:
-            assert sa.residual(x) <= 1e-8
+        sa, sb = qutrit_closure_h.traceless, r2.traceless
+        assert len(sa) == len(sb) == 162
+        assert residuals(sb, sa).max() <= 1e-8
+        assert residuals(sa, sb).max() <= 1e-8
 
 
 class TestPresetParsing:

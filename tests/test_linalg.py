@@ -194,6 +194,19 @@ class TestHermitianEig:
         w, v = la.hermitian_eig(h)
         assert np.linalg.norm(h - v @ np.diag(w) @ v.conj().T) <= 1e-9 * np.linalg.norm(h)
 
+    def test_real_input_stays_real(self, rng):
+        a = rng.standard_normal((6, 6))
+        h = a + a.T
+        w, v = la.hermitian_eig(h)
+        assert w.dtype == float and v.dtype == float
+        assert np.linalg.norm(v @ np.diag(w) @ v.T - h) <= 1e-10
+        wc, vc = la.hermitian_eig(h.astype(complex))
+        assert vc.dtype == complex and np.allclose(w, wc)
+
+    def test_real_gate_rejects_non_symmetric(self):
+        with pytest.raises(la.NonHermitianError):
+            la.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
 
 class TestClustering:
     def test_basic_split(self):
