@@ -7,14 +7,16 @@ eigenvalue (the quadratic eigenvalue c2(p,q) is symmetric in p,q); the cubic
 Casimir C3 then refines the cluster.  Raw C2 eigenvalues are never compared
 against c2(p,q) values, only their equality patterns are matched.
 
-Both Casimirs are applied matrix-free to a block of columns.  C2 is a
-constant plus a sum of tensor-factor transpositions, so it keeps every su(d)
-weight space (the basis states with one set of occupation numbers) and is
-diagonalized one weight space at a time; no d^n x d^n C2 is formed there.
-C3 is a sum of collective applications
-(:func:`~qsymlie.generators.collective_apply`), applied only to the columns
-of a C2-degenerate cluster.  ``build_C2`` and ``build_C3`` are the actions
-applied to the identity.
+Both Casimirs lie in the center of the image of the group algebra C[S_n],
+so each is a combination of permutation class sums, and both are applied
+matrix-free to a block of columns as row gathers.  C2 is a constant plus a
+sum of tensor-factor transpositions, so it keeps every su(d) weight space
+(the basis states with one set of occupation numbers) and is diagonalized
+one weight space at a time; no d^n x d^n C2 is formed there.  C3 is a
+constant plus sums of transpositions and of 3-cycles, applied only to the
+real columns of a C2-degenerate cluster.  Both are real operators, so real
+input stays real.  ``build_C2`` and ``build_C3`` are the actions applied to
+the identity.
 """
 
 from __future__ import annotations
@@ -31,16 +33,14 @@ from .linalg import (
     RANK_TOL,
     DimensionMismatchError,
     _as_square,
+    _real_or_complex,
     cluster_eigenvalues,
     hermitian_eig,
 )
 from .generators import (
     adjacent_transpositions,
-    collective_apply,
-    gell_mann_basis,
     hat_f,
     permutation_operator,
-    structure_constants,
     symmetric_sum,
 )
 from .reptheory import (
@@ -87,6 +87,30 @@ def _transpositions(d: int, n: int) -> list[np.ndarray]:
     return [np.swapaxes(grid, i, j).ravel() for i, j in combinations(range(n), 2)]
 
 
+def _three_cycles(d: int, n: int) -> list[np.ndarray]:
+    """Row maps of the factor 3-cycles, both directions on every triple i < j < k.
+
+    Each map is an axis permutation of the basis indices viewed as shape
+    (d,)*n that moves axes i -> j -> k -> i or the reverse.
+    """
+    grid = np.arange(d**n).reshape((d,) * n)
+    maps = []
+    for i, j, k in combinations(range(n), 3):
+        for cycle in ((j, k, i), (k, i, j)):
+            axes = list(range(n))
+            axes[i], axes[j], axes[k] = cycle
+            maps.append(np.transpose(grid, axes).ravel())
+    return maps
+
+
+def _as_columns(x, d: int, n: int) -> np.ndarray:
+    """``x`` as a float or complex array with d^n rows; real input stays real."""
+    x = np.asarray(x, dtype=_real_or_complex(x))
+    if x.shape[0] != d**n:
+        raise ValueError(f"operand has {x.shape[0]} rows, need d^n = {d**n}")
+    return x
+
+
 def _c2_from_transpositions(x: np.ndarray, perms, d: int, n: int) -> np.ndarray:
     """C2 x = c0 x + 4 sum_{i<j} P_ij x with c0 = 2n(d^2-1)/d - 2n(n-1)/d.
 
@@ -100,45 +124,76 @@ def _c2_from_transpositions(x: np.ndarray, perms, d: int, n: int) -> np.ndarray:
     return out
 
 
+def _c3_from_permutations(x: np.ndarray, swaps, cycles, n: int) -> np.ndarray:
+    """C3 x = alpha x + beta sum_{i<j} P_ij x + 24 sum_{3-cycles} P_sigma x at d = 3.
+
+    alpha = 16n^3/9 - 12n^2 + 28n and beta = 72 - 16n; :func:`apply_C3`
+    derives them.  ``swaps`` and ``cycles`` are the row maps of the P_ij and
+    of the 3-cycles on the rows of x.
+    """
+    pairs = np.zeros_like(x)
+    for perm in swaps:
+        pairs += x[perm]
+    triples = np.zeros_like(x)
+    for perm in cycles:
+        triples += x[perm]
+    return (16 * n**3 / 9 - 12 * n * n + 28 * n) * x + (72 - 16 * n) * pairs + 24 * triples
+
+
 def apply_C2(x, d: int, n: int) -> np.ndarray:
     """C2 @ x for x of shape (d^n, m) (or (d^n,)), as a sum of transpositions."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape[0] != d**n:
-        raise ValueError(f"operand has {x.shape[0]} rows, need d^n = {d**n}")
+    x = _as_columns(x, d, n)
     return _c2_from_transpositions(x, _transpositions(d, n), d, n)
 
 
 def apply_C3(x, d: int, n: int) -> np.ndarray:
-    """C3 @ x = sum_l hat(F_l) sum_m hat(F_m) (sum_q d_{lm}^q hat(F_q) x) (d = 3 only).
+    """C3 @ x for x of shape (3^n, m) (or (3^n,)), as a sum of transpositions and 3-cycles.
 
-    Costs 8 + 54 + 8 collective applications: the hat(F_q) x, one per pair
-    (l, m) with a nonzero d_{lm}^q, and one per l after the sum over m.
+    C3 = sum_{l,m,q} D_lmq hat(F_l) hat(F_m) hat(F_q) (d = 3 only), where
+    D = ``structure_constants(gell_mann_basis(d)).dsym``.  With
+    Tr(F_a F_b) = 2 delta_ab, D_lmq = 1/2 Tr(F_q {F_l, F_m}) = 2 d_lmq, where
+    d_lmq = 1/4 Tr(F_l {F_m, F_q}) is totally symmetric, sum_m d_lmm = 0 and
+    sum_{m,q} d_lmq d_rmq = (d^2-4)/d delta_lr.  On one or two factors,
+    sum_a F_a^2 = 2(d^2-1)/d 1 and sum_a F_a (x) F_a = 2P - (2/d) 1.
+
+    Expand hat(F_l) hat(F_m) hat(F_q) = sum_{i,j,k} F_l^(i) F_m^(j) F_q^(k)
+    by which sites coincide:
+
+    * One site (i = j = k): sum d_lmq F_l F_m F_q = sum d_lmq F_l {F_m, F_q}/2
+      = (d^2-4)/d sum_l F_l^2 = 2(d^2-4)(d^2-1)/d^2 per site.
+    * Two sites s, t, with s twice (three placements of t): each placement
+      gives sum d_lmq {F_l, F_m}/2 at s times F_q at t
+      = (d^2-4)/d sum_a F_a^(s) F_a^(t).  Both choices of the repeated
+      site give 6(d^2-4)/d (2 P_st - 2/d) per pair.
+    * Three sites a < b < c (six orderings, equal since d_lmq is symmetric):
+      6 sum d_lmq F_l (x) F_m (x) F_q.  Expanding the 3-cycle sigma on these
+      factors in the orthonormal basis {1/sqrt(d), F_a/sqrt(2)} of the d x d
+      matrices gives sum Tr(F_l F_m F_q) F_l (x) F_m (x) F_q
+      = 8 (sigma - (P_ab + P_ac + P_bc)/d + 2/d^2), and its reverse gives
+      sigma^-1.
+      With d_lmq = (Tr(F_l F_m F_q) + Tr(F_l F_q F_m))/4 the triple is
+      12 (sigma + sigma^-1) - (24/d)(P_ab + P_ac + P_bc) + 48/d^2.
+
+    Each pair lies in n-2 triples.  Summing, and doubling for D = 2d:
+    C3 = alpha 1 + beta sum_{i<j} P_ij + 24 sum_{3-cycles} P_sigma with
+    alpha = [4(d^2-4)(d^2-1) n - 12(d^2-4) n(n-1) + 16 n(n-1)(n-2)] / d^2 and
+    beta = 24(d^2-4)/d - 48(n-2)/d; at d = 3, alpha = 16n^3/9 - 12n^2 + 28n
+    and beta = 72 - 16n.  C3 is real, and real input gives real output.
     """
     if d != 3:
         raise ValueError("the cubic Casimir is implemented for d = 3 only")
-    basis = gell_mann_basis(d)
-    es = basis.elements[1:]
-    dsym = structure_constants(basis).dsym
-    fx = [collective_apply(e, x, n) for e in es]
-    out = np.zeros(np.shape(x), dtype=complex)
-    for l, el in enumerate(es):
-        inner = np.zeros(np.shape(x), dtype=complex)
-        for m, em in enumerate(es):
-            coeffs = [(c, fx[q]) for q, c in enumerate(dsym[l, m]) if c != 0.0]
-            if coeffs:
-                inner += collective_apply(em, sum(c * y for c, y in coeffs), n)
-        out += collective_apply(el, inner, n)
-    return out
+    x = _as_columns(x, d, n)
+    return _c3_from_permutations(x, _transpositions(d, n), _three_cycles(d, n), n)
 
 
 def build_C2(d: int, n: int) -> np.ndarray:
     """Quadratic Casimir sum over the d^2-1 traceless slots of hat(F_k)^2, as a matrix."""
-    return apply_C2(np.eye(d**n, dtype=complex), d, n)
+    return apply_C2(np.eye(d**n), d, n)
 
 
 def build_C3(d: int, n: int) -> np.ndarray:
     """Cubic Casimir sum_{l,m,q} d_{lm}^q hat(F_l) hat(F_m) hat(F_q), as a matrix (d = 3 only)."""
-    return apply_C3(np.eye(d**n, dtype=complex), d, n)
+    return apply_C3(np.eye(d**n), d, n)
 
 
 def c2_eigenvalue(p: int, q: int) -> int:
@@ -229,9 +284,10 @@ def isotypic_blocks(
     eigenvector is supported on one weight space.  Clusters the pooled C2
     eigenvalues, matches clusters to the expected labels by equality
     pattern and block dimension, and refines any cluster shared by two
-    labels with C3 (d = 3).  C3 is applied only to the orthonormal
-    eigenvectors V of such a C2-degenerate cluster, as V^dag (C3 V), so no
-    d^n x d^n C3 is formed.  Blocks are returned by ascending C2 eigenvalue,
+    labels with C3 (d = 3).  C3 is applied only to the real orthonormal
+    eigenvectors V of such a C2-degenerate cluster, as V^T (C3 V), so no
+    d^n x d^n C3 is formed; the real symmetric sub-block is diagonalized
+    with the same Hermiticity tolerance ``tol`` as the C2 blocks.  Blocks are returned by ascending C2 eigenvalue,
     sub-ordered by ascending C3 eigenvalue inside a refined cluster.
 
     Raises :class:`UnresolvedDegeneracyError` when labels cannot be
@@ -272,7 +328,7 @@ def isotypic_blocks(
     blocks: list[IsotypicBlock] = []
     for ci, (key, idx) in enumerate(zip(ordered_keys, clustering.clusters)):
         members = groups[key]
-        vecs = np.zeros((d**n, len(idx)), dtype=complex)
+        vecs = np.zeros((d**n, len(idx)))
         for col, e in enumerate(order[list(idx)]):
             states, vec = columns[e]
             vecs[states, col] = vec
@@ -294,8 +350,8 @@ def isotypic_blocks(
             raise UnresolvedDegeneracyError(
                 f"labels {members} share both C2 value and block dimension"
             )
-        sub = vecs.conj().T @ apply_C3(vecs, d, n)
-        w3, u3 = hermitian_eig(sub, 1e-7)
+        sub = vecs.T @ _c3_from_permutations(vecs, perms, _three_cycles(d, n), n)
+        w3, u3 = hermitian_eig(sub, tol)
         subcl = cluster_eigenvalues(w3, cluster_tol)
         if len(subcl.clusters) != len(members):
             raise UnresolvedDegeneracyError(

@@ -49,16 +49,20 @@ def quantum_numbers(m) -> tuple[int, ...]:
 def irrep_dimension(m) -> int:
     """Dimension of the irrep with i-weight m.
 
-    prod_{r<s} (1 + (m_r - m_s)/(s - r)), evaluated exactly.
+    prod_{r<s} (s - r + m_r - m_s) // prod_{r<s} (s - r), in integers; the
+    Weyl dimension formula makes the division exact, and a remainder raises.
     """
     m = check_iweight(m)
     d = len(m)
-    out = Fraction(1)
+    num = den = 1
     for r in range(d):
         for s in range(r + 1, d):
-            out *= Fraction(s - r + m[r] - m[s], s - r)
-    assert out.denominator == 1
-    return int(out)
+            num *= s - r + m[r] - m[s]
+            den *= s - r
+    dim, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"Weyl dimension of {m} is not an integer: {num}/{den}")
+    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +332,6 @@ def center_dimension(n: int, d: int) -> int:
     if d == 1:
         return 1
     return sum(center_dimension(n - j * d, d - 1) for j in range(n // d + 1))
-
-
-def admissible_reps(n: int, d: int):
-    """Quantum-number labels of the irreps occurring in the n-fold power.
-
-    d=2: single label p = n, n-2, ...;  d=3: pairs (m-2j, j) for
-    m = n, n-3, ... and j = 0..floor(m/2).
-    """
-    if d == 2:
-        return [p for p in range(n, -1, -2)]
-    if d == 3:
-        out = []
-        for m in range(n, -1, -3):
-            for j in range(m // 2 + 1):
-                out.append((m - 2 * j, j))
-        return out
-    raise ValueError("admissible_reps supports d in {2, 3} only")
 
 
 def content_sum(m) -> int:

@@ -97,7 +97,7 @@ def dense_C3(d, n):
 
 
 class TestCasimirAction:
-    @pytest.mark.parametrize("d,n", [(2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+    @pytest.mark.parametrize("d,n", [(2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5)])
     def test_builds_match_dense_oracle(self, d, n):
         assert np.abs(cas.build_C2(d, n) - dense_C2(d, n)).max() <= 1e-10
         if d == 3:
@@ -117,6 +117,24 @@ class TestCasimirAction:
         c2 = cas.apply_C2(np.eye(d**n), d, n)
         for col, w in enumerate(weights):
             assert {weights[r] for r in np.flatnonzero(np.abs(c2[:, col]) > 1e-12)} == {w}
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_c3_keeps_each_weight_space(self, n):
+        weights = [tuple(s.count(a) for a in range(3)) for s in itertools.product(range(3), repeat=n)]
+        c3 = cas.apply_C3(np.eye(3**n), 3, n)
+        for col, w in enumerate(weights):
+            assert {weights[r] for r in np.flatnonzero(np.abs(c3[:, col]) > 1e-12)} == {w}
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
+    def test_real_input_gives_real_output(self, d, n, rng):
+        x = rng.standard_normal((d**n, 4))
+        c2 = cas.apply_C2(x, d, n)
+        assert c2.dtype == np.float64
+        assert np.abs(c2 - dense_C2(d, n) @ x).max() <= 1e-10
+        if d == 3:
+            c3 = cas.apply_C3(x, d, n)
+            assert c3.dtype == np.float64
+            assert np.abs(c3 - dense_C3(d, n) @ x).max() <= 1e-10
 
     def test_apply_c2_rejects_wrong_row_count(self):
         with pytest.raises(ValueError):
@@ -157,6 +175,19 @@ class TestC3:
     def test_rejects_other_d(self):
         with pytest.raises(ValueError):
             cas.build_C3(2, 3)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_closed_form_on_each_irrep_copy(self, n):
+        # C3 = (8/9)(p-q)(2p+q+3)(p+2q+3) on the copy of (p, q), and
+        # highest_weight_blocks orders C2 ties by ascending C3
+        keys = []
+        for b in cas.highest_weight_blocks(3, n):
+            p, q = rt.quantum_numbers(b.label)
+            want = 8 / 9 * (p - q) * (2 * p + q + 3) * (p + 2 * q + 3)
+            err = np.abs(cas.apply_C3(b.basis, 3, n) - want * b.basis).max()
+            assert err <= 1e-9 * max(1.0, abs(want))
+            keys.append((rt.content_sum(b.label), want))
+        assert keys == sorted(keys)
 
 
 class Testc2Formula:
@@ -214,7 +245,7 @@ class TestDegeneracySearch:
     def test_n12_degeneracy_is_admissible(self):
         # both (5,2) and (2,5) occur among the 12-qutrit labels, so C2 alone
         # cannot separate them there
-        labels = rt.admissible_reps(12, 3)
+        labels = [rt.quantum_numbers(m) for m in rt.cg_decompose(12, 3)]
         assert (5, 2) in labels and (2, 5) in labels
         assert cas.c2_eigenvalue(5, 2) == cas.c2_eigenvalue(2, 5)
 

@@ -249,28 +249,31 @@ class TestCenterDimension:
         assert rt.center_dimension(n, d) == count
 
 
+def admissible_labels(n, d):
+    """Quantum numbers of the irreps in the n-fold power, as cg_decompose lists them."""
+    return [rt.quantum_numbers(m) for m in rt.cg_decompose(n, d)]
+
+
 class TestAdmissibleReps:
     def test_qubits(self):
-        assert rt.admissible_reps(3, 2) == [3, 1]
-        assert rt.admissible_reps(4, 2) == [4, 2, 0]
+        assert admissible_labels(3, 2) == [(3,), (1,)]
+        assert admissible_labels(4, 2) == [(4,), (2,), (0,)]
 
     def test_qutrits(self):
-        assert rt.admissible_reps(3, 3) == [(3, 0), (1, 1), (0, 0)]
+        assert admissible_labels(3, 3) == [(3, 0), (1, 1), (0, 0)]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_count_equals_center_dimension(self, d):
         for n in range(1, 21):
-            assert len(rt.admissible_reps(n, d)) == rt.center_dimension(n, d)
+            assert len(admissible_labels(n, d)) == rt.center_dimension(n, d)
 
     def test_labels_match_cg_quantum_numbers(self):
+        # closed form: (m - 2j, j) for m = n, n-3, ... and j = 0..floor(m/2)
         for n in range(1, 7):
-            got = sorted(rt.admissible_reps(n, 3))
-            want = sorted(rt.quantum_numbers(m) for m in rt.cg_decompose(n, 3))
-            assert got == want
-
-    def test_unsupported_d(self):
-        with pytest.raises(ValueError):
-            rt.admissible_reps(3, 4)
+            want = sorted(
+                (m - 2 * j, j) for m in range(n, -1, -3) for j in range(m // 2 + 1)
+            )
+            assert sorted(admissible_labels(n, 3)) == want
 
 
 class TestContentSum:
