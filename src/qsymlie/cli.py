@@ -297,6 +297,7 @@ def main(argv=None) -> int:
         _casimir.HighestWeightError,
         _closure.ClosureError,
         np.linalg.LinAlgError,
+        ArithmeticError,  # an exact division in reptheory left a remainder
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 
 IWeight = tuple[int, ...]
 
@@ -51,12 +50,16 @@ def irrep_dimension(m) -> int:
 
     prod_{r<s} (s - r + m_r - m_s) // prod_{r<s} (s - r), in integers; the
     Weyl dimension formula makes the division exact, and a remainder raises.
+    A pair with m_r = m_s contributes (s - r)/(s - r) = 1 and is skipped, so
+    the big integers hold one factor per pair of unequal entries, not d^2.
     """
     m = check_iweight(m)
     d = len(m)
     num = den = 1
     for r in range(d):
         for s in range(r + 1, d):
+            if m[r] == m[s]:
+                continue
             num *= s - r + m[r] - m[s]
             den *= s - r
     dim, rem = divmod(num, den)
@@ -275,9 +278,16 @@ def algorithm1_decompose(s, sprime) -> dict[IWeight, int]:
 
 
 def _partitions_into(n: int, parts: int, cap: int | None = None):
-    """Non-increasing tuples of ``parts`` nonnegative ints summing to n."""
+    """Non-increasing tuples of ``parts`` nonnegative ints summing to n.
+
+    Recurses once per nonzero entry and pads the rest with zeros, so the
+    depth is at most min(n, parts) + 1.
+    """
     if cap is None:
         cap = n
+    if n == 0:
+        yield (0,) * parts
+        return
     if parts == 1:
         if n <= cap:
             yield (n,)
@@ -287,33 +297,34 @@ def _partitions_into(n: int, parts: int, cap: int | None = None):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def _cg_table(n: int, d: int) -> dict[IWeight, int]:
-    # k_m = sum_i k_{m - e_i} over the non-increasing children m - e_i,
-    # built up from the standard rep (1,0,...,0) one entry sum at a time so
-    # that no call recurses n deep.
-    layer = {(1,) + (0,) * (d - 1): 1}
-    for _ in range(n - 1):
-        nxt: dict[IWeight, int] = {}
-        for m, k in layer.items():
-            for i in range(d):
-                if i == 0 or m[i - 1] > m[i]:
-                    parent = m[:i] + (m[i] + 1,) + m[i + 1 :]
-                    nxt[parent] = nxt.get(parent, 0) + k
-        layer = nxt
-    return layer
-
-
 def cg_decompose(n: int, d: int) -> dict[IWeight, int]:
     """Clebsch-Gordan content of the n-fold tensor power of the standard rep.
 
     Returns {i-weight (entry sum n): multiplicity} for every non-increasing
-    d-tuple summing to n; completeness means sum(mult * dim) = d**n.
+    d-tuple summing to n; completeness means sum(mult * dim) = d**n.  By
+    Schur-Weyl duality the multiplicity of m is the number of standard Young
+    tableaux of shape m, given by the Frobenius form of the hook-length
+    formula over the k nonzero rows:
+
+        n! * prod_{r<s<=k} (l_r - l_s) // prod_r l_r!,   l_r = m_r + k - r,
+
+    with rows counted from r = 1.  The division is exact, and a remainder
+    raises ArithmeticError.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    table = _cg_table(n, d)
-    return {m: table[m] for m in _partitions_into(n, d)}
+    n_fact = factorial(n)
+    out = {}
+    for m in _partitions_into(n, d):
+        k = d - m.count(0)
+        ells = [m[r] + k - 1 - r for r in range(k)]
+        num = n_fact * prod(a - b for a, b in itertools.combinations(ells, 2))
+        den = prod(map(factorial, ells))
+        mult, rem = divmod(num, den)
+        if rem:
+            raise ArithmeticError(f"multiplicity of {m} is not an integer: {num}/{den}")
+        out[m] = mult
+    return out
 
 
 def ambient_commutant_dim(n: int, d: int) -> int:
@@ -321,17 +332,22 @@ def ambient_commutant_dim(n: int, d: int) -> int:
     return comb(n + d * d - 1, d * d - 1)
 
 
-@lru_cache(maxsize=None)
 def center_dimension(n: int, d: int) -> int:
     """Number of non-isomorphic irreps in the tensor-power decomposition.
 
-    f(n,1) = 1;  f(n,d) = sum_{j=0}^{floor(n/d)} f(n - j*d, d-1).
+    The paper's recursion f(n,1) = 1, f(n,d) = sum_{j=0}^{floor(n/d)}
+    f(n - j*d, d-1) counts the partitions of n into at most d parts, which
+    by conjugation are the partitions of n into parts of size at most d.
+    Counted here with one list of n + 1 integers, one pass per part size
+    up to min(n, d).
     """
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
-    if d == 1:
-        return 1
-    return sum(center_dimension(n - j * d, d - 1) for j in range(n // d + 1))
+    counts = [1] + [0] * n
+    for part in range(1, min(n, d) + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    return counts[n]
 
 
 def content_sum(m) -> int:

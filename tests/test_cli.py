@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -77,13 +78,39 @@ class TestDecompose:
     def test_large_n_same_cold_and_warm(self, capsys):
         # n = 600 is past the depth of a recursion over the entry sum
         argv = ("decompose", "--d", "2", "--n", "600", "--format", "json")
-        rt._cg_table.cache_clear()
         code, cold, _ = run(capsys, *argv)
         assert code == 0
         obj = json.loads(cold)
         assert obj["checks"]["sum_mult_dim"] == 2**600 and obj["ok"] is True
         code, warm, _ = run(capsys, *argv)
         assert code == 0 and warm == cold
+
+    def test_large_d_lists_both_labels(self, capsys):
+        # d = 1200 is past the depth of a recursion over the d entries
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "decompose", "--d", "1200", "--n", "2", "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["irreps"] == [
+            {"iweight": [2] + [0] * 1199, "dim": 720600, "multiplicity": 1},
+            {"iweight": [1, 1] + [0] * 1198, "dim": 719400, "multiplicity": 1},
+        ]
+        checks = obj["checks"]
+        assert checks["sum_mult_dim"] == checks["d_pow_n"] == 1200**2
+        assert checks["sum_dim_sq"] == checks["commutant_dim"]
+        assert checks["distinct"] == checks["center_dim"] == 2
+        assert obj["ok"] is True
+
+    def test_inexact_division_exits_3(self, capsys, monkeypatch):
+        def inexact(m):
+            raise ArithmeticError(f"Weyl dimension of {m} is not an integer")
+
+        monkeypatch.setattr(rt, "irrep_dimension", inexact)
+        code, out, err = run(capsys, "decompose", "--d", "3", "--n", "3")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -107,6 +134,13 @@ class TestCenter:
         code, out, _ = run(capsys, "center", "--d", "2", "--n", "7")
         assert code == 0
         assert "f(n=7, d=2) = 4" in out
+
+    def test_large_d(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "center", "--d", "1200", "--n", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == "center dimension f(n=2, d=1200) = 2\n"
 
     def test_d4(self, capsys):
         code, out, _ = run(capsys, "center", "--d", "4", "--n", "4", "--format", "json")

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -63,6 +65,19 @@ class TestDimension:
     )
     def test_examples(self, m, dim):
         assert rt.irrep_dimension(m) == dim
+
+    def test_matches_hook_content_formula(self):
+        # runs of equal entries followed by unequal ones, e.g. (3,3,1,1,0,0)
+        for m in small_iweights(6, 3):
+            lam = [x - m[-1] for x in m]
+            cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+            hooks = math.prod(
+                lam[i] - j + sum(1 for row in lam if row > j) - i - 1 for i, j in cells
+            )
+            assert rt.irrep_dimension(m) * hooks == math.prod(len(m) + j - i for i, j in cells)
+
+    def test_large_d(self):
+        assert rt.irrep_dimension((2,) + (0,) * 399) == 400 * 401 // 2
 
     def test_shift_invariance(self):
         for m in small_iweights(3, 4):
@@ -196,6 +211,32 @@ class TestTensorProducts:
                 assert total == rt.irrep_dimension(s) * rt.irrep_dimension(sp)
 
 
+def layered_cg_table(n, d):
+    """Multiplicities of the n-fold power by adding one box at a time.
+
+    k_m = sum_i k_{m - e_i} over the non-increasing m - e_i, built up from
+    the standard rep (1, 0, ..., 0) one entry sum at a time.
+    """
+    layer = {(1,) + (0,) * (d - 1): 1}
+    for _ in range(n - 1):
+        nxt = {}
+        for m, k in layer.items():
+            for i in range(d):
+                if i == 0 or m[i - 1] > m[i]:
+                    parent = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                    nxt[parent] = nxt.get(parent, 0) + k
+        layer = nxt
+    return layer
+
+
+@functools.lru_cache(maxsize=None)
+def paper_center_dimension(n, d):
+    """The paper's recursion f(n,1) = 1, f(n,d) = sum_j f(n - j*d, d-1)."""
+    if d == 1:
+        return 1
+    return sum(paper_center_dimension(n - j * d, d - 1) for j in range(n // d + 1))
+
+
 class TestCGDecompose:
     def test_three_qutrits(self):
         assert rt.cg_decompose(3, 3) == {(3, 0, 0): 1, (2, 1, 0): 2, (1, 1, 1): 1}
@@ -212,6 +253,16 @@ class TestCGDecompose:
         assert sum(k * rt.irrep_dimension(m) for m, k in dec.items()) == d**n
         assert sum(rt.irrep_dimension(m) ** 2 for m in dec) == rt.ambient_commutant_dim(n, d)
         assert len(dec) == rt.center_dimension(n, d)
+
+    def test_matches_layered_table(self):
+        sizes = [(n, d) for n in range(1, 41) for d in range(1, 6)] + [(3, 8), (5, 12), (2, 9)]
+        for n, d in sizes:
+            assert rt.cg_decompose(n, d) == layered_cg_table(n, d), (n, d)
+
+    def test_keys_follow_partition_order(self):
+        assert list(rt.cg_decompose(4, 5)) == [
+            (4, 0, 0, 0, 0), (3, 1, 0, 0, 0), (2, 2, 0, 0, 0), (2, 1, 1, 0, 0), (1, 1, 1, 1, 0),
+        ]
 
     def test_matches_iterated_algorithm1(self):
         # build the 4-fold power by repeated Algorithm-1 products
@@ -231,6 +282,20 @@ class TestCenterDimension:
     @settings(max_examples=40, deadline=None)
     def test_qubit_closed_form(self, n):
         assert rt.center_dimension(n, 2) == n // 2 + 1
+
+    def test_matches_paper_recursion(self):
+        for n in range(81):
+            for d in range(1, 9):
+                assert rt.center_dimension(n, d) == paper_center_dimension(n, d), (n, d)
+
+    def test_large_arguments(self):
+        # p(200) from MacMahon's table; parts past n change nothing
+        assert rt.center_dimension(200, 200) == rt.center_dimension(200, 5000) == 3972999029388
+
+    @pytest.mark.parametrize("n,d", [(-1, 2), (3, 0)])
+    def test_rejects_bad_arguments(self, n, d):
+        with pytest.raises(ValueError):
+            rt.center_dimension(n, d)
 
     def test_examples(self):
         assert rt.center_dimension(3, 3) == 3
