@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: decompose, center, spectrum, closure, degeneracy.  Output is
-deterministic: fixed field order, floats rounded to 12 decimals.  Exit
+deterministic, with a fixed field order.  JSON is written on one line by the
+C encoder (python -m json.tool --indent 2 gives the indented layout);
+every payload holds integers, booleans and strings only, so a float added
+later must be rounded to 12 decimals where its payload is built.  Exit
 codes: 0 success, 1 usage/config error, 2 unsaturated closure, 3 numerical
 failure.
 """
@@ -39,19 +42,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return round(obj, 12)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def _emit(payload, lines, args) -> None:
     if args.format == "json":
-        text = json.dumps(_round_floats(payload), indent=2) + "\n"
+        # No indent and no json.dump: either one falls back to the pure-Python encoder.
+        text = json.dumps(payload) + "\n"
     else:
         text = "\n".join(lines) + "\n"
     if args.out:

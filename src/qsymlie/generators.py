@@ -350,21 +350,6 @@ def adjacent_transpositions(n: int) -> list[tuple[int, ...]]:
     return [perm_from_cycles(n, (i, i + 1)) for i in range(1, n)]
 
 
-def young_projector_21(d: int) -> np.ndarray:
-    """Young symmetrizer 1 + (12) - (13) - (213) on (C^d)^(x)3.
-
-    Belongs to the standard tableau with rows {1,2},{3} of the two-row
-    diagram; its image on each weight space selects mixed-symmetry vectors.
-    """
-    terms = [
-        (1.0, perm_from_cycles(3)),
-        (1.0, perm_from_cycles(3, (1, 2))),
-        (-1.0, perm_from_cycles(3, (1, 3))),
-        (-1.0, perm_from_cycles(3, (2, 1, 3))),
-    ]
-    return sum(c * permutation_operator(p, d) for c, p in terms)
-
-
 # ---------------------------------------------------------------------------
 # Dicke states
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsymlie import casimir, closure
+from qsymlie import casimir, closure, generators
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +36,18 @@ def random_hermitian(rng, dim):
 
 def random_skew(rng, dim):
     return 1j * random_hermitian(rng, dim)
+
+
+def young_projector_21(d):
+    """Young symmetrizer 1 + (12) - (13) - (213) on (C^d)^(x)3.
+
+    Belongs to the standard tableau with rows {1,2},{3} of the two-row
+    diagram; its image on each weight space selects mixed-symmetry vectors.
+    """
+    terms = [
+        (1.0, generators.perm_from_cycles(3)),
+        (1.0, generators.perm_from_cycles(3, (1, 2))),
+        (-1.0, generators.perm_from_cycles(3, (1, 3))),
+        (-1.0, generators.perm_from_cycles(3, (2, 1, 3))),
+    ]
+    return sum(c * generators.permutation_operator(p, d) for c, p in terms)

@@ -15,6 +15,8 @@ from qsymlie import generators as g
 from qsymlie import linalg as la
 from qsymlie import reptheory as rt
 
+from conftest import young_projector_21
+
 
 def _report(num, desc, body):
     try:
@@ -190,7 +192,7 @@ def _adjoint_block_vectors():
 
 def test_criterion_10_young_symmetrizer_fixture():
     def body():
-        pi = g.young_projector_21(3)
+        pi = young_projector_21(3)
         blocks = cas.isotypic_blocks(3, 3)
         adjoint = next(b for b in blocks if b.label == (2, 1, 0))
         p = adjoint.basis

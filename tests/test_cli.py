@@ -367,6 +367,39 @@ class TestDegeneracy:
         assert exc.value.code == 1
 
 
+def floats_in(obj):
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from floats_in(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from floats_in(v)
+
+
+class TestJsonContract:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decompose", "--d", "3", "--n", "5"),
+            ("center", "--d", "3", "--n", "3"),  # d^n <= 4096: verified
+            ("center", "--d", "3", "--n", "8"),  # d^n > 4096: counted only
+            ("spectrum", "--d", "2", "--n", "4"),
+            ("closure", "--preset", "qubits:n=3"),
+            ("closure", "--preset", "qubits:n=3", "--max-dim", "5"),
+            ("degeneracy", "5", "2"),
+        ],
+    )
+    def test_one_line_compact_rounded(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code in (0, 2)
+        assert out.endswith("\n") and out.count("\n") == 1
+        obj = json.loads(out)
+        assert out == json.dumps(obj) + "\n"
+        assert all(round(x, 12) == x for x in floats_in(obj))
+
+
 class TestOutputFile:
     def test_out_flag(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -11,6 +11,8 @@ from qsymlie import generators as g
 from qsymlie import linalg as la
 from qsymlie import reptheory as rt
 
+from conftest import young_projector_21
+
 S3 = sqrt(3.0)
 
 # Nonvanishing f_{jk}^l and d_{jk}^l for the unnormalized Gell-Mann basis
@@ -355,7 +357,7 @@ class TestPermutations:
         assert np.allclose(ua @ ub, g.permutation_operator(composed, 2))
 
     def test_young_projector_is_essentially_idempotent(self):
-        pi = g.young_projector_21(3)
+        pi = young_projector_21(3)
         assert np.allclose(pi @ pi, 3 * pi)
 
     def test_young_projector_fixes_mixed_symmetry_vector(self):
@@ -365,7 +367,7 @@ class TestPermutations:
         v[9] = -1.0
         v[3] = -1.0
         v /= math.sqrt(6)
-        assert np.allclose(g.young_projector_21(3) @ v, 3 * v)
+        assert np.allclose(young_projector_21(3) @ v, 3 * v)
 
 
 class TestDicke:

@@ -78,6 +78,7 @@ class TestDimension:
 
     def test_large_d(self):
         assert rt.irrep_dimension((2,) + (0,) * 399) == 400 * 401 // 2
+        assert rt.irrep_dimension((2,) + (0,) * 2999) == 3000 * 3001 // 2
 
     def test_shift_invariance(self):
         for m in small_iweights(3, 4):
