@@ -10,7 +10,7 @@ separated.  The first collision appears at n = 6 with (3,0)/(0,3); the
 import argparse
 from collections import defaultdict
 
-from qsymlie import casimir, reptheory
+from qsymlie import reptheory
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
         by_value = defaultdict(list)
         for label in reptheory.cg_decompose(n, 3):
             p, q = reptheory.quantum_numbers(label)
-            by_value[casimir.c2_eigenvalue(p, q)].append((p, q))
+            by_value[reptheory.c2_eigenvalue(p, q)].append((p, q))
         collisions = {v: pqs for v, pqs in by_value.items() if len(pqs) > 1}
         if not collisions:
             print(f"n={n:>2}: C2 separates all {len(by_value)} labels")

@@ -23,14 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial, isqrt
+from math import factorial
 from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
-    CLUSTER_TOL,
-    RANK_TOL,
     DimensionMismatchError,
     _as_square,
     _real_or_complex,
@@ -43,11 +41,14 @@ from .generators import (
     permutation_operator,
     symmetric_sum,
 )
-from .reptheory import (
+from .reptheory import (  # c2_eigenvalue and degeneracy_search are re-exported
+    c2_eigenvalue,
     cg_decompose,
     content_sum,
+    degeneracy_search,
     irrep_dimension,
 )
+from .tolerances import CLUSTER_TOL, RANK_TOL
 
 
 class UnresolvedDegeneracyError(RuntimeError):
@@ -194,45 +195,6 @@ def build_C2(d: int, n: int) -> np.ndarray:
 def build_C3(d: int, n: int) -> np.ndarray:
     """Cubic Casimir sum_{l,m,q} d_{lm}^q hat(F_l) hat(F_m) hat(F_q), as a matrix (d = 3 only)."""
     return apply_C3(np.eye(d**n), d, n)
-
-
-def c2_eigenvalue(p: int, q: int) -> int:
-    """Quadratic Casimir eigenvalue of the su(3) irrep (p, q), fixed scaling.
-
-    c2(p,q) = p^2 + q^2 + 3(p+q) + pq; symmetric under swapping p and q.
-    """
-    p, q = int(p), int(q)
-    if p < 0 or q < 0:
-        raise ValueError("quantum numbers must be nonnegative")
-    return p * p + q * q + 3 * (p + q) + p * q
-
-
-# ---------------------------------------------------------------------------
-# Degenerate c2 search
-# ---------------------------------------------------------------------------
-
-def degeneracy_search(p0: int, q0: int) -> list[tuple[int, int]]:
-    """All lattice pairs (p, q) >= 0 sharing the quadratic eigenvalue of (p0, q0), sorted.
-
-    Exact and complete.  Let T = c2(p0, q0).  For q >= 0,
-    c2(p, q) >= p^2 + 3p, so every solution has p^2 + 3p <= T, and only
-    those p are scanned.  For fixed p, c2 is strictly increasing in q >= 0,
-    so at most one q matches: the root of q^2 + (p+3)q + p^2 + 3p - T = 0,
-    q = (s - p - 3)/2 with s^2 = 4T + 9 - 6p - 3p^2.  It is an integer
-    solution exactly when that discriminant is a perfect square (checked
-    with :func:`math.isqrt`), s - p - 3 is even and q >= 0.  All arithmetic
-    is on integers.
-    """
-    target = c2_eigenvalue(p0, q0)
-    hits = []
-    p = 0
-    while p * p + 3 * p <= target:
-        disc = 4 * target + 9 - 6 * p - 3 * p * p
-        s = isqrt(disc)
-        if s * s == disc and s >= p + 3 and (s - p - 3) % 2 == 0:
-            hits.append((p, (s - p - 3) // 2))
-        p += 1
-    return hits
 
 
 # ---------------------------------------------------------------------------

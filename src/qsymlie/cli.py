@@ -6,7 +6,8 @@ C encoder (python -m json.tool --indent 2 gives the indented layout);
 every payload holds integers, booleans and strings only, so a float added
 later must be rounded to 12 decimals where its payload is built.  Exit
 codes: 0 success, 1 usage/config error, 2 unsaturated closure, 3 numerical
-failure.
+failure.  Only the integer layer loads at start-up: ``decompose``,
+``degeneracy`` and ``center`` above d^n = 4096 never import numpy.
 """
 
 from __future__ import annotations
@@ -15,13 +16,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import casimir as _casimir
-from . import closure as _closure
-from . import generators as _generators
 from . import reptheory as _rt
-from .linalg import CLUSTER_TOL, RANK_TOL, is_hermitian, is_skew_hermitian, matrix_from_json
+from .tolerances import CLUSTER_TOL, RANK_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,12 +76,16 @@ def cmd_decompose(args) -> int:
     }
     ok = total == args.d**args.n and sq == cap and len(rows) == f
     payload = {"d": args.d, "n": args.n, "irreps": rows, "checks": checks, "ok": ok}
-    lines = [f"CG decomposition of ({args.d}^n) with n={args.n}", "i-weight  dim  multiplicity"]
-    for r in rows:
-        lines.append(f"{tuple(r['iweight'])!s:>12}  {r['dim']:>4}  {r['multiplicity']:>4}")
-    lines.append(f"sum k*dim = {total} = d^n: {'OK' if total == args.d ** args.n else 'FAIL'}")
-    lines.append(f"sum dim^2 = {sq} = C(n+d^2-1,d^2-1) = {cap}: {'OK' if sq == cap else 'FAIL'}")
-    lines.append(f"distinct irreps = {len(rows)} = f(n,d) = {f}: {'OK' if len(rows) == f else 'FAIL'}")
+    lines = []
+    if args.format == "text":  # one line per label, which JSON output would throw away
+        lines.append(f"CG decomposition of ({args.d}^n) with n={args.n}")
+        lines.append("i-weight  dim  multiplicity")
+        for r in rows:
+            lines.append(f"{tuple(r['iweight'])!s:>12}  {r['dim']:>4}  {r['multiplicity']:>4}")
+        lines.append(f"sum k*dim = {total} = d^n: {'OK' if total == args.d ** args.n else 'FAIL'}")
+        lines.append(f"sum dim^2 = {sq} = C(n+d^2-1,d^2-1) = {cap}: {'OK' if sq == cap else 'FAIL'}")
+        lines.append(f"distinct irreps = {len(rows)} = f(n,d) = {f}: "
+                     f"{'OK' if len(rows) == f else 'FAIL'}")
     _emit(payload, lines, args)
     return EXIT_OK if ok else EXIT_NUMERICAL
 
@@ -95,9 +95,11 @@ def cmd_center(args) -> int:
     payload = {"d": args.d, "n": args.n, "center_dim": f}
     lines = [f"center dimension f(n={args.n}, d={args.d}) = {f}"]
     if args.d**args.n <= 4096:
+        from .casimir import highest_weight_counts
+
         # One center direction per label whose highest-weight vectors number
         # exactly its CG multiplicity.
-        counts = _casimir.highest_weight_counts(args.d, args.n, args.tol)
+        counts = highest_weight_counts(args.d, args.n, args.tol)
         labels = _rt.cg_decompose(args.n, args.d)
         dim = sum(counts[m] == k for m, k in labels.items())
         payload["materialized_dim"] = dim
@@ -112,7 +114,9 @@ def cmd_center(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    blocks = _casimir.isotypic_blocks(args.d, args.n, args.cluster_tol, args.tol)
+    from .casimir import isotypic_blocks
+
+    blocks = isotypic_blocks(args.d, args.n, args.cluster_tol, args.tol)
     rows = [
         {
             "block_label": list(b.label),
@@ -138,15 +142,19 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _load_generator_spec(path: str) -> _closure.GeneratorSet:
+def _load_generator_spec(path: str):
     """Generator-spec JSON: {"d", "n", "hamiltonians": [...]}.
 
     Each Hamiltonian is either a list of term dicts
     {"multi_index": [...], "coeff_re": x, "coeff_im": y} (a combination of
     symmetric basis elements) or a raw matrix {"dim", "re", "im"}.
     Hermitian inputs H become generators iH; skew-Hermitian inputs are used
-    as given.
+    as given.  Returns a :class:`~qsymlie.closure.GeneratorSet`.
     """
+    from .closure import GeneratorSet
+    from .generators import hamiltonian_from_terms
+    from .linalg import is_hermitian, is_skew_hermitian, matrix_from_json
+
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
@@ -162,7 +170,7 @@ def _load_generator_spec(path: str) -> _closure.GeneratorSet:
             if h.shape[0] != d**n:
                 raise CliError(f"generator {idx}: matrix dim {h.shape[0]} != d^n = {d ** n}")
         elif isinstance(spec, list):
-            h = _generators.hamiltonian_from_terms(spec, d, n)
+            h = hamiltonian_from_terms(spec, d, n)
         else:
             raise CliError(f"generator {idx}: expected a term list or a matrix object")
         if is_skew_hermitian(h):
@@ -172,10 +180,12 @@ def _load_generator_spec(path: str) -> _closure.GeneratorSet:
         else:
             raise CliError(f"generator {idx} is neither Hermitian nor skew-Hermitian")
         names.append(f"H{idx}")
-    return _closure.GeneratorSet(d, n, tuple(gens), tuple(names))
+    return GeneratorSet(d, n, tuple(gens), tuple(names))
 
 
 def cmd_closure(args) -> int:
+    from . import closure as _closure
+
     if (args.preset is None) == (args.spec is None):
         raise CliError("exactly one of --preset / --spec is required")
     if args.preset is not None:
@@ -218,8 +228,8 @@ def cmd_closure(args) -> int:
 
 
 def cmd_degeneracy(args) -> int:
-    pairs = _casimir.degeneracy_search(args.p0, args.q0)
-    value = _casimir.c2_eigenvalue(args.p0, args.q0)
+    pairs = _rt.degeneracy_search(args.p0, args.q0)
+    value = _rt.c2_eigenvalue(args.p0, args.q0)
     payload = {"seed": [args.p0, args.q0], "c2": value, "matches": [list(p) for p in pairs]}
     lines = [f"c2({args.p0},{args.q0}) = {value}"]
     lines += [f"  ({p},{q})" for p, q in pairs]
@@ -280,24 +290,36 @@ def main(argv=None) -> int:
         ap.error("quantum numbers must be nonnegative")
     try:
         return args.func(args)
-    except CliError as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
+        return code
+
+
+def _exit_code(exc: Exception) -> int | None:
+    """The exit code of a failed command, or None if the error should propagate."""
+    if isinstance(exc, CliError):
         return exc.code
-    except (_closure.UnsaturatedClosureError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSATURATED
-    except (
-        _casimir.UnresolvedDegeneracyError,
-        _casimir.HighestWeightError,
-        _closure.ClosureError,
-        np.linalg.LinAlgError,
-        ArithmeticError,  # an exact division in reptheory left a remainder
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, ArithmeticError):  # an exact division in reptheory left a remainder
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if not isinstance(exc, (ValueError, RuntimeError)):
+        return None
+    # The numerical error types come only from modules that import numpy, so
+    # they are imported here, on the failure path, and not at start-up.
+    import numpy as np
+
+    from .casimir import HighestWeightError, UnresolvedDegeneracyError
+    from .closure import ClosureError, UnsaturatedClosureError
+
+    if isinstance(exc, UnsaturatedClosureError):
+        return EXIT_UNSATURATED
+    # LinAlgError is a ValueError, so it is matched before the exit-1 case.
+    if isinstance(exc, (UnresolvedDegeneracyError, HighestWeightError, ClosureError,
+                        np.linalg.LinAlgError)):
+        return EXIT_NUMERICAL
+    return EXIT_USAGE if isinstance(exc, ValueError) else None
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from math import sqrt
 import numpy as np
 
 from .linalg import (
-    RANK_TOL,
     DimensionMismatchError,
     NonHermitianError,
     _as_square,
@@ -37,10 +36,7 @@ from .generators import (
 )
 from .casimir import WeightBlock, highest_weight_blocks
 from .reptheory import ambient_commutant_dim
-
-# Rank decisions on restricted blocks compound restriction error on top of
-# the closure tolerance, hence the looser default.
-VERDICT_RANK_TOL = 1e-7
+from .tolerances import RANK_TOL, VERDICT_RANK_TOL
 
 
 class ClosureError(RuntimeError):

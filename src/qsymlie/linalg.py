@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default tolerances.  Matrix entries here are small integers and surds and
-# spectra are well separated, so these are generous at desk scale.
-RANK_TOL = 1e-9       # relative rank / linear-independence decisions
-CLUSTER_TOL = 1e-8    # eigenvalue clustering, relative to spectral radius
+from .tolerances import CLUSTER_TOL, RANK_TOL
 
 
 class DimensionMismatchError(ValueError):

@@ -12,25 +12,38 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, isqrt, prod
+from operator import index
 
 IWeight = tuple[int, ...]
 
 
+def _as_iweight(m) -> IWeight | None:
+    """m as a tuple of ints if it is a nonempty, non-increasing sequence of
+    nonnegative integers, else None.
+
+    Entries convert by ``operator.index``, which takes ints, bools and numpy
+    integers and refuses floats and strings.
+    """
+    try:
+        t = tuple(map(index, m))
+    except TypeError:
+        return None
+    if not t or t[-1] < 0 or sorted(t, reverse=True) != list(t):
+        return None
+    return t
+
+
 def is_iweight(m) -> bool:
-    """Non-increasing tuple of nonnegative integers."""
-    return (
-        len(m) > 0
-        and all(isinstance(x, int) and x >= 0 for x in m)
-        and all(m[i] >= m[i + 1] for i in range(len(m) - 1))
-    )
+    """Non-increasing nonempty sequence of nonnegative integers."""
+    return _as_iweight(m) is not None
 
 
 def check_iweight(m) -> IWeight:
-    m = tuple(int(x) for x in m)
-    if not is_iweight(m):
+    t = _as_iweight(m)
+    if t is None:
         raise ValueError(f"not a valid i-weight: {m!r}")
-    return m
+    return t
 
 
 def normalize_iweight(m) -> IWeight:
@@ -367,3 +380,42 @@ def content_sum(m) -> int:
     for r, length in enumerate(m, start=1):
         total += length * (length + 1) // 2 - r * length
     return total
+
+
+# ---------------------------------------------------------------------------
+# su(3): the quadratic Casimir eigenvalue and its degeneracies
+# ---------------------------------------------------------------------------
+
+def c2_eigenvalue(p: int, q: int) -> int:
+    """Quadratic Casimir eigenvalue of the su(3) irrep (p, q), fixed scaling.
+
+    c2(p,q) = p^2 + q^2 + 3(p+q) + pq; symmetric under swapping p and q.
+    """
+    p, q = int(p), int(q)
+    if p < 0 or q < 0:
+        raise ValueError("quantum numbers must be nonnegative")
+    return p * p + q * q + 3 * (p + q) + p * q
+
+
+def degeneracy_search(p0: int, q0: int) -> list[tuple[int, int]]:
+    """All lattice pairs (p, q) >= 0 sharing the quadratic eigenvalue of (p0, q0), sorted.
+
+    Exact and complete.  Let T = c2(p0, q0).  For q >= 0,
+    c2(p, q) >= p^2 + 3p, so every solution has p^2 + 3p <= T, and only
+    those p are scanned.  For fixed p, c2 is strictly increasing in q >= 0,
+    so at most one q matches: the root of q^2 + (p+3)q + p^2 + 3p - T = 0,
+    q = (s - p - 3)/2 with s^2 = 4T + 9 - 6p - 3p^2.  It is an integer
+    solution exactly when that discriminant is a perfect square (checked
+    with :func:`math.isqrt`), s - p - 3 is even and q >= 0.  All arithmetic
+    is on integers.
+    """
+    target = c2_eigenvalue(p0, q0)
+    hits = []
+    p = 0
+    while p * p + 3 * p <= target:
+        disc = 4 * target + 9 - 6 * p - 3 * p * p
+        s = isqrt(disc)
+        if s * s == disc and s >= p + 3 and (s - p - 3) % 2 == 0:
+            hits.append((p, (s - p - 3) // 2))
+        p += 1
+    return hits

@@ -1,11 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsymlie
+from qsymlie import casimir as cas
 from qsymlie import cli
+from qsymlie import closure as cl
 from qsymlie import generators as g
 from qsymlie import reptheory as rt
 from qsymlie.linalg import matrix_to_json
@@ -409,3 +417,77 @@ class TestOutputFile:
         assert code == 0 and out == ""
         obj = json.loads(path.read_text())
         assert obj["checks"]["d_pow_n"] == 4
+
+
+# Runs CLI calls in a fresh interpreter and reports, after each step, whether
+# numpy has been imported.
+_PROBE = textwrap.dedent("""
+    import json, sys
+    steps = {}
+    import qsymlie
+    steps["import qsymlie"] = "numpy" in sys.modules
+    from qsymlie import cli
+    steps["import cli"] = "numpy" in sys.modules
+    for argv in json.loads(sys.argv[1]):
+        code = cli.main(argv)
+        steps[" ".join(argv)] = ("numpy" in sys.modules) if code == 0 else f"exit {code}"
+    print(json.dumps(steps))
+""")
+
+
+def _numpy_after(*argvs):
+    env = dict(os.environ)
+    src = str(Path(qsymlie.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestStartup:
+    def test_integer_commands_load_no_numpy(self):
+        steps = _numpy_after(
+            ["decompose", "--d", "3", "--n", "6"],
+            ["decompose", "--d", "3", "--n", "6", "--format", "json"],
+            ["degeneracy", "5", "2"],
+            ["center", "--d", "5", "--n", "400"],
+        )
+        assert len(steps) == 6
+        assert not any(steps.values()), steps
+
+    def test_materialized_center_loads_numpy(self):
+        steps = _numpy_after(["center", "--d", "3", "--n", "3"])
+        assert steps == {"import qsymlie": False, "import cli": False,
+                         "center --d 3 --n 3": True}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error,code",
+        [
+            (np.linalg.LinAlgError, 3),
+            (cas.HighestWeightError, 3),
+            (cas.UnresolvedDegeneracyError, 3),
+            (cl.ClosureError, 3),
+            (cl.UnsaturatedClosureError, 2),
+            (ValueError, 1),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+    )
+    def test_failure_maps_to_exit_code(self, capsys, monkeypatch, error, code):
+        def fail(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(cas, "isotypic_blocks", fail)
+        got, out, err = run(capsys, "spectrum", "--d", "2", "--n", "2")
+        assert (got, out, err) == (code, "", "error: injected failure\n")
+
+    def test_other_errors_propagate(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise KeyError("not a CLI failure")
+
+        monkeypatch.setattr(cas, "isotypic_blocks", fail)
+        with pytest.raises(KeyError):
+            cli.main(["spectrum", "--d", "2", "--n", "2"])

@@ -3,6 +3,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,22 @@ class TestIWeights:
             rt.check_iweight((1, 2, 0))
         with pytest.raises(ValueError):
             rt.check_iweight((2, -1))
+
+    @pytest.mark.parametrize("m", [(2.7, 1.2, 0), (2.0, 1, 0), ("3", "0"), "30", (), 3, (0, -1)])
+    def test_non_integer_entries_rejected(self, m):
+        # int() would truncate 2.7 to 2 and parse "3", giving a wrong dimension
+        assert not rt.is_iweight(m)
+        with pytest.raises(ValueError):
+            rt.check_iweight(m)
+        with pytest.raises(ValueError):
+            rt.irrep_dimension(m)
+
+    def test_numpy_and_bool_entries_accepted(self):
+        m = rt.check_iweight(np.array([2, 1, 0]))
+        assert m == (2, 1, 0) and all(type(x) is int for x in m)
+        assert rt.irrep_dimension(np.array([2, 1, 0], dtype=np.int8)) == 8
+        assert rt.check_iweight((True, False)) == (1, 0)
+        assert rt.is_iweight([np.int64(1), 0])
 
 
 class TestDimension:
