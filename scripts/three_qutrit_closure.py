@@ -2,7 +2,8 @@
 """Headline experiment: subspace controllability of three symmetric qutrits.
 
 Closes the Lie algebra generated by the 8 local collective Gell-Mann
-operators plus the symmetric two-body E3-E3 coupling, then reports the
+operators plus the symmetric two-body E3-E3 coupling, one block at a time,
+then reports each block's rounds and margins, the closure path and the
 per-block verdicts.  Expected: su(10) on the symmetric sector, su(8)
 diagonally on the doubled adjoint block, a 1-dimensional center component,
 total dimension 163.
@@ -32,17 +33,24 @@ def main():
     t0 = time.time()
     result = closure.lie_closure(gens)
     t_close = time.time() - t0
-    print(f"closure: dim {result.dim}, {result.rounds} rounds, "
+    print(f"closure: dim {result.dim}, path {result.path}, at most {result.rounds} rounds, "
           f"{result.offered} candidates offered, "
           f"saturated={result.saturated}, {t_close:.2f}s")
+    for link in result.links:
+        print(f"link test {link.labels[0]} / {link.labels[1]}: relative sigma "
+              f"{link.plain:.2e} plain, {link.conjugate:.2e} conjugate, linked={link.linked}")
 
+    # One closure per block (and one joint closure on the "joint" path).
     # Each batch accepts singular values above the tolerance; its margin is
     # the distance of the smallest accepted and largest rejected ones to it.
-    print(f"\nbatch  traceless_dim  offered  accepted  smallest_accepted  "
-          f"largest_rejected  (tol {result.tol:g})")
-    for i, t in enumerate(result.trace):
-        print(f"{'seeds' if i == 0 else i:>5}  {t.dim:>13}  {t.offered:>7}  {t.accepted:>8}"
-              f"  {_sigma(t.smallest_accepted):>17}  {_sigma(t.largest_rejected):>16}")
+    for run in result.runs:
+        print(f"\n{'joint closure' if run.label is None else f'block {run.label}'}: "
+              f"dim {run.dim}, {run.rounds} rounds, {run.offered} offered")
+        print(f"batch  traceless_dim  offered  accepted  smallest_accepted  "
+              f"largest_rejected  (tol {result.tol:g})")
+        for i, t in enumerate(run.trace):
+            print(f"{'seeds' if i == 0 else i:>5}  {t.dim:>13}  {t.offered:>7}  {t.accepted:>8}"
+                  f"  {_sigma(t.smallest_accepted):>17}  {_sigma(t.largest_rejected):>16}")
 
     report = closure.subspace_controllability(result)
 

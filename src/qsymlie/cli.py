@@ -155,8 +155,11 @@ def _load_generator_spec(path: str):
     from .generators import hamiltonian_from_terms
     from .linalg import is_hermitian, is_skew_hermitian, matrix_from_json
 
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read generator spec {path}: {exc.strerror}") from exc
     try:
         d, n = int(obj["d"]), int(obj["n"])
         ham_specs = obj["hamiltonians"]
@@ -222,6 +225,7 @@ def cmd_closure(args) -> int:
             f" {b.restricted_dim:>10}   {b.ok}"
         )
     lines.append(f"center component dim = {report.center_component_dim}")
+    lines.append(f"closure path: {report.path}")
     lines.append(f"subspace controllable: {report.subspace_controllable}")
     _emit(payload, lines, args)
     return EXIT_OK

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import sqrt
 
 import numpy as np
@@ -36,7 +37,7 @@ from .generators import (
 )
 from .casimir import WeightBlock, highest_weight_blocks
 from .reptheory import ambient_commutant_dim
-from .tolerances import RANK_TOL, VERDICT_RANK_TOL
+from .tolerances import LINK_TOL, RANK_TOL, VERDICT_RANK_TOL
 
 
 class ClosureError(RuntimeError):
@@ -127,12 +128,12 @@ class BlockFrame:
 
     def __init__(self, blocks):
         self.blocks: tuple[WeightBlock, ...] = tuple(blocks)
-        self.offsets = tuple(
-            int(x) for x in np.cumsum([0] + [b.irrep_dim**2 for b in self.blocks])
-        )
+        dims = [b.irrep_dim for b in self.blocks]
+        self.offsets = tuple(int(x) for x in np.cumsum([0] + [k * k for k in dims]))
         self.traceless_width = self.offsets[-1]
         self.width = self.traceless_width + len(self.blocks)
-        self.bound = sum(b.irrep_dim**2 - 1 for b in self.blocks)
+        self.bound = sum(k * k - 1 for k in dims)
+        self._upper = tuple(np.triu_indices(k, 1) for k in dims)
 
     @classmethod
     def build(cls, d: int, n: int, tol: float = RANK_TOL) -> BlockFrame:
@@ -142,7 +143,7 @@ class BlockFrame:
         """Block i's traceless parts of ``rows``, as skew-Hermitian (m, d_i, d_i) matrices."""
         dim = self.blocks[i].irrep_dim
         x = rows[:, self.offsets[i] : self.offsets[i + 1]]
-        upper = np.triu_indices(dim, 1)
+        upper = self._upper[i]
         half = len(upper[0])
         out = np.zeros((len(rows), dim, dim), dtype=complex)
         out[:, range(dim), range(dim)] = 1j * x[:, :dim]
@@ -152,17 +153,21 @@ class BlockFrame:
         return out
 
     def _store(self, rows: np.ndarray, i: int, mats: np.ndarray, scale: float = 1.0) -> None:
-        """Write scale times the skew-Hermitian parts of ``mats`` as block i of ``rows``."""
+        """Write scale times the skew-Hermitian parts of ``mats`` as block i of ``rows``.
+
+        ``mats`` is (..., d_i, d_i) and ``rows`` (..., width) with the same
+        leading shape.
+        """
         dim = self.blocks[i].irrep_dim
-        x = rows[:, self.offsets[i] : self.offsets[i + 1]]
-        upper = np.triu_indices(dim, 1)
+        x = rows[..., self.offsets[i] : self.offsets[i + 1]]
+        upper = self._upper[i]
         half = len(upper[0])
-        x[:, :dim] = scale * mats[:, range(dim), range(dim)].imag
+        x[..., :dim] = scale * mats[..., range(dim), range(dim)].imag
         entries = (scale / sqrt(2.0)) * (
-            mats[:, upper[0], upper[1]] - mats[:, upper[1], upper[0]].conj()
+            mats[..., upper[0], upper[1]] - mats[..., upper[1], upper[0]].conj()
         )
-        x[:, dim : dim + half] = entries.real
-        x[:, dim + half :] = entries.imag
+        x[..., dim : dim + half] = entries.real
+        x[..., dim + half :] = entries.imag
 
     def restrict(self, x, tol: float = RANK_TOL) -> np.ndarray:
         """The row of X; raises :class:`BlockLeakageError` (see :func:`restrict_to_block`)."""
@@ -179,13 +184,16 @@ class BlockFrame:
 
         For skew-Hermitian A and B, [A, B] = AB - (AB)^dag, twice the
         skew-Hermitian part of AB.  Trace parts commute with everything and
-        are not read.
+        are not read.  Each block takes every product A_a B_b in one matrix
+        product: the stacked rows of the A_a times the B_b side by side.
         """
         out = np.zeros((len(left), len(right), self.traceless_width))
-        for i in range(len(self.blocks)):
-            a = self.matrices(left, i)
-            for j, b in enumerate(self.matrices(right, i)):
-                self._store(out[:, j], i, a @ b, 2.0)
+        for i, b in enumerate(self.blocks):
+            dim = b.irrep_dim
+            a = self.matrices(left, i).reshape(-1, dim)
+            c = self.matrices(right, i).transpose(1, 0, 2).reshape(dim, -1)
+            products = (a @ c).reshape(len(left), dim, len(right), dim).swapaxes(1, 2)
+            self._store(out, i, products, 2.0)
         return out.reshape(-1, self.traceless_width)
 
 
@@ -226,7 +234,7 @@ def _accept(basis: np.ndarray, cand: np.ndarray, tol: float, room: int):
 
 @dataclass(frozen=True)
 class RoundTrace:
-    """One acceptance batch of :func:`lie_closure`: the seeds, then each round.
+    """One acceptance batch of a closure run: the seeds, then each round.
 
     ``dim`` is the traceless dimension after the batch; ``smallest_accepted``
     and ``largest_rejected`` are singular values of the normalized,
@@ -244,6 +252,41 @@ class RoundTrace:
 
 
 @dataclass(frozen=True)
+class ClosureRun:
+    """One run of the round loop: on the block of ``label``, or on the whole
+    frame when ``label`` is None.
+
+    ``dim`` is the traceless dimension reached, ``rounds`` the bracket
+    rounds after the seeds, ``offered`` the candidate rows (one per
+    generator, then every bracket) and ``trace`` one entry for the seeds and
+    one per round.
+    """
+
+    label: tuple[int, ...] | None
+    dim: int
+    rounds: int
+    offered: int
+    trace: tuple[RoundTrace, ...]
+
+
+@dataclass(frozen=True)
+class LinkTest:
+    """Whether two full blocks of equal dimension move together.
+
+    ``plain`` and ``conjugate`` are the smallest singular values, relative to
+    the largest, of the stacked equations X s_i = t_i X and X conj(s_i) =
+    t_i X over the generators' unit-norm traceless parts s_i and t_i on the
+    two blocks.  The blocks are linked when either falls below ``LINK_TOL``;
+    the distance of both to it is the test's margin.
+    """
+
+    labels: tuple[tuple[int, ...], tuple[int, ...]]
+    plain: float
+    conjugate: float
+    linked: bool
+
+
+@dataclass(frozen=True)
 class LieClosureResult:
     """The generated Lie algebra L in block coordinates, plus provenance.
 
@@ -252,9 +295,10 @@ class LieClosureResult:
     closure ``basis`` holds orthonormal rows of L itself and ``dim`` is its
     dimension; otherwise ``basis`` is ``traceless`` and ``dim`` the
     traceless dimension reached.  ``center_dim`` is the rank of the
-    generators' trace parts.  ``offered`` counts the candidate rows: one
-    per generator, then every bracket.  ``trace`` has one entry for the
-    seeds and one per round.
+    generators' trace parts.  ``runs`` has one entry per closed block, in
+    frame order, then one for the joint closure if it ran; ``links`` the
+    linking tests; ``path`` is ``"blocks"`` or ``"joint"`` (see
+    :func:`lie_closure`).
     """
 
     d: int
@@ -264,11 +308,21 @@ class LieClosureResult:
     basis: np.ndarray
     dim: int
     center_dim: int
-    rounds: int
     saturated: bool
-    offered: int
-    trace: tuple[RoundTrace, ...]
+    runs: tuple[ClosureRun, ...]
+    links: tuple[LinkTest, ...]
+    path: str
     tol: float
+
+    @property
+    def rounds(self) -> int:
+        """The most rounds any run took."""
+        return max((run.rounds for run in self.runs), default=0)
+
+    @property
+    def offered(self) -> int:
+        """Candidate rows offered over all runs."""
+        return sum(run.offered for run in self.runs)
 
 
 def levi_split(gens: GeneratorSet, frame: BlockFrame, tol: float = RANK_TOL,
@@ -289,54 +343,26 @@ def levi_split(gens: GeneratorSet, frame: BlockFrame, tol: float = RANK_TOL,
     )
 
 
-def lie_closure(
-    gens: GeneratorSet, tol: float = RANK_TOL, max_dim: int | None = None
-) -> LieClosureResult:
-    """Compute the Lie algebra generated by a set of skew-Hermitian matrices.
+def _unit_rows(rows: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """The rows of norm above ``floor`` (one value per row), scaled to unit norm."""
+    norms = np.linalg.norm(rows, axis=1)
+    live = norms > floor
+    return rows[live] / norms[live, None]
 
-    Works in :class:`BlockFrame` coordinates.  Each generator X_i = c_i +
-    s_i splits exactly into its center part c_i and traceless part s_i.
-    Only the traceless parts are closed: [X_i, X_j] = [s_i, s_j], so the
-    brackets of L are those of L', the algebra the s_i generate.  The span
-    is seeded with the s_i, then each round brackets the elements the
-    previous one added with every s_j scaled to unit norm, and accepts the
-    whole round as one batch (see :func:`_accept`).
 
-    Brackets with the generators suffice.  The final span W lies in L',
-    contains the generators, and satisfies [s, W] within W for every
-    generator s.  By the Jacobi identity the x with [x, W] within W form a
-    Lie subalgebra; it contains the generators, hence all of L', so W = L'.
-    A closure that stops because a round added nothing offers ``k`` seeds
-    and one bracket per basis element and nonzero s_j.
+def _close(frame: BlockFrame, cand: np.ndarray, partners: np.ndarray, tol: float,
+           max_dim: int, label) -> tuple[np.ndarray, ClosureRun]:
+    """The round loop: orthonormal rows of the span of ``cand`` closed under
+    brackets with the ``partners``, and its :class:`ClosureRun`.
 
-    Then dim L = dim D + rank{c_i + z_i}, where D = [L', L'] and z_i is the
-    component of s_i in the center of L' (orthogonal to D).  D is spanned
-    by the brackets of L' with the s_j; when dim L' reaches the traceless
-    bound sum(irrep_dim^2 - 1), L' is all of the semisimple part, D = L'
-    and every z_i = 0.
-
-    Terminates when a round adds nothing (``saturated=True``) or when the
-    traceless dimension reaches ``max_dim`` (default: the ambient invariant
-    algebra dimension C(n+d^2-1, d^2-1)); a batch is cut at the cap, so
-    ``dim`` never exceeds ``max_dim``.  A traceless dimension above the
-    bound is noise taken for new directions and raises
-    :class:`ClosureError`.
+    The seeds ``cand`` (overwritten) are accepted as one batch; then each
+    round brackets the rows the previous batch added with every partner and
+    accepts the whole round as one batch (see :func:`_accept`).  Stops when
+    a batch adds nothing or the dimension reaches ``max_dim``; a dimension
+    above ``frame.bound`` raises :class:`ClosureError`.
     """
-    if not gens.generators:
-        raise ValueError("need a non-empty generator set")
-    gens.validate(tol)
-    frame = BlockFrame.build(gens.d, gens.n, tol)
-    if max_dim is None:
-        max_dim = ambient_commutant_dim(gens.n, gens.d)
-    centers, traceless, center_dim = levi_split(gens, frame, tol)
-    gen_norms = np.linalg.norm(np.hstack([traceless, centers]), axis=1)
-    s_norms = np.linalg.norm(traceless, axis=1)
-    live = s_norms > tol * np.maximum(1.0, gen_norms)
-    partners = traceless[live] / s_norms[live, None]
-
     basis = np.zeros((0, frame.traceless_width))
     trace = []
-    cand = traceless / np.maximum(1.0, gen_norms)[:, None]
     offered, rounds = 0, 0
     while True:
         start = time.perf_counter()
@@ -346,39 +372,171 @@ def lie_closure(
         trace.append(RoundTrace(len(basis), len(cand), len(new), smallest, largest,
                                 time.perf_counter() - start))
         if len(basis) > frame.bound:
+            where = "" if label is None else f" on block {label}"
             raise ClosureError(
-                f"closure dimension {len(basis)} exceeds the traceless bound "
+                f"closure dimension {len(basis)}{where} exceeds the traceless bound "
                 f"sum(irrep_dim^2 - 1) = {frame.bound}: noise was accepted"
             )
         if len(basis) >= max_dim or not len(new):
             break
         rounds += 1
         cand = frame.brackets(new, partners)
-    basis.flags.writeable = False
-    saturated = len(basis) < max_dim  # else the cap stopped the run
-    if not saturated:
-        rows = np.pad(basis, ((0, 0), (0, len(frame.blocks))))
-        return LieClosureResult(gens.d, gens.n, frame, basis, rows, len(basis), center_dim,
-                                rounds, False, offered, tuple(trace), tol)
+    return basis, ClosureRun(label, len(basis), rounds, offered, tuple(trace))
 
+
+def _link_test(labels, s: np.ndarray, t: np.ndarray) -> LinkTest:
+    """The :class:`LinkTest` of two blocks, from the (k, d, d) parts ``s`` and ``t``."""
+    eye = np.eye(s.shape[1])
+    sigmas = []
+    for left in (s, s.conj()):
+        # Row-major vec: vec(X A) = (1 kron A^T) vec(X), vec(B X) = (B kron 1) vec(X).
+        eqs = np.vstack([np.kron(eye, a.T) - np.kron(b, eye) for a, b in zip(left, t)])
+        sv = np.linalg.svd(eqs, compute_uv=False)
+        sigmas.append(float(sv[-1] / sv[0]))
+    return LinkTest(labels, sigmas[0], sigmas[1], min(sigmas) < LINK_TOL)
+
+
+def lie_closure(
+    gens: GeneratorSet, tol: float = RANK_TOL, max_dim: int | None = None
+) -> LieClosureResult:
+    """Compute the Lie algebra generated by a set of skew-Hermitian matrices.
+
+    Works in :class:`BlockFrame` coordinates.  Each generator X_i = c_i +
+    s_i splits exactly into its center part c_i and traceless part s_i.
+    Only the traceless parts are closed: [X_i, X_j] = [s_i, s_j], so the
+    brackets of L are those of L', the algebra the s_i generate.
+
+    Each block lambda of irrep_dim >= 2 is closed on its own, in a
+    one-block frame (see :func:`_close`).  The projection of L' on a block
+    is the algebra the projections s_i^lambda generate, so a block's run
+    gives its verdict exactly, whatever the other blocks do.  A run seeds
+    the span with the s_i^lambda, then each round brackets the elements the
+    previous one added with every nonzero s_j^lambda scaled to unit norm.
+
+    Brackets with the generators suffice.  The final span W lies in the
+    algebra, contains the generators, and satisfies [s, W] within W for
+    every generator s.  By the Jacobi identity the x with [x, W] within W
+    form a Lie subalgebra; it contains the generators, hence the whole
+    algebra, so W is all of it.  A run that stops because a round added
+    nothing offers ``k`` seeds and one bracket per basis element and
+    nonzero partner.
+
+    When every block is full, L' is semisimple and, by Goursat's lemma, the
+    sum of one diagonal su(d) per class of linked blocks: blocks of equal
+    dimension between which an automorphism, X s X^-1 or X conj(s) X^-1,
+    takes every s_i^lambda to s_i^mu (see :class:`LinkTest`).  With no
+    linked pair, L' is all of sum su(irrep_dim) and no joint closure runs:
+    ``path`` is ``"blocks"`` and ``traceless`` holds the blocks' rows side
+    by side.  Otherwise (``path`` is ``"joint"``) the same loop closes the
+    whole frame once, with the unit-norm s_j as partners, for the total
+    dimension; a frame with one block of irrep_dim >= 2 reuses that
+    block's run.
+
+    Then dim L = dim D + rank{c_i + z_i}, where D = [L', L'] and z_i is the
+    component of s_i in the center of L' (orthogonal to D).  D is spanned
+    by the brackets of L' with the s_j; when dim L' reaches the traceless
+    bound sum(irrep_dim^2 - 1), L' is all of the semisimple part, D = L'
+    and every z_i = 0.
+
+    Terminates when every run stops adding (``saturated=True``) or when the
+    total traceless dimension reaches ``max_dim`` (default: the ambient
+    invariant algebra dimension C(n+d^2-1, d^2-1)); a batch is cut at the
+    cap, so ``dim`` never exceeds ``max_dim``, and blocks after the cap are
+    not closed.  A dimension above a block's bound irrep_dim^2 - 1, or
+    above the frame's bound in the joint run, is noise taken for new
+    directions and raises :class:`ClosureError`.
+    """
+    if not gens.generators:
+        raise ValueError("need a non-empty generator set")
+    gens.validate(tol)
+    frame = BlockFrame.build(gens.d, gens.n, tol)
+    if max_dim is None:
+        max_dim = ambient_commutant_dim(gens.n, gens.d)
+    centers, traceless, center_dim = levi_split(gens, frame, tol)
+    return _closure_of_split(gens.d, gens.n, frame, centers, traceless, center_dim, tol,
+                             max_dim)
+
+
+def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
+                      traceless: np.ndarray, center_dim: int, tol: float,
+                      max_dim: int) -> LieClosureResult:
+    """:func:`lie_closure` of the generators' rows in ``frame`` (see :func:`levi_split`)."""
+    gen_norms = np.linalg.norm(np.hstack([traceless, centers]), axis=1)
+    floor = tol * np.maximum(1.0, gen_norms)
+    seeds = traceless / np.maximum(1.0, gen_norms)[:, None]
+
+    runs, pieces, reached = [], [], 0
+    for i, b in enumerate(frame.blocks):
+        if b.irrep_dim < 2:
+            continue  # su(1) = 0
+        if reached >= max_dim:
+            break
+        cols = slice(frame.offsets[i], frame.offsets[i + 1])
+        rows, run = _close(BlockFrame([b]), seeds[:, cols].copy(),
+                           _unit_rows(traceless[:, cols], floor), tol, max_dim - reached,
+                           b.label)
+        runs.append(run)
+        pieces.append((cols, rows))
+        reached += len(rows)
+    blockwise = np.zeros((reached, frame.traceless_width))
+    top = 0
+    for cols, rows in pieces:
+        blockwise[top : top + len(rows), cols] = rows
+        top += len(rows)
+    if reached >= max_dim:  # the cap stopped the run
+        blockwise.flags.writeable = False
+        rows = np.pad(blockwise, ((0, 0), (0, len(frame.blocks))))
+        return LieClosureResult(d, n, frame, blockwise, rows, reached, center_dim, False,
+                                tuple(runs), (), "blocks", tol)
+
+    dims = {run.label: run.dim for run in runs}
+    full = [i for i, b in enumerate(frame.blocks)
+            if b.irrep_dim >= 2 and dims[b.label] == b.irrep_dim**2 - 1]
+    unit = traceless / np.maximum(np.linalg.norm(traceless, axis=1), 1e-300)[:, None]
+    links = tuple(
+        _link_test((frame.blocks[i].label, frame.blocks[j].label),
+                   frame.matrices(unit, i), frame.matrices(unit, j))
+        for i, j in combinations(full, 2)
+        if frame.blocks[i].irrep_dim == frame.blocks[j].irrep_dim
+    )
+    basis, path = blockwise, "blocks"
+    if len(full) < len(runs) or any(link.linked for link in links):
+        path = "joint"
+        if len(runs) > 1:
+            basis, run = _close(frame, seeds, _unit_rows(traceless, floor), tol, max_dim, None)
+            runs.append(run)
+    basis.flags.writeable = False
+    rows = _rows_of_l(frame, basis, traceless, centers, tol)
+    return LieClosureResult(d, n, frame, basis, rows, len(rows), center_dim, True,
+                            tuple(runs), links, path, tol)
+
+
+def _rows_of_l(frame: BlockFrame, basis: np.ndarray, traceless: np.ndarray,
+               centers: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal rows of L, from orthonormal rows ``basis`` of L' and the
+    generators' split (see :func:`lie_closure`)."""
+    gen_norms = np.linalg.norm(np.hstack([traceless, centers]), axis=1)
     # Orthonormal coefficients, in the rows of L', of D = [L', L'] and of
     # the z_i; the rank of the c_i + z_i is taken at the verdict tolerance.
-    dcoef = np.eye(len(basis))
+    # A full L' is its own D, with every z_i = 0: no coefficients.
+    d_rows, scoef = basis, np.zeros((len(traceless), 0))
     if len(basis) < frame.bound:
+        partners = _unit_rows(traceless, tol * np.maximum(1.0, gen_norms))
         brackets = frame.brackets(basis, partners)
         dcoef, _, _ = _accept(np.zeros((0, len(basis))), brackets @ basis.T, tol, len(basis))
-    scoef = traceless @ basis.T
-    rest = np.hstack([scoef - (scoef @ dcoef.T) @ dcoef, centers])
-    rest /= np.maximum(gen_norms, 1e-300)[:, None]
+        scoef = traceless @ basis.T
+        scoef -= (scoef @ dcoef.T) @ dcoef
+        d_rows = dcoef @ basis
+    rest = np.hstack([scoef, centers]) / np.maximum(gen_norms, 1e-300)[:, None]
     rank = real_span_dim(rest, VERDICT_RANK_TOL, scale=1.0)
     extra = np.linalg.svd(rest, full_matrices=False)[2][:rank]
+    k = scoef.shape[1]
     rows = np.vstack([
-        np.pad(dcoef @ basis, ((0, 0), (0, len(frame.blocks)))),
-        np.hstack([extra[:, : len(basis)] @ basis, extra[:, len(basis) :]]),
+        np.pad(d_rows, ((0, 0), (0, len(frame.blocks)))),
+        np.hstack([extra[:, :k] @ basis[:k], extra[:, k:]]),
     ])
     rows.flags.writeable = False
-    return LieClosureResult(gens.d, gens.n, frame, basis, rows, len(rows), center_dim,
-                            rounds, True, offered, tuple(trace), tol)
+    return rows
 
 
 def membership(x, closure: LieClosureResult, tol: float | None = None) -> tuple[bool, float]:
@@ -419,7 +577,9 @@ class ControllabilityReport:
     ``subspace_controllable`` is true iff every block's restricted traceless
     span has dimension irrep_dim^2 - 1 (restrictions act diagonally across
     multiplicity copies, so the target is never block_dim^2 - 1), in which
-    case total_dim = sum(irrep_dim^2 - 1) + center_component_dim.
+    case total_dim = sum(irrep_dim^2 - 1) + center_component_dim, less
+    irrep_dim^2 - 1 for each block linked to an earlier one.  ``path`` is
+    the closure's (see :func:`lie_closure`).
     """
 
     per_block: tuple[BlockVerdict, ...]
@@ -428,6 +588,7 @@ class ControllabilityReport:
     subspace_controllable: bool
     saturated: bool
     rounds: int
+    path: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -446,24 +607,26 @@ class ControllabilityReport:
             "subspace_controllable": self.subspace_controllable,
             "saturated": self.saturated,
             "rounds": self.rounds,
+            "path": self.path,
         }
 
 
-def subspace_controllability(
-    closure: LieClosureResult, rank_tol: float = VERDICT_RANK_TOL
-) -> ControllabilityReport:
+def subspace_controllability(closure: LieClosureResult) -> ControllabilityReport:
     """Verdict per block for a saturated closure.
 
-    A block's restricted dimension is the rank of that block's slice of the
-    traceless rows, compared against irrep_dim^2 - 1.  The center
-    component dimension is the closure's ``center_dim``.
+    A block's restricted dimension is the dimension its own closure
+    reached, compared against irrep_dim^2 - 1.  The center component
+    dimension is the closure's ``center_dim``.  When every block is full,
+    the total must split exactly: one su(irrep_dim) per class of linked
+    blocks, plus the center component.
     """
     if not closure.saturated:
         raise UnsaturatedClosureError("refusing verdicts for an unsaturated closure")
     frame = closure.frame
+    dims = {run.label: run.dim for run in closure.runs}
     verdicts = []
-    for i, b in enumerate(frame.blocks):
-        r = real_span_dim(frame.matrices(closure.traceless, i), rank_tol, scale=1.0)
+    for b in frame.blocks:
+        r = dims.get(b.label, 0)
         verdicts.append(
             BlockVerdict(b.label, b.irrep_dim, b.multiplicity, r, r == b.irrep_dim**2 - 1)
         )
@@ -471,14 +634,27 @@ def subspace_controllability(
     total = closure.dim
     if controllable:
         expected = frame.bound + closure.center_dim
+        irrep = {b.label: b.irrep_dim for b in frame.blocks}
+        root = {}  # union-find over linked labels: each union drops one su(d)
+
+        def find(label):
+            while label in root:
+                label = root[label]
+            return label
+
+        for link in closure.links:
+            first, second = (find(label) for label in link.labels)
+            if link.linked and first != second:
+                root[second] = first
+                expected -= irrep[second] ** 2 - 1
         if total != expected:
             raise ClosureError(
                 f"dimension split violated: closure dim {total} != "
-                f"sum(irrep_dim^2-1) + center = {expected}"
+                f"sum(irrep_dim^2-1) + center, less linked blocks = {expected}"
             )
     return ControllabilityReport(
         tuple(verdicts), closure.center_dim, total, controllable, closure.saturated,
-        closure.rounds,
+        closure.rounds, closure.path,
     )
 
 

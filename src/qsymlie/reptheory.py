@@ -95,12 +95,13 @@ class GTPattern:
     """Triangular array; rows[0] has length d (the i-weight), last has length 1.
 
     Consecutive rows satisfy betweenness: upper[k] >= lower[k] >= upper[k+1].
+    Entries convert by ``operator.index``: a float or string raises TypeError.
     """
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        rows = tuple(tuple(map(index, r)) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         d = len(rows)
         if [len(r) for r in rows] != list(range(d, 0, -1)):
@@ -129,13 +130,14 @@ class GTPattern:
 class SSYT:
     """Semistandard Young tableau over symbols 0..d-1.
 
-    Rows non-decreasing, columns strictly increasing.
+    Rows non-decreasing, columns strictly increasing.  Entries convert by
+    ``operator.index``: a float or string raises TypeError.
     """
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        rows = tuple(tuple(map(index, r)) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         for r in rows:
             if any(a > b for a, b in zip(r, r[1:])):
@@ -390,8 +392,9 @@ def c2_eigenvalue(p: int, q: int) -> int:
     """Quadratic Casimir eigenvalue of the su(3) irrep (p, q), fixed scaling.
 
     c2(p,q) = p^2 + q^2 + 3(p+q) + pq; symmetric under swapping p and q.
+    p and q convert by ``operator.index``: a float or string raises TypeError.
     """
-    p, q = int(p), int(q)
+    p, q = index(p), index(q)
     if p < 0 or q < 0:
         raise ValueError("quantum numbers must be nonnegative")
     return p * p + q * q + 3 * (p + q) + p * q

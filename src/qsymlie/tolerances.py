@@ -8,6 +8,11 @@ numpy.
 
 RANK_TOL = 1e-9       # relative rank / linear-independence decisions
 CLUSTER_TOL = 1e-8    # eigenvalue clustering, relative to spectral radius
-# Rank decisions on restricted blocks compound restriction error on top of
-# the closure tolerance, hence the looser default.
+# Rank decisions on the generators' trace parts (the center dimension)
+# compound restriction error on top of the closure tolerance, hence the
+# looser default.
 VERDICT_RANK_TOL = 1e-7
+# Two full blocks are linked when the intertwiner equations between them
+# have a relative singular value below this: about 1e-15 for an exact
+# intertwiner, tenths for the preset pairs.
+LINK_TOL = 1e-6

@@ -207,6 +207,12 @@ class Testc2Formula:
         with pytest.raises(ValueError):
             cas.c2_eigenvalue(-1, 0)
 
+    @pytest.mark.parametrize("p,q", [(2.7, 1), (2, 1.0), ("2", 1)])
+    def test_rejects_non_integers(self, p, q):
+        # int() would truncate c2(2.7, 1) to c2(2, 1) = 16
+        with pytest.raises(TypeError):
+            cas.c2_eigenvalue(p, q)
+
 
 def brute_force_equal_c2(p0, q0, box=40):
     target = cas.c2_eigenvalue(p0, q0)

@@ -242,6 +242,7 @@ class TestClosure:
         # sum over spins 4, 3, 2, 1, 0 of ((2j+1)^2 - 1), plus one center direction
         assert obj["total_dim"] == 80 + 48 + 24 + 8 + 0 + 1 == 161
         assert obj["subspace_controllable"] is True and obj["center_dim"] == 1
+        assert obj["path"] == "blocks"
         assert all(b["ok"] for b in obj["blocks"])
 
     def test_highest_weight_gate_exits_3(self, capsys, monkeypatch):
@@ -345,6 +346,15 @@ class TestClosure:
         code, _, err = run(capsys, "closure", "--spec", str(path))
         assert code == 1
         assert "commute" in err
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_spec_file(self, capsys, tmp_path, name):
+        # a missing file, and a directory, which cannot be opened as one
+        path = tmp_path / name
+        code, out, err = run(capsys, "closure", "--spec", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read generator spec {path}: ")
+        assert err.count("\n") == 1
 
     def test_spec_file_rejects_non_hermitian(self, capsys, tmp_path):
         bad = np.zeros((2, 2), dtype=complex)

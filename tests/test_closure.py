@@ -1,8 +1,12 @@
 
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from qsymlie import casimir as cas
+from qsymlie import cli
 from qsymlie import closure as cl
 from qsymlie import generators as g
 from qsymlie import linalg as la
@@ -73,6 +77,37 @@ def dense_verdicts(span, d, n, rank_tol=cl.VERDICT_RANK_TOL):
     coeffs = [cas.center_coefficients(x, cb) for x in span.basis]
     center = la.real_span_dim([np.concatenate([c.real, c.imag]) for c in coeffs], rank_tol, 1.0)
     return ranks, center
+
+
+def assert_offers(result, gens):
+    """Each run that stops because a round added nothing offers one seed per
+    generator, then one bracket per (basis element, nonzero partner)."""
+    _, traceless, _ = cl.levi_split(gens, result.frame)
+    cols = {b.label: slice(result.frame.offsets[i], result.frame.offsets[i + 1])
+            for i, b in enumerate(result.frame.blocks)}
+    for run in result.runs:
+        part = traceless if run.label is None else traceless[:, cols[run.label]]
+        partners = int(np.sum(np.linalg.norm(part, axis=1) > 1e-6))
+        assert run.offered == len(gens.generators) + partners * run.dim, run.label
+
+
+def joint_closure(gens, tol=la.RANK_TOL):
+    """The whole frame closed by one run of the round loop: (frame, rows of L',
+    rows of L, center_dim), the reference for the per-block closures."""
+    frame = cl.BlockFrame.build(gens.d, gens.n, tol)
+    centers, traceless, cdim = cl.levi_split(gens, frame, tol)
+    norms = np.linalg.norm(np.hstack([traceless, centers]), axis=1)
+    seeds = traceless / np.maximum(1.0, norms)[:, None]
+    partners = cl._unit_rows(traceless, tol * np.maximum(1.0, norms))
+    basis, run = cl._close(frame, seeds, partners, tol, frame.bound + 1, None)
+    assert run.trace[-1].accepted == 0  # saturated
+    return frame, basis, cl._rows_of_l(frame, basis, traceless, centers, tol), cdim
+
+
+def block_ranks(frame, rows):
+    """The rank of each block's slice of ``rows``, in frame order."""
+    return [la.real_span_dim(frame.matrices(rows, i), cl.VERDICT_RANK_TOL, scale=1.0)
+            for i in range(len(frame.blocks))]
 
 
 def bracket_residuals(result, pairs):
@@ -152,7 +187,7 @@ class TestLieClosure:
         assert r.dim == 3 and r.offered == 4 and not r.saturated
         r = cl.lie_closure(gens, max_dim=2)
         assert r.dim == 2 and r.offered == 4 and not r.saturated
-        assert r.trace[0].accepted == 2 and r.rounds == 0
+        assert r.runs[0].trace[0].accepted == 2 and r.rounds == 0
         r = cl.lie_closure(gens, max_dim=0)
         assert r.dim == 0 and not r.saturated
 
@@ -197,9 +232,7 @@ class TestGeneratorSchedule:
         gens = cl.preset(name)
         r = cl.lie_closure(gens, tol=tol)
         assert r.saturated
-        # one offer per generator, then one per (traceless basis element,
-        # generator): every preset generator has a nonzero traceless part
-        assert r.offered == len(gens.generators) * (1 + len(r.traceless))
+        assert_offers(r, gens)
         oracle = all_pairs_closure(gens, tol)
         assert_same_block_span(r, oracle)
         # the verdicts of the dense oracle on the Casimir blocks
@@ -216,18 +249,132 @@ class TestGeneratorSchedule:
             3, 3, tuple(u3 @ x @ u3.conj().T for x in gens.generators), gens.names
         )
         r = cl.lie_closure(rotated)
-        assert r.saturated and r.dim == 163 and r.offered == 9 * (1 + 162)
+        assert r.saturated and r.dim == 163 and r.path == "blocks"
+        # one closure per block of the adjoint (2,1,0) and the symmetric (3,0,0)
+        assert r.offered == 9 * (1 + 63) + 9 * (1 + 99)
+        assert_offers(r, rotated)
         assert_same_block_span(r, all_pairs_closure(rotated))
-        assert cl.subspace_controllability(r).subspace_controllable
+        report = cl.subspace_controllability(r)
+        assert report.subspace_controllable
+        frame, traceless, rows, cdim = joint_closure(rotated)
+        assert (len(rows), cdim) == (163, r.center_dim)
+        assert [v.restricted_dim for v in report.per_block] == block_ranks(frame, traceless)
 
     def test_flagship_closed_under_brackets(self, qutrit_closure_h, rng):
         pairs = rng.integers(0, len(qutrit_closure_h.traceless), size=(200, 2))
         assert bracket_residuals(qutrit_closure_h, pairs).max() <= 1e-8
 
     def test_flagship_rounds_and_offers(self, qutrit_closure_h):
-        assert (qutrit_closure_h.dim, qutrit_closure_h.rounds, qutrit_closure_h.offered) == (
-            163, 6, 1467
-        )
+        r = qutrit_closure_h
+        assert (r.dim, r.path, r.rounds, r.offered) == (163, "blocks", 5, 1476)
+        assert [(run.label, run.dim, run.rounds, run.offered) for run in r.runs] == [
+            ((2, 1, 0), 63, 5, 576), ((3, 0, 0), 99, 5, 900),
+        ]
+
+
+_PATH_CASES = (
+    _ORACLE_CASES
+    + [(f"qubits:n={n}", 1e-7) for n in range(5, 11)]
+    + [(f"qutrits:n=4:{kind}", la.RANK_TOL) for kind in ("H", "Sz2")]
+)
+
+
+def synthetic_split(rng, kinds):
+    """Generator rows in a frame of a block A of dimension 3, one more block
+    Bj of dimension 3 per entry of ``kinds``, and a block C of dimension 2.
+
+    Each generator is a random su(3) element a_k on A, a random su(2)
+    element on C, and on each Bj either U a_k U^dag ("plain"), conj(a_k)
+    ("conjugate") or another random su(3) element ("none").  The first
+    generator also has a trace part on C.
+    """
+    labels = [("A",)] + [(f"B{j}",) for j in range(1, len(kinds) + 1)] + [("C",)]
+    dims = [3] * (1 + len(kinds)) + [2]
+    frame = cl.BlockFrame([SimpleNamespace(label=label, irrep_dim=dim, multiplicity=1)
+                           for label, dim in zip(labels, dims)])
+
+    def su3():
+        x = np.array([random_skew(rng, 3) for _ in range(3)])
+        return x - np.trace(x, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3
+
+    a = su3()
+    u = haar_unitary(rng, 3)
+    parts = [a] + [{"plain": lambda: u @ a @ u.conj().T, "conjugate": a.conj,
+                    "none": su3}[kind]() for kind in kinds]
+    parts.append(np.array([1j * (x * SX + y * SY + z * SZ)
+                           for x, y, z in rng.standard_normal((3, 3))]))
+    traceless = np.zeros((3, frame.traceless_width))
+    for i, mats in enumerate(parts):
+        frame._store(traceless, i, mats)
+    centers = np.zeros((3, len(labels)))
+    centers[0, -1] = 0.5
+    return frame, centers, traceless
+
+
+class TestClosurePaths:
+    @pytest.mark.parametrize("name,tol", _PATH_CASES)
+    def test_blocks_match_joint(self, capsys, name, tol):
+        # the command line closes block by block; one joint closure of the
+        # whole frame must give the same dimensions and the same verdicts
+        code = cli.main(["closure", "--preset", name, "--tol", str(tol), "--format", "json"])
+        obj = json.loads(capsys.readouterr().out)
+        frame, traceless, rows, cdim = joint_closure(cl.preset(name), tol)
+        assert (code, obj["path"]) == (0, "blocks")
+        assert (obj["total_dim"], obj["center_dim"]) == (len(rows), cdim)
+        assert [b["restricted_dim"] for b in obj["blocks"]] == block_ranks(frame, traceless)
+
+    def test_equal_dimension_pair_is_unlinked(self):
+        # (4,0,0) and (3,1,0) are both 15-dimensional; their margins are tenths
+        r = cl.lie_closure(cl.preset("qutrits:n=4:H"))
+        (link,) = r.links
+        assert link.labels == ((3, 1, 0), (4, 0, 0)) and not link.linked
+        assert min(link.plain, link.conjugate) > 0.1
+        assert r.path == "blocks" and r.dim == 492
+
+    @pytest.mark.parametrize("linked_by", ["plain", "conjugate"])
+    def test_linked_blocks_take_the_joint_path(self, rng, linked_by):
+        frame, centers, traceless = synthetic_split(rng, [linked_by])
+        r = cl._closure_of_split(None, None, frame, centers, traceless, 1, la.RANK_TOL, 100)
+        (ab,) = r.links
+        assert ab.labels == (("A",), ("B1",)) and ab.linked
+        sigma = ab.plain if linked_by == "plain" else ab.conjugate
+        other = ab.conjugate if linked_by == "plain" else ab.plain
+        assert sigma <= 1e-12 and other > 1e-3
+        # A and B1 move together: one su(3) for both, plus su(2) and the center
+        assert r.path == "joint"
+        assert [run.label for run in r.runs] == [("A",), ("B1",), ("C",), None]
+        assert len(r.traceless) == 8 + 3 and r.dim == frame.bound - 8 + 1 == 12
+        report = cl.subspace_controllability(r)
+        assert [v.restricted_dim for v in report.per_block] == [8, 8, 3]
+        assert report.subspace_controllable and report.total_dim == 12
+
+    def test_three_linked_blocks_make_one_class(self, rng):
+        # every pair of A, B1 = U a U^dag and B2 = conj(a) is linked, and the
+        # three form one class: one su(3), not three minus three links
+        frame, centers, traceless = synthetic_split(rng, ["plain", "conjugate"])
+        r = cl._closure_of_split(None, None, frame, centers, traceless, 1, la.RANK_TOL, 100)
+        assert len(r.links) == 3 and all(link.linked for link in r.links)
+        assert r.path == "joint" and r.dim == frame.bound - 2 * 8 + 1 == 12
+        assert cl.subspace_controllability(r).total_dim == 12
+
+    def test_unlinked_blocks_take_the_blocks_path(self, rng):
+        frame, centers, traceless = synthetic_split(rng, ["none"])
+        r = cl._closure_of_split(None, None, frame, centers, traceless, 1, la.RANK_TOL, 100)
+        (ab,) = r.links
+        assert not ab.linked and min(ab.plain, ab.conjugate) > 1e-3
+        assert r.path == "blocks" and r.dim == frame.bound + 1 == 20
+        assert [run.label for run in r.runs] == [("A",), ("B1",), ("C",)]
+        assert cl.subspace_controllability(r).total_dim == 20
+
+    def test_one_block_frame_runs_one_closure(self):
+        # su(2) generated on C^6 from two of its directions: one block,
+        # not full, so the joint path reuses the block's run
+        mats = [np.zeros((6, 6), dtype=complex) for _ in range(2)]
+        for m, p in zip(mats, (SX, SZ)):
+            m[:2, :2] = 1j * p
+        r = cl.lie_closure(single_site_set(*mats))
+        assert r.path == "joint" and len(r.runs) == 1 and r.runs[0].label == (1, 0, 0, 0, 0, 0)
+        assert r.dim == 3
 
 
 _MARGIN_CASES = (
@@ -242,22 +389,28 @@ class TestRoundTrace:
     def test_margins(self, name):
         gens = cl.preset(name)
         r = cl.lie_closure(gens)
-        assert r.saturated and len(r.trace) == r.rounds + 1
-        accepted = [t.smallest_accepted for t in r.trace if t.smallest_accepted is not None]
-        rejected = [t.largest_rejected for t in r.trace if t.largest_rejected is not None]
+        assert r.saturated and r.path == "blocks"
+        trace = [t for run in r.runs for t in run.trace]
+        accepted = [t.smallest_accepted for t in trace if t.smallest_accepted is not None]
+        rejected = [t.largest_rejected for t in trace if t.largest_rejected is not None]
         assert min(accepted) >= 1e-3
         assert max(rejected, default=0.0) <= r.tol / 5
-        # the trace adds up to the result
-        assert [t.dim for t in r.trace] == list(np.cumsum([t.accepted for t in r.trace]))
-        assert r.trace[-1].dim == len(r.traceless) and r.trace[-1].accepted == 0
-        assert sum(t.offered for t in r.trace) == r.offered
-        assert r.trace[0].offered == len(gens.generators)
+        # each run's trace adds up to the run, and the runs to the result
+        for run in r.runs:
+            assert len(run.trace) == run.rounds + 1
+            assert [t.dim for t in run.trace] == list(np.cumsum([t.accepted for t in run.trace]))
+            assert run.trace[-1].dim == run.dim and run.trace[-1].accepted == 0
+            assert sum(t.offered for t in run.trace) == run.offered
+            assert run.trace[0].offered == len(gens.generators)
+        assert sum(run.dim for run in r.runs) == len(r.traceless)
+        assert sum(run.offered for run in r.runs) == r.offered
+        assert max(run.rounds for run in r.runs) == r.rounds
 
     def test_seconds_take_no_part_in_comparisons(self):
-        first = cl.lie_closure(cl.preset("qubits:n=3")).trace
-        second = cl.lie_closure(cl.preset("qubits:n=3")).trace
+        first = cl.lie_closure(cl.preset("qubits:n=3")).runs
+        second = cl.lie_closure(cl.preset("qubits:n=3")).runs
         assert first == second
-        assert all(t.seconds >= 0.0 for t in first)
+        assert all(t.seconds >= 0.0 for run in first for t in run.trace)
 
 
 class TestBlockCoordinates:
@@ -303,7 +456,7 @@ class TestBlockCoordinates:
 
     def test_noise_above_the_bound_is_an_error(self, monkeypatch):
         # noise 1e-6 on every bracket is accepted as new directions until
-        # the span passes sum(irrep_dim^2 - 1); it must not pass as saturated
+        # a block's span passes irrep_dim^2 - 1; it must not pass as saturated
         brackets = cl.BlockFrame.brackets
         noise = np.random.default_rng(7)
 
@@ -312,7 +465,7 @@ class TestBlockCoordinates:
             return out + 1e-6 * noise.standard_normal(out.shape)
 
         monkeypatch.setattr(cl.BlockFrame, "brackets", noisy)
-        with pytest.raises(cl.ClosureError, match="exceeds the traceless bound"):
+        with pytest.raises(cl.ClosureError, match="on block .* exceeds the traceless bound"):
             cl.lie_closure(cl.preset("qubits:n=3"))
 
     def test_membership_sees_other_copies(self, qutrit_closure_h, qutrit_blocks):
@@ -498,7 +651,7 @@ class TestSubspaceControllability:
         obj = rep.to_json_dict()
         assert set(obj) == {
             "blocks", "center_dim", "total_dim",
-            "subspace_controllable", "saturated", "rounds",
+            "subspace_controllable", "saturated", "rounds", "path",
         }
         assert all(
             set(b) == {"label", "irrep_dim", "multiplicity", "restricted_dim", "ok"}

@@ -128,6 +128,16 @@ class TestGTPatterns:
         with pytest.raises(ValueError):
             rt.GTPattern(((2, 1, 0), (2, 2), (2,)))
 
+    @pytest.mark.parametrize("rows", [((2.9, 1.2), (2.1,)), ((2.0, 1), (2,)), (("2", "1"), ("2",))])
+    def test_non_integer_entries_rejected(self, rows):
+        # int() would truncate ((2.9, 1.2), (2.1,)) to the valid ((2, 1), (2,))
+        with pytest.raises(TypeError):
+            rt.GTPattern(rows)
+
+    def test_numpy_entries_accepted(self):
+        p = rt.GTPattern(tuple(tuple(np.int64(x) for x in r) for r in ((2, 1), (2,))))
+        assert p.rows == ((2, 1), (2,)) and type(p.rows[0][0]) is int
+
     def test_weight_vectors_match_tables(self):
         for rows, w, _ in ADJOINT_PATTERNS:
             assert rt.weight_vector(rt.GTPattern(rows)) == w
@@ -161,6 +171,8 @@ class TestSSYT:
             rt.SSYT(((1, 0),))  # decreasing row
         with pytest.raises(ValueError):
             rt.SSYT(((0, 0), (0,)))  # column not strictly increasing
+        with pytest.raises(TypeError):
+            rt.SSYT(((0.5, 1.7), (1.2,)))  # int() would give the valid ((0, 1), (1,))
 
 
 class TestSzEigenvalue:
