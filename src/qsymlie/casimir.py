@@ -36,8 +36,11 @@ from .linalg import (
     hermitian_eig,
 )
 from .generators import (
+    _factor_map,
+    _WeightSpaces,
     adjacent_transpositions,
     hat_f,
+    perm_from_cycles,
     permutation_operator,
     symmetric_sum,
 )
@@ -80,28 +83,19 @@ def casimir_set(d: int, n: int) -> CasimirSet:
 
 
 def _transpositions(d: int, n: int) -> list[np.ndarray]:
-    """Row maps of the factor transpositions P_ij, i < j: (P_ij x)[r] = x[perm[r]].
-
-    Each map is the axis swap (i, j) of the basis indices viewed as shape (d,)*n.
-    """
-    grid = np.arange(d**n).reshape((d,) * n)
-    return [np.swapaxes(grid, i, j).ravel() for i, j in combinations(range(n), 2)]
+    """Row maps of the factor transpositions P_ij, i < j: (P_ij x)[r] = x[map[r]]."""
+    return [
+        _factor_map(perm_from_cycles(n, pair), d) for pair in combinations(range(1, n + 1), 2)
+    ]
 
 
 def _three_cycles(d: int, n: int) -> list[np.ndarray]:
-    """Row maps of the factor 3-cycles, both directions on every triple i < j < k.
-
-    Each map is an axis permutation of the basis indices viewed as shape
-    (d,)*n that moves axes i -> j -> k -> i or the reverse.
-    """
-    grid = np.arange(d**n).reshape((d,) * n)
-    maps = []
-    for i, j, k in combinations(range(n), 3):
-        for cycle in ((j, k, i), (k, i, j)):
-            axes = list(range(n))
-            axes[i], axes[j], axes[k] = cycle
-            maps.append(np.transpose(grid, axes).ravel())
-    return maps
+    """Row maps of the factor 3-cycles, both directions on every triple i < j < k."""
+    return [
+        _factor_map(perm_from_cycles(n, cycle), d)
+        for i, j, k in combinations(range(1, n + 1), 3)
+        for cycle in ((i, k, j), (i, j, k))
+    ]
 
 
 def _as_columns(x, d: int, n: int) -> np.ndarray:
@@ -221,21 +215,6 @@ class IsotypicBlock:
         return self.basis @ self.basis.conj().T
 
 
-def _weight_spaces(d: int, n: int) -> list[np.ndarray]:
-    """Ascending basis indices of each su(d) weight space of (C^d)^(x)n.
-
-    A weight space holds the basis states with one tuple of occupation
-    numbers (n_0, ..., n_{d-1}).  Every transposition maps it onto itself,
-    and so does C2.
-    """
-    # A state's digits, sorted, fix its occupation numbers.
-    digits = np.sort(np.indices((d,) * n).reshape(n, -1), axis=0)
-    _, space = np.unique(digits.T, axis=0, return_inverse=True)
-    space = space.ravel()
-    order = np.argsort(space, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(space[order])) + 1)
-
-
 def isotypic_blocks(
     d: int, n: int, cluster_tol: float = CLUSTER_TOL, tol: float = RANK_TOL
 ) -> list[IsotypicBlock]:
@@ -268,13 +247,12 @@ def isotypic_blocks(
         )
 
     perms = _transpositions(d, n)
-    pos = np.empty(d**n, dtype=np.intp)
+    ws = _WeightSpaces(d, n)
     values, columns = [], []
-    for states in _weight_spaces(d, n):
-        # Each transposition maps this weight space onto itself, so only
-        # the positions just written are read.
-        pos[states] = np.arange(len(states))
-        local = [pos[perm[states]] for perm in perms]
+    for states in ws.spaces.values():
+        # Each transposition maps this weight space onto itself, so its
+        # gather is read as positions inside the space.
+        local = [ws.pos[perm[states]] for perm in perms]
         w, v = hermitian_eig(_c2_from_transpositions(np.eye(len(states)), local, d, n), tol)
         values.append(w)
         columns += [(states, v[:, j]) for j in range(len(w))]
@@ -340,46 +318,6 @@ def isotypic_blocks(
 
 class HighestWeightError(RuntimeError):
     """A highest-weight count or a lowered span disagrees with the exact counts."""
-
-
-class _WeightSpaces:
-    """Basis states of (C^d)^(x)n grouped by occupation numbers, with ladder maps.
-
-    The collective E_ij = sum over sites of |i><j| maps weight space mu to
-    mu + e_i - e_j; restricted to one weight space it is a 0/1 matrix.
-    """
-
-    def __init__(self, d: int, n: int):
-        self.d, self.n = d, n
-        self.digits = np.indices((d,) * n).reshape(n, -1)
-        self.place = d ** np.arange(n - 1, -1, -1)
-        occ = np.stack([(self.digits == k).sum(axis=0) for k in range(d)])
-        key = (n + 1) ** np.arange(d) @ occ
-        order = np.argsort(key, kind="stable")
-        cuts = np.flatnonzero(np.diff(key[order])) + 1
-        self.spaces = {
-            tuple(int(x) for x in occ[:, states[0]]): states
-            for states in np.split(order, cuts)
-        }
-        # position of each state inside its weight space
-        self.pos = np.empty(d**n, dtype=np.intp)
-        for states in self.spaces.values():
-            self.pos[states] = np.arange(len(states))
-
-    def ladder(self, mu, i: int, j: int):
-        """(target weight, matrix of E_ij from weight space mu), i != j, or None if it is zero."""
-        if mu[j] == 0:
-            return None
-        target = list(mu)
-        target[i] += 1
-        target[j] -= 1
-        target = tuple(target)
-        src = self.spaces[mu]
-        sites, cols = np.nonzero(self.digits[:, src] == j)
-        rows = self.pos[src[cols] + (i - j) * self.place[sites]]
-        out = np.zeros((len(self.spaces[target]), len(src)))
-        out[rows, cols] = 1.0
-        return target, out
 
 
 def _highest_weight_space(ws: _WeightSpaces, label, tol: float) -> np.ndarray:

@@ -51,6 +51,17 @@ def _emit(payload, lines, args) -> None:
         sys.stdout.write(text)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of a tolerance option: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 < value < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -207,7 +218,8 @@ def cmd_closure(args) -> int:
             "saturated": False,
             "rounds": result.rounds,
             "dim_reached": result.dim,
-            "max_dim": args.max_dim or _rt.ambient_commutant_dim(gens.n, gens.d),
+            "max_dim": (_rt.ambient_commutant_dim(gens.n, gens.d) if args.max_dim is None
+                        else args.max_dim),
             "error": "closure not saturated",
         }
         lines = [f"closure NOT saturated: dim reached {result.dim} after {result.rounds} rounds"]
@@ -255,22 +267,22 @@ def build_parser() -> argparse.ArgumentParser:
                                       "when d^n <= 4096")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=RANK_TOL)
+    p.add_argument("--tol", type=_tolerance, default=RANK_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_center)
 
     p = sub.add_parser("spectrum", help="isotypic blocks from Casimir spectra")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=RANK_TOL)
-    p.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL)
+    p.add_argument("--tol", type=_tolerance, default=RANK_TOL)
+    p.add_argument("--cluster-tol", type=_tolerance, default=CLUSTER_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("closure", help="Lie closure and controllability report")
     p.add_argument("--preset", default=None)
     p.add_argument("--spec", default=None, help="generator-spec JSON path")
-    p.add_argument("--tol", type=float, default=RANK_TOL)
+    p.add_argument("--tol", type=_tolerance, default=RANK_TOL)
     p.add_argument("--max-dim", type=int, default=None,
                    help="cap on the traceless dimension "
                         "(default: the ambient bound C(n+d^2-1,d^2-1))")
@@ -292,6 +304,8 @@ def main(argv=None) -> int:
         ap.error("need d >= 2 and n >= 1")
     if getattr(args, "p0", 0) < 0 or getattr(args, "q0", 0) < 0:
         ap.error("quantum numbers must be nonnegative")
+    if (getattr(args, "max_dim", None) or 0) < 0:
+        ap.error("argument --max-dim: must be nonnegative")
     try:
         return args.func(args)
     except Exception as exc:

@@ -31,6 +31,8 @@ from .linalg import (
     real_span_dim,
 )
 from .generators import (
+    _factor_map,
+    adjacent_transpositions,
     gell_mann_basis,
     hat_f,
     two_body_hamiltonian,
@@ -58,9 +60,8 @@ def _swap_defects(x: np.ndarray, d: int, n: int):
     U permutes basis states, so U X U^dag is X with rows and columns
     permuted: no d^n x d^n product is formed.
     """
-    grid = np.arange(d**n).reshape((d,) * n)
-    for i in range(n - 1):
-        p = np.swapaxes(grid, i, i + 1).ravel()
+    for perm in adjacent_transpositions(n):
+        p = _factor_map(perm, d)
         yield float(np.linalg.norm(x[np.ix_(p, p)] - x))
 
 

@@ -2,8 +2,13 @@
 
 Single-site Hermitian bases (Pauli, Gell-Mann, generalized Gell-Mann),
 structure constants, symmetrized operator-basis elements F_(j0,...),
-collective operators, ladder operators, permutation operators, the
-two-row Young projector, and Dicke states.
+collective operators, ladder operators, permutation operators, and Dicke
+states.
+
+This module is the one home of the basis-index bookkeeping that the other
+layers share: ``_factor_map`` turns a factor permutation into the row
+gather of its operator, and ``_WeightSpaces`` groups the basis states by
+occupation numbers, with the ladder maps of the collective E_ij.
 
 Basis convention: unnormalized matrices with Tr(F_a F_b) = 2 delta_ab for
 the traceless elements, and the plain identity at index 0.  All symmetric
@@ -173,6 +178,16 @@ def multiset_permutations(word):
     yield from rec(word)
 
 
+def _compositions(n: int, parts: int):
+    """Tuples of ``parts`` naturals summing to n, descending lexicographic."""
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in _compositions(n - first, parts - 1):
+            yield (first,) + rest
+
+
 def multi_indices(d: int, n: int) -> list[tuple[int, ...]]:
     """All d^2-tuples (j_0,...,j_{d^2-1}) of naturals summing to n.
 
@@ -180,16 +195,7 @@ def multi_indices(d: int, n: int) -> list[tuple[int, ...]]:
     first.  Count is C(n + d^2 - 1, d^2 - 1).
     """
     slots = d * d
-
-    def rec(remaining, k):
-        if k == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining, -1, -1):
-            for rest in rec(remaining - first, k - 1):
-                yield (first,) + rest
-
-    out = list(rec(n, slots))
+    out = list(_compositions(n, slots))
     assert len(out) == comb(n + slots - 1, slots - 1)
     return out
 
@@ -251,6 +257,50 @@ def hat_f(k: int, d: int, n: int) -> np.ndarray:
     return collective(gell_mann_basis(d).elements[k], n)
 
 
+class _WeightSpaces:
+    """Basis states of (C^d)^(x)n grouped by occupation numbers, with ladder maps.
+
+    ``spaces`` maps each occupation tuple (n_0, ..., n_{d-1}) to the
+    ascending basis indices with those occupations, in the order of
+    :func:`occupation_vectors`; ``pos`` is each state's position inside
+    its weight space.  Factor permutations map every weight space onto
+    itself.  The collective E_ij = sum over sites of |i><j| maps weight
+    space mu to mu + e_i - e_j; restricted to one weight space it is a 0/1
+    matrix.
+    """
+
+    def __init__(self, d: int, n: int):
+        self.d, self.n = d, n
+        self.digits = np.indices((d,) * n).reshape(n, d**n)
+        self.place = d ** np.arange(n - 1, -1, -1)
+        occ = np.stack([(self.digits == k).sum(axis=0) for k in range(d)])
+        key = (n + 1) ** np.arange(d) @ occ
+        order = np.argsort(key, kind="stable")
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        self.spaces = {
+            tuple(int(x) for x in occ[:, states[0]]): states
+            for states in np.split(order, cuts)
+        }
+        self.pos = np.empty(d**n, dtype=np.intp)
+        for states in self.spaces.values():
+            self.pos[states] = np.arange(len(states))
+
+    def ladder(self, mu, i: int, j: int):
+        """(target weight, matrix of E_ij from weight space mu), i != j, or None if it is zero."""
+        if mu[j] == 0:
+            return None
+        target = list(mu)
+        target[i] += 1
+        target[j] -= 1
+        target = tuple(target)
+        src = self.spaces[mu]
+        sites, cols = np.nonzero(self.digits[:, src] == j)
+        rows = self.pos[src[cols] + (i - j) * self.place[sites]]
+        out = np.zeros((len(self.spaces[target]), len(src)))
+        out[rows, cols] = 1.0
+        return target, out
+
+
 # ---------------------------------------------------------------------------
 # Ladder operators and named Hamiltonians
 # ---------------------------------------------------------------------------
@@ -303,34 +353,26 @@ def two_body_hamiltonian(d: int = 3, n: int = 3) -> np.ndarray:
 # Permutations of tensor factors
 # ---------------------------------------------------------------------------
 
+def _factor_map(perm, d: int) -> np.ndarray:
+    """Gather index of :func:`permutation_operator`: (U x)[r] = x[map[r]].
+
+    The basis indices, viewed as shape (d,)*n, have their axes permuted.
+    """
+    perm = tuple(int(x) for x in perm)
+    n = len(perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
+    return np.transpose(np.arange(d**n).reshape((d,) * n), np.argsort(perm)).ravel()
+
+
 def permutation_operator(perm, d: int) -> np.ndarray:
     """Unitary permuting the tensor factors of (C^d)^(x)n.
 
     ``perm`` is a 0-based tuple of images: the state on factor i moves to
     factor perm[i].  Satisfies U_pi U_rho = U_{pi o rho}.
     """
-    perm = tuple(int(x) for x in perm)
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    dim = d**n
-    cols = np.arange(dim)
-    digits = np.empty((dim, n), dtype=np.int64)
-    rem = cols.copy()
-    for i in range(n - 1, -1, -1):
-        digits[:, i] = rem % d
-        rem //= d
-    # U e_b = e_c with c_j = b_{perm^{-1}(j)}
-    new_digits = digits[:, inv]
-    rows = np.zeros(dim, dtype=np.int64)
-    for i in range(n):
-        rows = rows * d + new_digits[:, i]
-    u = np.zeros((dim, dim), dtype=complex)
-    u[rows, cols] = 1.0
-    return u
+    rows = _factor_map(perm, d)
+    return np.eye(len(rows), dtype=complex)[rows]
 
 
 def perm_from_cycles(n: int, *cycles) -> tuple[int, ...]:
@@ -360,44 +402,30 @@ def occupation_vectors(d: int, n: int) -> list[tuple[int, ...]]:
     For d = 3, n = 3 this reproduces the usual grouping by the number of
     |2>'s, with w_1 descending inside each group.
     """
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for w in range(remaining + 1):
-            rec(prefix + (w,), remaining - w, slots - 1)
-
-    rec((), n, d)
-    return sorted(out, key=lambda w: tuple(reversed(w)))
+    return sorted(_compositions(n, d), key=lambda w: tuple(reversed(w)))
 
 
 def dicke_state(w, d: int) -> np.ndarray:
     """Normalized symmetric sum of product states with occupation counts w."""
     w = tuple(int(x) for x in w)
-    n = sum(w)
-    word = [sym for sym, c in enumerate(w) for _ in range(c)]
-    vec = np.zeros(d**n, dtype=complex)
-    for arrangement in multiset_permutations(word):
-        idx = 0
-        for b in arrangement:
-            idx = idx * d + b
-        vec[idx] += 1.0
-    norm = 1.0
-    for c in w:
-        norm *= factorial(c)
-    return vec * sqrt(norm / factorial(n))
+    occs, cols = dicke_basis(d, sum(w))
+    if w not in occs:
+        raise ValueError(f"not an occupation vector of {d} levels: {w}")
+    return cols[:, occs.index(w)]
 
 
 def dicke_basis(d: int, n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Occupations and the matrix whose columns are the Dicke states.
 
-    The columns span the symmetric sector, the module of the i-weight
+    Each column is the normalized indicator of one weight space.  The
+    columns span the symmetric sector, the module of the i-weight
     (n, 0, ..., 0).
     """
+    ws = _WeightSpaces(d, n)
     occs = occupation_vectors(d, n)
-    cols = np.column_stack([dicke_state(w, d) for w in occs])
+    cols = np.zeros((d**n, len(occs)), dtype=complex)
+    for c, w in enumerate(occs):
+        cols[ws.spaces[w], c] = 1.0 / sqrt(len(ws.spaces[w]))
     return occs, cols
 
 

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial, isqrt, prod
 from operator import index
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 IWeight = tuple[int, ...]
 
@@ -219,6 +222,8 @@ def weight_vector(p: GTPattern) -> tuple[int, ...]:
 
 def sz_eigenvalue(p: GTPattern, l: int) -> Fraction:
     """Eigenvalue (w_l - w_{l+1})/2 of S_z^l on the pattern's state."""
+    from fractions import Fraction  # its only user; importing it loads decimal
+
     if not 1 <= l <= p.d - 1:
         raise ValueError(f"l must lie in 1..{p.d - 1}")
     w = weight_vector(p)

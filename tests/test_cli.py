@@ -288,6 +288,14 @@ class TestClosure:
         assert obj["saturated"] is False and obj["max_dim"] == 5
         assert obj["dim_reached"] <= obj["max_dim"]
 
+    def test_zero_cap_is_reported(self, capsys):
+        code, out, _ = run(
+            capsys, "closure", "--preset", "qubits:n=3", "--max-dim", "0", "--format", "json"
+        )
+        assert code == 2
+        obj = json.loads(out)
+        assert obj["max_dim"] == 0 and obj["dim_reached"] == 0
+
     def test_preset_and_spec_mutually_exclusive(self, capsys):
         code, _, err = run(capsys, "closure", "--preset", "qubits:n=2", "--spec", "x.json")
         assert code == 1
@@ -493,6 +501,30 @@ class TestExitCodes:
         monkeypatch.setattr(cas, "isotypic_blocks", fail)
         got, out, err = run(capsys, "spectrum", "--d", "2", "--n", "2")
         assert (got, out, err) == (code, "", "error: injected failure\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closure", "--preset", "qubits:n=3", "--max-dim", "-1"],
+            *[
+                [*cmd, option, value]
+                for cmd, option in [
+                    (["center", "--d", "3", "--n", "3"], "--tol"),
+                    (["spectrum", "--d", "3", "--n", "3"], "--tol"),
+                    (["spectrum", "--d", "3", "--n", "3"], "--cluster-tol"),
+                    (["closure", "--preset", "qubits:n=3"], "--tol"),
+                ]
+                for value in ("0", "-1", "nan")
+            ],
+        ],
+        ids=" ".join,
+    )
+    def test_invalid_option_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1 and out == ""
+        assert f"argument {argv[-2]}: must be" in err
 
     def test_other_errors_propagate(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsymlie import casimir as cas
+from qsymlie import closure as cl
 from qsymlie import generators as g
 from qsymlie import linalg as la
 from qsymlie import reptheory as rt
@@ -330,7 +332,45 @@ class TestTwoBodyHamiltonian:
             g.two_body_hamiltonian(4, 3)
 
 
+def digit_permutation_operator(perm, d):
+    """Reference U e_b = e_c with c_j = b_{perm^{-1}(j)}, by base-d digit arithmetic."""
+    n = len(perm)
+    u = np.zeros((d**n, d**n))
+    for b in itertools.product(range(d), repeat=n):
+        c = [0] * n
+        for i, p in enumerate(perm):
+            c[p] = b[i]
+        row = sum(x * d ** (n - 1 - i) for i, x in enumerate(c))
+        col = sum(x * d ** (n - 1 - i) for i, x in enumerate(b))
+        u[row, col] = 1.0
+    return u
+
+
 class TestPermutations:
+    @pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3) for n in range(1, 5)])
+    def test_matches_digit_reference(self, d, n):
+        for p in itertools.permutations(range(n)):
+            assert np.array_equal(g.permutation_operator(p, d), digit_permutation_operator(p, d))
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (3, 4)])
+    def test_row_maps_of_casimir_and_closure_match(self, d, n, rng):
+        # C2/C3 gather over the transpositions and 3-cycles, the closure's
+        # invariance check over the adjacent transpositions
+        perms = list(itertools.permutations(range(n)))
+
+        def maps_moving(k):
+            return sorted(
+                tuple(np.argmax(g.permutation_operator(p, d).real, axis=1))
+                for p in perms if sum(p[i] != i for i in range(n)) == k
+            )
+
+        assert sorted(tuple(m) for m in cas._transpositions(d, n)) == maps_moving(2)
+        assert sorted(tuple(m) for m in cas._three_cycles(d, n)) == maps_moving(3)
+        x = rng.standard_normal((d**n, d**n))
+        us = [g.permutation_operator(p, d) for p in g.adjacent_transpositions(n)]
+        want = [np.linalg.norm(u @ x @ u.conj().T - x) for u in us]
+        assert np.allclose(list(cl._swap_defects(x, d, n)), want, rtol=1e-12, atol=0)
+
     def test_identity(self):
         assert np.array_equal(g.permutation_operator((0, 1, 2), 2), np.eye(8))
 
@@ -383,6 +423,21 @@ class TestDicke:
         _, v = g.dicke_basis(3, 3)
         assert v.shape == (27, 10)
         assert np.allclose(v.conj().T @ v, np.eye(10))
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 3)])
+    def test_columns_are_weight_space_indicators(self, d, n):
+        weights = [tuple(s.count(a) for a in range(d)) for s in itertools.product(range(d), repeat=n)]
+        occs, v = g.dicke_basis(d, n)
+        for w, col in zip(occs, v.T):
+            members = [r for r, x in enumerate(weights) if x == w]
+            want = np.zeros(d**n)
+            want[members] = 1 / sqrt(len(members))
+            assert np.allclose(col, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("w", [(2, 1), (2, 0, 1, 0), (2, -1, 2)])
+    def test_rejects_non_occupation_vector(self, w):
+        with pytest.raises(ValueError):
+            g.dicke_state(w, 3)
 
     def test_example_state(self):
         # (|002> + |200> + |020>)/sqrt 3
