@@ -8,20 +8,25 @@ Casimir C3 then refines the cluster.  Raw C2 eigenvalues are never compared
 against c2(p,q) values, only their equality patterns are matched.
 
 Both Casimirs lie in the center of the image of the group algebra C[S_n],
-so each is a combination of permutation class sums, and both are applied
-matrix-free to a block of columns as row gathers.  C2 is a constant plus a
-sum of tensor-factor transpositions, so it keeps every su(d) weight space
-(the basis states with one set of occupation numbers) and is diagonalized
-one weight space at a time; no d^n x d^n C2 is formed there.  C3 is a
-constant plus sums of transpositions and of 3-cycles, applied only to the
-real columns of a C2-degenerate cluster.  Both are real operators, so real
-input stays real.  ``build_C2`` and ``build_C3`` are the actions applied to
-the identity.
+so each is a combination of permutation class sums (coefficients in
+:func:`_c2_coefficients` and :func:`_c3_coefficients`): C2 of the
+identity and the transpositions, C3 also of the 3-cycles.  Factor
+permutations keep every su(d) weight space (the basis states with one set
+of occupation numbers), so :func:`isotypic_blocks` works one weight space
+at a time from start to finish: each class sum there is a small count
+matrix, C2 is diagonalized per space, and a C2-degenerate cluster is
+refined by C3 per space, on the cluster's eigenvectors in that space.  No
+dense d^n-row basis is formed there; a block keeps its basis as
+weight-space pieces and assembles the dense basis only when it is read.  ``apply_C2`` and
+``apply_C3`` apply the same sums matrix-free to d^n-row columns as row
+gathers; both are real operators, so real input stays real.
+``build_C2`` and ``build_C3`` are the actions applied to the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 from typing import NamedTuple
@@ -82,20 +87,20 @@ def casimir_set(d: int, n: int) -> CasimirSet:
     return CasimirSet(d, n, build_C2(d, n), build_C3(d, n) if d == 3 else None)
 
 
-def _transpositions(d: int, n: int) -> list[np.ndarray]:
-    """Row maps of the factor transpositions P_ij, i < j: (P_ij x)[r] = x[map[r]]."""
-    return [
-        _factor_map(perm_from_cycles(n, pair), d) for pair in combinations(range(1, n + 1), 2)
-    ]
+def _transpositions(d: int, n: int) -> np.ndarray:
+    """Row maps of the factor transpositions P_ij, i < j, stacked: (P_ij x)[r] = x[map[r]]."""
+    maps = [_factor_map(perm_from_cycles(n, pair), d) for pair in combinations(range(1, n + 1), 2)]
+    return np.array(maps, dtype=np.intp).reshape(-1, d**n)
 
 
-def _three_cycles(d: int, n: int) -> list[np.ndarray]:
-    """Row maps of the factor 3-cycles, both directions on every triple i < j < k."""
-    return [
+def _three_cycles(d: int, n: int) -> np.ndarray:
+    """Row maps of the factor 3-cycles, both directions on every triple i < j < k, stacked."""
+    maps = [
         _factor_map(perm_from_cycles(n, cycle), d)
         for i, j, k in combinations(range(1, n + 1), 3)
         for cycle in ((i, k, j), (i, j, k))
     ]
+    return np.array(maps, dtype=np.intp).reshape(-1, d**n)
 
 
 def _as_columns(x, d: int, n: int) -> np.ndarray:
@@ -106,33 +111,62 @@ def _as_columns(x, d: int, n: int) -> np.ndarray:
     return x
 
 
-def _c2_from_transpositions(x: np.ndarray, perms, d: int, n: int) -> np.ndarray:
-    """C2 x = c0 x + 4 sum_{i<j} P_ij x with c0 = 2n(d^2-1)/d - 2n(n-1)/d.
+def _c2_coefficients(d: int, n: int) -> tuple[float, int]:
+    """(c0, c1) with C2 = c0 + c1 sum_{i<j} P_ij: c0 = 2n(d^2-1)/d - 2n(n-1)/d, c1 = 4.
 
     With Tr(F_a F_b) = 2 delta_ab, sum_k F_k (x) F_k = 2 P - (2/d) 1 on two
     factors, and each F_k^2 sums to 2(d^2-1)/d times 1 on one factor.
+    """
+    return 2 * n * (d * d - 1) / d - 2 * n * (n - 1) / d, 4
+
+
+def _c3_coefficients(n: int) -> tuple[float, int, int]:
+    """(alpha, beta, gamma) with C3 = alpha + beta sum_{i<j} P_ij + gamma sum_{3-cycles} P_sigma.
+
+    At d = 3: alpha = 16n^3/9 - 12n^2 + 28n, beta = 72 - 16n, gamma = 24;
+    :func:`apply_C3` derives them.
+    """
+    return 16 * n**3 / 9 - 12 * n * n + 28 * n, 72 - 16 * n, 24
+
+
+def _c2_from_transpositions(x: np.ndarray, perms, d: int, n: int) -> np.ndarray:
+    """C2 x as c0 x + c1 sum_{i<j} P_ij x (:func:`_c2_coefficients`).
+
     ``perms`` are the row maps of the P_ij on the rows of x.
     """
-    out = (2 * n * (d * d - 1) / d - 2 * n * (n - 1) / d) * x
+    c0, c1 = _c2_coefficients(d, n)
+    out = c0 * x
     for perm in perms:
-        out += 4 * x[perm]
+        out += c1 * x[perm]
     return out
 
 
 def _c3_from_permutations(x: np.ndarray, swaps, cycles, n: int) -> np.ndarray:
-    """C3 x = alpha x + beta sum_{i<j} P_ij x + 24 sum_{3-cycles} P_sigma x at d = 3.
+    """C3 x as alpha x + beta sum_{i<j} P_ij x + gamma sum_{3-cycles} P_sigma x at d = 3.
 
-    alpha = 16n^3/9 - 12n^2 + 28n and beta = 72 - 16n; :func:`apply_C3`
-    derives them.  ``swaps`` and ``cycles`` are the row maps of the P_ij and
-    of the 3-cycles on the rows of x.
+    The coefficients are :func:`_c3_coefficients`.  ``swaps`` and ``cycles``
+    are the row maps of the P_ij and of the 3-cycles on the rows of x.
     """
+    alpha, beta, gamma = _c3_coefficients(n)
     pairs = np.zeros_like(x)
     for perm in swaps:
         pairs += x[perm]
     triples = np.zeros_like(x)
     for perm in cycles:
         triples += x[perm]
-    return (16 * n**3 / 9 - 12 * n * n + 28 * n) * x + (72 - 16 * n) * pairs + 24 * triples
+    return alpha * x + beta * pairs + gamma * triples
+
+
+def _class_sum(maps: np.ndarray, states: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The sum of the factor permutations with row maps ``maps`` on one weight space.
+
+    Each permutation maps the weight space ``states`` onto itself, and
+    ``pos`` gives each state's place in its space, so the sum there is a
+    count matrix: entry (r, c) counts the maps that send local row r to c.
+    """
+    k = len(states)
+    local = pos[maps[:, states]] + k * np.arange(k)
+    return np.bincount(local.ravel(), minlength=k * k).reshape(k, k)
 
 
 def apply_C2(x, d: int, n: int) -> np.ndarray:
@@ -195,41 +229,91 @@ def build_C3(d: int, n: int) -> np.ndarray:
 # Isotypic blocks from Casimir spectra
 # ---------------------------------------------------------------------------
 
+class BlockPiece(NamedTuple):
+    """The basis columns of an isotypic block that lie in one weight space.
+
+    ``vectors`` (real, len(states) x k) holds the entries on the basis
+    states ``states`` of the block's basis columns ``columns``; the other
+    entries of those columns are zero.
+    """
+
+    states: np.ndarray
+    vectors: np.ndarray
+    columns: np.ndarray
+
+
 @dataclass(frozen=True)
 class IsotypicBlock:
     """One isotypic component: all copies of one irrep, with an orthonormal basis.
 
-    ``basis`` has shape (d^n, block_dim) with orthonormal columns spanning
-    the block; ``block_dim = irrep_dim * multiplicity``.
+    The basis is kept as weight-space ``pieces``; ``basis`` assembles it,
+    shape (ambient_dim = d^n, block_dim), with orthonormal columns spanning
+    the block, on first read.  ``block_dim = irrep_dim * multiplicity``.
     """
 
     label: tuple[int, ...]
-    basis: np.ndarray
+    pieces: tuple[BlockPiece, ...]
+    ambient_dim: int
     block_dim: int
     irrep_dim: int
     multiplicity: int
     c2_cluster_index: int
     c3_refined: bool = False
 
+    @cached_property
+    def basis(self) -> np.ndarray:
+        out = np.zeros((self.ambient_dim, self.block_dim))
+        for piece in self.pieces:
+            out[piece.states[:, None], piece.columns] = piece.vectors
+        return out
+
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
+
+
+def _pieces(entries, space_of, local_of, spaces, vectors) -> tuple[BlockPiece, ...]:
+    """The block columns ``entries``, in order, as one piece per weight space.
+
+    Entry e is column ``local_of[e]`` of ``vectors[space_of[e]]``, a matrix
+    on the states ``spaces[space_of[e]]``.
+    """
+    sid = space_of[entries]
+    order = np.argsort(sid, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(sid[order])) + 1)
+    return tuple(
+        BlockPiece(spaces[sid[at[0]]], vectors[sid[at[0]]][:, local_of[entries[at]]], at)
+        for at in runs
+    )
+
+
+def _pooled_order(values: list[np.ndarray]):
+    """The pooled ``values``, their stable ascending order, and each entry's list and place."""
+    pooled = np.concatenate(values)
+    space_of = np.repeat(np.arange(len(values)), [len(w) for w in values])
+    local_of = np.concatenate([np.arange(len(w)) for w in values])
+    return pooled, np.argsort(pooled, kind="stable"), space_of, local_of
 
 
 def isotypic_blocks(
     d: int, n: int, cluster_tol: float = CLUSTER_TOL, tol: float = RANK_TOL
 ) -> list[IsotypicBlock]:
-    """Isotypic decomposition of (C^d)^(x)n from Casimir spectra.
+    """Isotypic decomposition of (C^d)^(x)n from Casimir spectra, one weight space at a time.
 
-    Diagonalizes C2 one weight space at a time, so the largest
+    On each weight space, C2 = c0 + c1 S2 with S2 the count matrix of the
+    transpositions; it is diagonalized there, so the largest
     eigendecomposition has the size of the largest weight space, and each
-    eigenvector is supported on one weight space.  Clusters the pooled C2
-    eigenvalues, matches clusters to the expected labels by equality
-    pattern and block dimension, and refines any cluster shared by two
-    labels with C3 (d = 3).  C3 is applied only to the real orthonormal
-    eigenvectors V of such a C2-degenerate cluster, as V^T (C3 V), so no
-    d^n x d^n C3 is formed; the real symmetric sub-block is diagonalized
-    with the same Hermiticity tolerance ``tol`` as the C2 blocks.  Blocks are returned by ascending C2 eigenvalue,
-    sub-ordered by ascending C3 eigenvalue inside a refined cluster.
+    eigenvector lies in one weight space.  The pooled C2 eigenvalues are
+    clustered, and clusters are matched to the expected labels by equality
+    pattern and block dimension.  A cluster shared by two labels is refined
+    with C3 (d = 3).  C3 keeps every weight space too, so on the cluster's
+    eigenvectors V it is block diagonal: per weight space w,
+    V_w^T (alpha + beta S2 + gamma S3) V_w is diagonalized with the same
+    Hermiticity tolerance ``tol`` as the C2 blocks, and the pooled C3
+    eigenvalues are clustered.  Blocks are returned by ascending C2
+    eigenvalue, sub-ordered by ascending C3 eigenvalue inside a refined
+    cluster.  Each block holds its basis as weight-space pieces; the
+    d^n-row ``basis`` is built only when read.  An unrefined block's
+    columns are its eigenvectors in ascending C2 order.
 
     Raises :class:`UnresolvedDegeneracyError` when labels cannot be
     separated or attached unambiguously.
@@ -246,18 +330,17 @@ def isotypic_blocks(
             f"labels share a C2 eigenvalue and no cubic Casimir is available for d={d}"
         )
 
-    perms = _transpositions(d, n)
+    swaps = _transpositions(d, n)
     ws = _WeightSpaces(d, n)
-    values, columns = [], []
-    for states in ws.spaces.values():
-        # Each transposition maps this weight space onto itself, so its
-        # gather is read as positions inside the space.
-        local = [ws.pos[perm[states]] for perm in perms]
-        w, v = hermitian_eig(_c2_from_transpositions(np.eye(len(states)), local, d, n), tol)
+    spaces = list(ws.spaces.values())
+    c0, c1 = _c2_coefficients(d, n)
+    values, vectors = [], []
+    for states in spaces:
+        h = c0 * np.eye(len(states)) + c1 * _class_sum(swaps, states, ws.pos)
+        w, v = hermitian_eig(h, tol)
         values.append(w)
-        columns += [(states, v[:, j]) for j in range(len(w))]
-    evals = np.concatenate(values)
-    order = np.argsort(evals, kind="stable")
+        vectors.append(v)
+    evals, order, space_of, local_of = _pooled_order(values)
     clustering = cluster_eigenvalues(evals[order], cluster_tol)
     clustering.check()
     if len(clustering.clusters) != len(ordered_keys):
@@ -268,10 +351,7 @@ def isotypic_blocks(
     blocks: list[IsotypicBlock] = []
     for ci, (key, idx) in enumerate(zip(ordered_keys, clustering.clusters)):
         members = groups[key]
-        vecs = np.zeros((d**n, len(idx)))
-        for col, e in enumerate(order[list(idx)]):
-            states, vec = columns[e]
-            vecs[states, col] = vec
+        entries = order[list(idx)]
         expected = sum(labels[m] * irrep_dimension(m) for m in members)
         if len(idx) != expected:
             raise UnresolvedDegeneracyError(
@@ -279,8 +359,9 @@ def isotypic_blocks(
             )
         if len(members) == 1:
             m = members[0]
+            pieces = _pieces(entries, space_of, local_of, spaces, vectors)
             blocks.append(
-                IsotypicBlock(m, vecs, len(idx), irrep_dimension(m), labels[m], ci)
+                IsotypicBlock(m, pieces, d**n, len(idx), irrep_dimension(m), labels[m], ci)
             )
             continue
         # C2-degenerate: split the cluster along the C3 spectrum and attach
@@ -290,13 +371,23 @@ def isotypic_blocks(
             raise UnresolvedDegeneracyError(
                 f"labels {members} share both C2 value and block dimension"
             )
-        sub = vecs.T @ _c3_from_permutations(vecs, perms, _three_cycles(d, n), n)
-        w3, u3 = hermitian_eig(sub, tol)
-        subcl = cluster_eigenvalues(w3, cluster_tol)
+        alpha, beta, gamma = _c3_coefficients(n)
+        cycles = _three_cycles(d, n)
+        w3s, u3s = [], []
+        cluster = _pieces(entries, space_of, local_of, spaces, vectors)
+        for states, v, _ in cluster:
+            c3 = (alpha * np.eye(len(states)) + beta * _class_sum(swaps, states, ws.pos)
+                  + gamma * _class_sum(cycles, states, ws.pos))
+            w3, u3 = hermitian_eig(v.T @ c3 @ v, tol)
+            w3s.append(w3)
+            u3s.append(v @ u3)
+        c3vals, order3, space_of3, local_of3 = _pooled_order(w3s)
+        subcl = cluster_eigenvalues(c3vals[order3], cluster_tol)
         if len(subcl.clusters) != len(members):
             raise UnresolvedDegeneracyError(
                 f"C3 splits cluster {ci} into {len(subcl.clusters)} parts, expected {len(members)}"
             )
+        states3 = [piece.states for piece in cluster]
         for part in subcl.clusters:
             bd = len(part)
             if bd not in dims:
@@ -304,10 +395,9 @@ def isotypic_blocks(
                     f"C3 sub-block of dimension {bd} matches no label in {members}"
                 )
             m = dims[bd]
+            pieces = _pieces(order3[list(part)], space_of3, local_of3, states3, u3s)
             blocks.append(
-                IsotypicBlock(
-                    m, vecs @ u3[:, list(part)], bd, irrep_dimension(m), labels[m], ci, True
-                )
+                IsotypicBlock(m, pieces, d**n, bd, irrep_dimension(m), labels[m], ci, True)
             )
     return blocks
 

@@ -62,6 +62,26 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """argparse type of an integer option or argument that must be at least ``low``."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return convert
+
+
+def _add_size(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=_int_at_least(2), required=True, help="local dimension, >= 2")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="number of sites, >= 1")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -258,22 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", parents=[], help="Clebsch-Gordan decomposition table")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    _add_size(p)
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("center", help="center dimension f(n,d), verified from highest weights "
                                       "when d^n <= 4096")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    _add_size(p)
     p.add_argument("--tol", type=_tolerance, default=RANK_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_center)
 
     p = sub.add_parser("spectrum", help="isotypic blocks from Casimir spectra")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    _add_size(p)
     p.add_argument("--tol", type=_tolerance, default=RANK_TOL)
     p.add_argument("--cluster-tol", type=_tolerance, default=CLUSTER_TOL)
     _add_common(p)
@@ -283,15 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default=None)
     p.add_argument("--spec", default=None, help="generator-spec JSON path")
     p.add_argument("--tol", type=_tolerance, default=RANK_TOL)
-    p.add_argument("--max-dim", type=int, default=None,
+    p.add_argument("--max-dim", type=_int_at_least(0), default=None,
                    help="cap on the traceless dimension "
                         "(default: the ambient bound C(n+d^2-1,d^2-1))")
     _add_common(p)
     p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("degeneracy", help="all (p,q) sharing the quadratic Casimir value")
-    p.add_argument("p0", type=int)
-    p.add_argument("q0", type=int)
+    p.add_argument("p0", type=_int_at_least(0))
+    p.add_argument("q0", type=_int_at_least(0))
     _add_common(p)
     p.set_defaults(func=cmd_degeneracy)
     return ap
@@ -300,12 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "d", 2) < 2 or getattr(args, "n", 1) < 1:
-        ap.error("need d >= 2 and n >= 1")
-    if getattr(args, "p0", 0) < 0 or getattr(args, "q0", 0) < 0:
-        ap.error("quantum numbers must be nonnegative")
-    if (getattr(args, "max_dim", None) or 0) < 0:
-        ap.error("argument --max-dim: must be nonnegative")
     try:
         return args.func(args)
     except Exception as exc:

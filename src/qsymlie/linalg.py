@@ -122,6 +122,8 @@ class EigenClustering:
     """Sorted eigenvalues partitioned into groups of near-equal values.
 
     ``clusters`` holds index tuples into ``eigenvalues`` (which is ascending).
+    ``min_gap`` and ``max_spread``, and both divided by ``bound``, measure
+    how far the clustering is from its tolerance.
     """
 
     eigenvalues: tuple[float, ...]
@@ -137,19 +139,42 @@ class EigenClustering:
         ev = np.asarray(self.eigenvalues)
         return tuple(float(np.mean(ev[list(c)])) for c in self.clusters)
 
+    @property
+    def bound(self) -> float:
+        """The clustering threshold, ``cluster_tol * max(1, spectral radius)``."""
+        scale = max(1.0, max((abs(x) for x in self.eigenvalues), default=0.0))
+        return self.cluster_tol * scale
+
+    @property
+    def min_gap(self) -> float:
+        """Smallest gap between adjacent clusters; inf with fewer than two clusters."""
+        ev = self.eigenvalues
+        pairs = zip(self.clusters, self.clusters[1:])
+        return min((ev[right[0]] - ev[left[-1]] for left, right in pairs), default=float("inf"))
+
+    @property
+    def max_spread(self) -> float:
+        """Largest max - min inside one cluster; 0 for an empty clustering."""
+        ev = self.eigenvalues
+        return max((ev[c[-1]] - ev[c[0]] for c in self.clusters), default=0.0)
+
+    @property
+    def relative_gap(self) -> float:
+        """``min_gap / bound``: the clustering is valid only above 1."""
+        return self.min_gap / self.bound
+
+    @property
+    def relative_spread(self) -> float:
+        """``max_spread / bound``: the clustering is valid only up to 1."""
+        return self.max_spread / self.bound
+
     def check(self) -> None:
         """Validate the within-spread and between-gap invariants."""
-        ev = self.eigenvalues
-        scale = max(1.0, max((abs(x) for x in ev), default=0.0))
-        bound = self.cluster_tol * scale
-        for c in self.clusters:
-            vals = [ev[i] for i in c]
-            if max(vals) - min(vals) > bound:
-                raise ValueError(f"cluster spread {max(vals) - min(vals):g} exceeds {bound:g}")
-        for left, right in zip(self.clusters, self.clusters[1:]):
-            gap = ev[right[0]] - ev[left[-1]]
-            if gap <= bound:
-                raise ValueError(f"adjacent clusters separated by only {gap:g}")
+        bound, spread, gap = self.bound, self.max_spread, self.min_gap
+        if spread > bound:
+            raise ValueError(f"cluster spread {spread:g} exceeds {bound:g}")
+        if gap <= bound:
+            raise ValueError(f"adjacent clusters separated by only {gap:g}")
 
 
 def cluster_eigenvalues(values, cluster_tol: float = CLUSTER_TOL) -> EigenClustering:

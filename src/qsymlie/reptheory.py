@@ -10,7 +10,6 @@ arithmetic; no floating point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, factorial, isqrt, prod
 from operator import index
 from typing import TYPE_CHECKING
@@ -93,19 +92,59 @@ def irrep_dimension(m) -> int:
 # Gelfand-Tsetlin patterns and semistandard Young tableaux
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GTPattern:
+class _Rows:
+    """Immutable integer ``rows``, compared, hashed and printed by value.
+
+    Entries convert by ``operator.index`` and the subclass's ``_check``
+    validates them; assigning or deleting an attribute raises
+    AttributeError.  A plain class with ``__slots__``: a frozen dataclass
+    would load ``dataclasses`` and ``inspect`` with the integer layer.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        rows = tuple(tuple(map(index, r)) for r in rows)
+        self._check(rows)
+        object.__setattr__(self, "rows", rows)
+
+    @staticmethod
+    def _check(rows) -> None:
+        raise NotImplementedError
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(rows={self.rows!r})"
+
+    def __reduce__(self):
+        return type(self), (self.rows,)
+
+
+class GTPattern(_Rows):
     """Triangular array; rows[0] has length d (the i-weight), last has length 1.
 
     Consecutive rows satisfy betweenness: upper[k] >= lower[k] >= upper[k+1].
     Entries convert by ``operator.index``: a float or string raises TypeError.
     """
 
+    __slots__ = ()
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        rows = tuple(tuple(map(index, r)) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    @staticmethod
+    def _check(rows) -> None:
         d = len(rows)
         if [len(r) for r in rows] != list(range(d, 0, -1)):
             raise ValueError("rows must have lengths d, d-1, ..., 1")
@@ -129,19 +168,18 @@ class GTPattern:
         return self.rows[self.d - l][k - 1]
 
 
-@dataclass(frozen=True)
-class SSYT:
+class SSYT(_Rows):
     """Semistandard Young tableau over symbols 0..d-1.
 
     Rows non-decreasing, columns strictly increasing.  Entries convert by
     ``operator.index``: a float or string raises TypeError.
     """
 
+    __slots__ = ()
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        rows = tuple(tuple(map(index, r)) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    @staticmethod
+    def _check(rows) -> None:
         for r in rows:
             if any(a > b for a, b in zip(r, r[1:])):
                 raise ValueError("rows must be non-decreasing")

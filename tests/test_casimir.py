@@ -333,6 +333,63 @@ class TestIsotypicBlocks:
         blocks = cas.isotypic_blocks(5, 1)
         assert len(blocks) == 1 and blocks[0].label == (1, 0, 0, 0, 0)
         assert blocks[0].block_dim == 5
+        # an unrefined block's columns come in ascending C2 order, ties by weight space
+        assert np.array_equal(np.abs(blocks[0].basis), np.eye(5))
+
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (3, 6), (4, 3)])
+    def test_pieces_lie_in_one_weight_space_each(self, d, n, six_qutrit_blocks):
+        blocks = six_qutrit_blocks if (d, n) == (3, 6) else cas.isotypic_blocks(d, n)
+        for b in blocks:
+            columns = []
+            for piece in b.pieces:
+                digits = np.array(np.unravel_index(piece.states, (d,) * n))
+                occupations = np.stack([(digits == a).sum(axis=0) for a in range(d)])
+                assert (occupations == occupations[:, :1]).all()
+                assert piece.vectors.dtype == float
+                assert piece.vectors.shape == (len(piece.states), len(piece.columns))
+                assert np.array_equal(b.basis[np.ix_(piece.states, piece.columns)], piece.vectors)
+                columns += list(piece.columns)
+            assert sum(len(piece.columns) for piece in b.pieces) == b.block_dim
+            assert sorted(columns) == list(range(b.block_dim))
+            assert b.basis.shape == (d**n, b.block_dim)
+        assert sum(len(piece.columns) for b in blocks for piece in b.pieces) == d**n
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_per_space_c3_split_matches_dense_c3(self, n, six_qutrit_blocks):
+        # Oracle: split each C2 cluster's columns by the dense C3 (build_C3),
+        # as V^T C3 V over the whole cluster.  (3,6) holds the first
+        # C2-degenerate pair; at (3,7) no cluster needs C3, and the dense
+        # split must agree that none splits.
+        blocks = six_qutrit_blocks if n == 6 else cas.isotypic_blocks(3, n)
+        c3 = cas.build_C3(3, n)
+        for ci in sorted({b.c2_cluster_index for b in blocks}):
+            members = [b for b in blocks if b.c2_cluster_index == ci]
+            v = np.hstack([b.basis for b in members])
+            w, u = la.hermitian_eig(v.T @ c3 @ v)
+            parts = la.cluster_eigenvalues(w).clusters
+            assert len(parts) == len(members)
+            assert all(b.c3_refined == (len(members) > 1) for b in members)
+            if len(members) == 1:  # one part: its projector is v v^T, the block's
+                continue
+            for part, b in zip(parts, members):  # both ascending in C3
+                q = v @ u[:, list(part)]
+                assert np.abs(q @ q.T - b.projector()).max() <= 1e-9
+        assert any(b.c3_refined for b in blocks) == (n == 6)
+
+    def test_clustering_margins_at_six_qutrits(self, monkeypatch):
+        seen = []
+
+        def recording(values, cluster_tol):
+            seen.append(la.cluster_eigenvalues(values, cluster_tol))
+            return seen[-1]
+
+        monkeypatch.setattr(cas, "cluster_eigenvalues", recording)
+        cas.isotypic_blocks(3, 6)
+        c2, c3 = seen
+        # C2 values differ by 4 x (content sums); C3 is +-144 on (4,1,1)/(3,3,0)
+        assert c2.min_gap == pytest.approx(8.0) and c3.min_gap == pytest.approx(288.0)
+        for cl in (c2, c3):
+            assert cl.relative_gap > 1e6 and cl.relative_spread < 1e-5
 
     @pytest.mark.parametrize(
         "d,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 7)] + [(4, 2), (4, 3)]

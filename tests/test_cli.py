@@ -129,6 +129,9 @@ class TestDecompose:
         with pytest.raises(SystemExit) as exc:
             cli.main(["decompose", "--d", "1", "--n", "3"])
         assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qsymlie decompose")
+        assert "argument --d: must be an integer >= 2, got '1'" in err
 
 
 class TestCenter:
@@ -212,6 +215,22 @@ class TestSpectrum:
         # blocks come in ascending C2, that is ascending content sum
         sums = [content(tuple(b["block_label"])) for b in rows]
         assert sums == sorted(sums)
+
+    def test_never_assembles_a_block_basis(self, capsys, monkeypatch):
+        # the blocks keep weight-space pieces; spectrum prints labels and sizes only
+        seen = []
+        real = cas.isotypic_blocks
+
+        def recording(*args):
+            seen.extend(real(*args))
+            return seen
+
+        monkeypatch.setattr(cas, "isotypic_blocks", recording)
+        code, _, _ = run(capsys, "spectrum", "--d", "3", "--n", "6", "--format", "json")
+        assert code == 0 and any(b.c3_refined for b in seen)
+        assert not any("basis" in vars(b) for b in seen)
+        assert seen[0].basis.shape == (729, seen[0].block_dim)
+        assert "basis" in vars(seen[0])  # where a read leaves it
 
     def test_three_qutrits_text(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--d", "3", "--n", "3")
@@ -391,6 +410,9 @@ class TestDegeneracy:
         with pytest.raises(SystemExit) as exc:
             cli.main(["degeneracy", "--", "-1", "2"])
         assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qsymlie degeneracy")
+        assert "argument p0: must be an integer >= 0, got '-1'" in err
 
 
 def floats_in(obj):
@@ -438,7 +460,8 @@ class TestOutputFile:
 
 
 # Runs CLI calls in a fresh interpreter and reports, after each step, whether
-# numpy has been imported.
+# numpy has been imported.  The last entry lists the modules that only
+# ``dataclasses`` would pull in and that were loaded by ``from qsymlie import cli``.
 _PROBE = textwrap.dedent("""
     import json, sys
     steps = {}
@@ -446,9 +469,11 @@ _PROBE = textwrap.dedent("""
     steps["import qsymlie"] = "numpy" in sys.modules
     from qsymlie import cli
     steps["import cli"] = "numpy" in sys.modules
+    heavy = [m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize") if m in sys.modules]
     for argv in json.loads(sys.argv[1]):
         code = cli.main(argv)
         steps[" ".join(argv)] = ("numpy" in sys.modules) if code == 0 else f"exit {code}"
+    steps["heavy modules at start-up"] = heavy
     print(json.dumps(steps))
 """)
 
@@ -472,13 +497,13 @@ class TestStartup:
             ["degeneracy", "5", "2"],
             ["center", "--d", "5", "--n", "400"],
         )
-        assert len(steps) == 6
+        assert len(steps) == 7
         assert not any(steps.values()), steps
 
     def test_materialized_center_loads_numpy(self):
         steps = _numpy_after(["center", "--d", "3", "--n", "3"])
         assert steps == {"import qsymlie": False, "import cli": False,
-                         "center --d 3 --n 3": True}
+                         "center --d 3 --n 3": True, "heavy modules at start-up": []}
 
 
 class TestExitCodes:
@@ -525,6 +550,25 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert exc.value.code == 1 and out == ""
         assert f"argument {argv[-2]}: must be" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closure", "--preset", "qubits:n=3", "--max-dim", "-3"],
+            ["decompose", "--d", "1", "--n", "3"],
+            ["center", "--d", "3", "--n", "0"],
+            ["spectrum", "--d", "x", "--n", "3"],
+            ["degeneracy", "2", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_range_errors_print_the_subcommand_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1 and out == ""
+        assert err.startswith(f"usage: qsymlie {argv[0]} ")
+        assert f"qsymlie {argv[0]}: error: argument" in err
 
     def test_other_errors_propagate(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -222,6 +222,34 @@ class TestClustering:
     def test_empty(self):
         cl = la.cluster_eigenvalues([], 1e-9)
         assert cl.clusters == ()
+        assert (cl.min_gap, cl.max_spread) == (math.inf, 0.0)
+
+    def test_margins(self):
+        values = [-9.0, 1.0, 1.0 + 1e-12, 5.0]
+        cl = la.cluster_eigenvalues(values, 1e-9)
+        assert cl.clusters == ((0,), (1, 2), (3,))
+        assert cl.bound == 1e-9 * 9.0  # cluster_tol * max(1, spectral radius)
+        assert cl.min_gap == 5.0 - values[2]
+        assert cl.max_spread == values[2] - 1.0
+        assert cl.relative_gap == cl.min_gap / cl.bound
+        assert cl.relative_spread == pytest.approx(1e-12 / 9e-9, rel=1e-3)
+
+    def test_one_cluster_has_no_gap(self):
+        cl = la.cluster_eigenvalues([2.0, 2.0], 1e-9)
+        assert cl.min_gap == cl.relative_gap == math.inf and cl.max_spread == 0.0
+
+    @pytest.mark.parametrize(
+        "values,clusters,tol,message",
+        [
+            ((1.0, 1.5), ((0,), (1,)), 1.0, "separated by only 0.5"),
+            ((1.0, 3.0), ((0, 1),), 0.5, "cluster spread 2 exceeds 1.5"),
+        ],
+    )
+    def test_check_fails_where_a_margin_crosses_the_bound(self, values, clusters, tol, message):
+        cl = la.EigenClustering(values, clusters, tol)
+        assert cl.relative_gap <= 1.0 or cl.relative_spread > 1.0
+        with pytest.raises(ValueError, match=message):
+            cl.check()
 
     @given(
         centers=st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=6, unique=True),

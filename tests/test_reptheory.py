@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +174,33 @@ class TestSSYT:
             rt.SSYT(((0, 0), (0,)))  # column not strictly increasing
         with pytest.raises(TypeError):
             rt.SSYT(((0.5, 1.7), (1.2,)))  # int() would give the valid ((0, 1), (1,))
+
+
+class TestImmutableRows:
+    @pytest.mark.parametrize(
+        "make,rows,other",
+        [
+            (rt.GTPattern, ((2, 1, 0), (2, 1), (2,)), ((2, 1, 0), (2, 1), (1,))),
+            (rt.SSYT, ((0, 0), (1,)), ((0, 1), (1,))),
+        ],
+        ids=["GTPattern", "SSYT"],
+    )
+    def test_value_semantics(self, make, rows, other):
+        a, b = make(rows), make(rows=[list(r) for r in rows])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != make(other)
+        assert repr(a) == f"{make.__name__}(rows={rows!r})"
+        assert pickle.loads(pickle.dumps(a)) == a
+        with pytest.raises(AttributeError):
+            a.rows = ((0,),)
+        with pytest.raises(AttributeError):
+            del a.rows
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a.rows == rows
+
+    def test_kinds_do_not_compare_equal(self):
+        assert rt.GTPattern(((0,),)) != rt.SSYT(((0,),))
 
 
 class TestSzEigenvalue:
