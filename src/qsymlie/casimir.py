@@ -12,15 +12,17 @@ so each is a combination of permutation class sums (coefficients in
 :func:`_c2_coefficients` and :func:`_c3_coefficients`): C2 of the
 identity and the transpositions, C3 also of the 3-cycles.  Factor
 permutations keep every su(d) weight space (the basis states with one set
-of occupation numbers), so :func:`isotypic_blocks` works one weight space
-at a time from start to finish: each class sum there is a small count
-matrix, C2 is diagonalized per space, and a C2-degenerate cluster is
-refined by C3 per space, on the cluster's eigenvectors in that space.  No
-dense d^n-row basis is formed there; a block keeps its basis as
-weight-space pieces and assembles the dense basis only when it is read.  ``apply_C2`` and
-``apply_C3`` apply the same sums matrix-free to d^n-row columns as row
-gathers; both are real operators, so real input stays real.
+of occupation numbers), and each class sum there is a small count matrix,
+so :func:`_casimir_on_space` is the one constructor of C2 and C3: their
+matrix on one weight space.  :func:`isotypic_blocks` diagonalizes C2 per
+space and refines a C2-degenerate cluster by C3 per space, on the
+cluster's eigenvectors in that space; a block keeps its basis as
+weight-space pieces and assembles the dense d^n-row basis only when it is
+read.  ``apply_C2`` and ``apply_C3`` apply the per-space matrices to the
+rows of each weight space; both are real, so real input stays real.
 ``build_C2`` and ``build_C3`` are the actions applied to the identity.
+Every floating-point decision here reads its tolerance from
+:mod:`qsymlie.tolerances`.
 """
 
 from __future__ import annotations
@@ -40,15 +42,7 @@ from .linalg import (
     cluster_eigenvalues,
     hermitian_eig,
 )
-from .generators import (
-    _factor_map,
-    _WeightSpaces,
-    adjacent_transpositions,
-    hat_f,
-    perm_from_cycles,
-    permutation_operator,
-    symmetric_sum,
-)
+from .generators import _factor_map, _WeightSpaces, perm_from_cycles, symmetric_sum
 from .reptheory import (  # c2_eigenvalue and degeneracy_search are re-exported
     c2_eigenvalue,
     cg_decompose,
@@ -61,30 +55,6 @@ from .tolerances import CLUSTER_TOL, RANK_TOL
 
 class UnresolvedDegeneracyError(RuntimeError):
     """Isotypic blocks could not be separated by the available Casimirs."""
-
-
-@dataclass(frozen=True)
-class CasimirSet:
-    """The Casimir operators materialized on (C^d)^(x)n; C3 only for d = 3."""
-
-    d: int
-    n: int
-    C2: np.ndarray
-    C3: np.ndarray | None = None
-
-    def check(self, tol: float = 1e-9) -> None:
-        ops = [self.C2] + ([self.C3] if self.C3 is not None else [])
-        swaps = [permutation_operator(p, self.d) for p in adjacent_transpositions(self.n)]
-        collectives = [hat_f(k, self.d, self.n) for k in range(1, self.d**2)]
-        for c in ops:
-            assert np.linalg.norm(c - c.conj().T) <= tol * max(1.0, np.linalg.norm(c))
-            for u in swaps + collectives:
-                assert np.linalg.norm(c @ u - u @ c) <= tol * max(1.0, np.linalg.norm(c))
-
-
-def casimir_set(d: int, n: int) -> CasimirSet:
-    """C2 (and, for d = 3, C3) on the n-fold tensor power."""
-    return CasimirSet(d, n, build_C2(d, n), build_C3(d, n) if d == 3 else None)
 
 
 def _transpositions(d: int, n: int) -> np.ndarray:
@@ -103,14 +73,6 @@ def _three_cycles(d: int, n: int) -> np.ndarray:
     return np.array(maps, dtype=np.intp).reshape(-1, d**n)
 
 
-def _as_columns(x, d: int, n: int) -> np.ndarray:
-    """``x`` as a float or complex array with d^n rows; real input stays real."""
-    x = np.asarray(x, dtype=_real_or_complex(x))
-    if x.shape[0] != d**n:
-        raise ValueError(f"operand has {x.shape[0]} rows, need d^n = {d**n}")
-    return x
-
-
 def _c2_coefficients(d: int, n: int) -> tuple[float, int]:
     """(c0, c1) with C2 = c0 + c1 sum_{i<j} P_ij: c0 = 2n(d^2-1)/d - 2n(n-1)/d, c1 = 4.
 
@@ -122,61 +84,6 @@ def _c2_coefficients(d: int, n: int) -> tuple[float, int]:
 
 def _c3_coefficients(n: int) -> tuple[float, int, int]:
     """(alpha, beta, gamma) with C3 = alpha + beta sum_{i<j} P_ij + gamma sum_{3-cycles} P_sigma.
-
-    At d = 3: alpha = 16n^3/9 - 12n^2 + 28n, beta = 72 - 16n, gamma = 24;
-    :func:`apply_C3` derives them.
-    """
-    return 16 * n**3 / 9 - 12 * n * n + 28 * n, 72 - 16 * n, 24
-
-
-def _c2_from_transpositions(x: np.ndarray, perms, d: int, n: int) -> np.ndarray:
-    """C2 x as c0 x + c1 sum_{i<j} P_ij x (:func:`_c2_coefficients`).
-
-    ``perms`` are the row maps of the P_ij on the rows of x.
-    """
-    c0, c1 = _c2_coefficients(d, n)
-    out = c0 * x
-    for perm in perms:
-        out += c1 * x[perm]
-    return out
-
-
-def _c3_from_permutations(x: np.ndarray, swaps, cycles, n: int) -> np.ndarray:
-    """C3 x as alpha x + beta sum_{i<j} P_ij x + gamma sum_{3-cycles} P_sigma x at d = 3.
-
-    The coefficients are :func:`_c3_coefficients`.  ``swaps`` and ``cycles``
-    are the row maps of the P_ij and of the 3-cycles on the rows of x.
-    """
-    alpha, beta, gamma = _c3_coefficients(n)
-    pairs = np.zeros_like(x)
-    for perm in swaps:
-        pairs += x[perm]
-    triples = np.zeros_like(x)
-    for perm in cycles:
-        triples += x[perm]
-    return alpha * x + beta * pairs + gamma * triples
-
-
-def _class_sum(maps: np.ndarray, states: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """The sum of the factor permutations with row maps ``maps`` on one weight space.
-
-    Each permutation maps the weight space ``states`` onto itself, and
-    ``pos`` gives each state's place in its space, so the sum there is a
-    count matrix: entry (r, c) counts the maps that send local row r to c.
-    """
-    k = len(states)
-    local = pos[maps[:, states]] + k * np.arange(k)
-    return np.bincount(local.ravel(), minlength=k * k).reshape(k, k)
-
-
-def apply_C2(x, d: int, n: int) -> np.ndarray:
-    """C2 @ x for x of shape (d^n, m) (or (d^n,)), as a sum of transpositions."""
-    x = _as_columns(x, d, n)
-    return _c2_from_transpositions(x, _transpositions(d, n), d, n)
-
-
-def apply_C3(x, d: int, n: int) -> np.ndarray:
-    """C3 @ x for x of shape (3^n, m) (or (3^n,)), as a sum of transpositions and 3-cycles.
 
     C3 = sum_{l,m,q} D_lmq hat(F_l) hat(F_m) hat(F_q) (d = 3 only), where
     D = ``structure_constants(gell_mann_basis(d)).dsym``.  With
@@ -209,10 +116,58 @@ def apply_C3(x, d: int, n: int) -> np.ndarray:
     beta = 24(d^2-4)/d - 48(n-2)/d; at d = 3, alpha = 16n^3/9 - 12n^2 + 28n
     and beta = 72 - 16n.  C3 is real, and real input gives real output.
     """
+    return 16 * n**3 / 9 - 12 * n * n + 28 * n, 72 - 16 * n, 24
+
+
+def _class_sum(maps: np.ndarray, states: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The sum of the factor permutations with row maps ``maps`` on one weight space.
+
+    Each permutation maps the weight space ``states`` onto itself, and
+    ``pos`` gives each state's place in its space, so the sum there is a
+    count matrix: entry (r, c) counts the maps that send local row r to c.
+    """
+    k = len(states)
+    local = pos[maps[:, states]] + k * np.arange(k)
+    return np.bincount(local.ravel(), minlength=k * k).reshape(k, k)
+
+
+def _casimir_on_space(coefficients, classes, states: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """c0 1 + sum_k c_k (class sum k) on the weight space ``states``, as a real matrix.
+
+    ``coefficients`` is (c0, c1, ...) and ``classes`` holds the stacked row
+    maps of each class, in the order of c1, ...: C2 is
+    (:func:`_c2_coefficients`, transpositions) and C3 is
+    (:func:`_c3_coefficients`, transpositions and 3-cycles).
+    """
+    c0, *rest = coefficients
+    out = c0 * np.eye(len(states))
+    for c, maps in zip(rest, classes):
+        out = out + c * _class_sum(maps, states, pos)
+    return out
+
+
+def _apply(x, d: int, n: int, coefficients, classes) -> np.ndarray:
+    """The class-sum combination applied to x, one weight space of rows at a time."""
+    x = np.asarray(x, dtype=_real_or_complex(x))
+    if x.shape[0] != d**n:
+        raise ValueError(f"operand has {x.shape[0]} rows, need d^n = {d**n}")
+    ws = _WeightSpaces(d, n)
+    out = np.zeros_like(x)
+    for states in ws.spaces.values():
+        out[states] = _casimir_on_space(coefficients, classes, states, ws.pos) @ x[states]
+    return out
+
+
+def apply_C2(x, d: int, n: int) -> np.ndarray:
+    """C2 @ x for x of shape (d^n, m) (or (d^n,)), one weight space at a time."""
+    return _apply(x, d, n, _c2_coefficients(d, n), (_transpositions(d, n),))
+
+
+def apply_C3(x, d: int, n: int) -> np.ndarray:
+    """C3 @ x for x of shape (3^n, m) (or (3^n,)), one weight space at a time (d = 3 only)."""
     if d != 3:
         raise ValueError("the cubic Casimir is implemented for d = 3 only")
-    x = _as_columns(x, d, n)
-    return _c3_from_permutations(x, _transpositions(d, n), _three_cycles(d, n), n)
+    return _apply(x, d, n, _c3_coefficients(n), (_transpositions(d, n), _three_cycles(d, n)))
 
 
 def build_C2(d: int, n: int) -> np.ndarray:
@@ -242,13 +197,14 @@ class BlockPiece(NamedTuple):
     columns: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsotypicBlock:
     """One isotypic component: all copies of one irrep, with an orthonormal basis.
 
     The basis is kept as weight-space ``pieces``; ``basis`` assembles it,
     shape (ambient_dim = d^n, block_dim), with orthonormal columns spanning
     the block, on first read.  ``block_dim = irrep_dim * multiplicity``.
+    Blocks compare by identity, since their arrays have no truth value.
     """
 
     label: tuple[int, ...]
@@ -294,9 +250,7 @@ def _pooled_order(values: list[np.ndarray]):
     return pooled, np.argsort(pooled, kind="stable"), space_of, local_of
 
 
-def isotypic_blocks(
-    d: int, n: int, cluster_tol: float = CLUSTER_TOL, tol: float = RANK_TOL
-) -> list[IsotypicBlock]:
+def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
     """Isotypic decomposition of (C^d)^(x)n from Casimir spectra, one weight space at a time.
 
     On each weight space, C2 = c0 + c1 S2 with S2 the count matrix of the
@@ -307,9 +261,9 @@ def isotypic_blocks(
     pattern and block dimension.  A cluster shared by two labels is refined
     with C3 (d = 3).  C3 keeps every weight space too, so on the cluster's
     eigenvectors V it is block diagonal: per weight space w,
-    V_w^T (alpha + beta S2 + gamma S3) V_w is diagonalized with the same
-    Hermiticity tolerance ``tol`` as the C2 blocks, and the pooled C3
-    eigenvalues are clustered.  Blocks are returned by ascending C2
+    V_w^T (alpha + beta S2 + gamma S3) V_w is diagonalized, and the pooled C3
+    eigenvalues are clustered.  Every eigendecomposition checks Hermiticity
+    at ``RANK_TOL``, and both clusterings split at ``CLUSTER_TOL``.  Blocks are returned by ascending C2
     eigenvalue, sub-ordered by ascending C3 eigenvalue inside a refined
     cluster.  Each block holds its basis as weight-space pieces; the
     d^n-row ``basis`` is built only when read.  An unrefined block's
@@ -333,15 +287,14 @@ def isotypic_blocks(
     swaps = _transpositions(d, n)
     ws = _WeightSpaces(d, n)
     spaces = list(ws.spaces.values())
-    c0, c1 = _c2_coefficients(d, n)
+    c2 = _c2_coefficients(d, n)
     values, vectors = [], []
     for states in spaces:
-        h = c0 * np.eye(len(states)) + c1 * _class_sum(swaps, states, ws.pos)
-        w, v = hermitian_eig(h, tol)
+        w, v = hermitian_eig(_casimir_on_space(c2, (swaps,), states, ws.pos), RANK_TOL)
         values.append(w)
         vectors.append(v)
     evals, order, space_of, local_of = _pooled_order(values)
-    clustering = cluster_eigenvalues(evals[order], cluster_tol)
+    clustering = cluster_eigenvalues(evals[order], CLUSTER_TOL)
     clustering.check()
     if len(clustering.clusters) != len(ordered_keys):
         raise UnresolvedDegeneracyError(
@@ -371,18 +324,16 @@ def isotypic_blocks(
             raise UnresolvedDegeneracyError(
                 f"labels {members} share both C2 value and block dimension"
             )
-        alpha, beta, gamma = _c3_coefficients(n)
-        cycles = _three_cycles(d, n)
+        c3, classes = _c3_coefficients(n), (swaps, _three_cycles(d, n))
         w3s, u3s = [], []
         cluster = _pieces(entries, space_of, local_of, spaces, vectors)
         for states, v, _ in cluster:
-            c3 = (alpha * np.eye(len(states)) + beta * _class_sum(swaps, states, ws.pos)
-                  + gamma * _class_sum(cycles, states, ws.pos))
-            w3, u3 = hermitian_eig(v.T @ c3 @ v, tol)
+            on_space = _casimir_on_space(c3, classes, states, ws.pos)
+            w3, u3 = hermitian_eig(v.T @ on_space @ v, RANK_TOL)
             w3s.append(w3)
             u3s.append(v @ u3)
         c3vals, order3, space_of3, local_of3 = _pooled_order(w3s)
-        subcl = cluster_eigenvalues(c3vals[order3], cluster_tol)
+        subcl = cluster_eigenvalues(c3vals[order3], CLUSTER_TOL)
         if len(subcl.clusters) != len(members):
             raise UnresolvedDegeneracyError(
                 f"C3 splits cluster {ci} into {len(subcl.clusters)} parts, expected {len(members)}"
@@ -410,17 +361,21 @@ class HighestWeightError(RuntimeError):
     """A highest-weight count or a lowered span disagrees with the exact counts."""
 
 
-def _highest_weight_space(ws: _WeightSpaces, label, tol: float) -> np.ndarray:
-    """Orthonormal real columns spanning the kernel on weight space ``label`` of every E_{i,i+1}."""
+def _highest_weight_space(ws: _WeightSpaces, label) -> np.ndarray:
+    """Orthonormal real columns spanning the kernel on weight space ``label`` of every E_{i,i+1}.
+
+    The kernel is the eigenvectors of sum_i E_{i,i+1}^T E_{i,i+1} with
+    eigenvalue at most ``RANK_TOL * max(1, largest eigenvalue)``.
+    """
     steps = filter(None, (ws.ladder(label, i, i + 1) for i in range(ws.d - 1)))
     maps = [m for _, m in steps]
     if not maps:  # no raising map reaches a weight: the whole space is highest
         return np.eye(len(ws.spaces[label]))
-    w, v = hermitian_eig(sum(m.T @ m for m in maps), tol)
-    return v[:, w <= tol * max(1.0, w[-1])]
+    w, v = hermitian_eig(sum(m.T @ m for m in maps), RANK_TOL)
+    return v[:, w <= RANK_TOL * max(1.0, w[-1])]
 
 
-def highest_weight_counts(d: int, n: int, tol: float = RANK_TOL) -> dict[tuple[int, ...], int]:
+def highest_weight_counts(d: int, n: int) -> dict[tuple[int, ...], int]:
     """Number of highest-weight vectors of weight lambda, for every label lambda.
 
     Weight space lambda holds the basis states with occupation numbers
@@ -430,17 +385,19 @@ def highest_weight_counts(d: int, n: int, tol: float = RANK_TOL) -> dict[tuple[i
     space at a time and forms no d^n x d^n matrix.
     """
     ws = _WeightSpaces(d, n)
-    return {m: _highest_weight_space(ws, m, tol).shape[1] for m in cg_decompose(n, d)}
+    return {m: _highest_weight_space(ws, m).shape[1] for m in cg_decompose(n, d)}
 
 
-class WeightBlock(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class WeightBlock:
     """One copy of the irrep ``label`` inside (C^d)^(x)n.
 
     ``basis`` is real with orthonormal columns, shape (d^n, irrep_dim): the
     lowerings of one highest-weight vector.  An S_n-invariant X acts on the
     isotypic block of ``label`` as X_lambda (x) 1 over the ``multiplicity``
     copies, so X maps this span into itself, and X -> basis^T X basis,
-    taken over every label, is faithful on the invariant algebra.
+    taken over every label, is faithful on the invariant algebra.  Blocks
+    compare by identity.
     """
 
     label: tuple[int, ...]
@@ -449,13 +406,14 @@ class WeightBlock(NamedTuple):
     multiplicity: int
 
 
-def _lowered_span(ws: _WeightSpaces, label, top: np.ndarray, tol: float) -> np.ndarray:
+def _lowered_span(ws: _WeightSpaces, label, top: np.ndarray) -> np.ndarray:
     """Orthonormal basis (d^n rows) of the span of all lowerings of ``top``.
 
     Each lowering E_{i+1,i} moves one box from row i to row i+1, so it raises
     sum_k k*mu_k by one; weights are visited one such level at a time, and
     the lowered vectors reaching a weight from all its parents are
-    orthonormalized together.
+    orthonormalized together: an SVD keeps the left singular vectors of
+    singular value above ``RANK_TOL * max(1, largest)``.
     """
     parts = []
     level = {tuple(label): top[:, None]}
@@ -470,7 +428,7 @@ def _lowered_span(ws: _WeightSpaces, label, top: np.ndarray, tol: float) -> np.n
         level = {}
         for mu, lowered in below.items():
             u, s, _ = np.linalg.svd(np.hstack(lowered), full_matrices=False)
-            keep = s > tol * max(1.0, s.max(initial=0.0))
+            keep = s > RANK_TOL * max(1.0, s.max(initial=0.0))
             if keep.any():
                 level[mu] = u[:, keep]
     dim = sum(vecs.shape[1] for _, vecs in parts)
@@ -487,7 +445,7 @@ def _lowered_span(ws: _WeightSpaces, label, top: np.ndarray, tol: float) -> np.n
     return out
 
 
-def highest_weight_blocks(d: int, n: int, tol: float = RANK_TOL) -> list[WeightBlock]:
+def highest_weight_blocks(d: int, n: int) -> list[WeightBlock]:
     """One copy of every irrep in (C^d)^(x)n, from highest-weight vectors.
 
     For each label lambda, the highest-weight vectors of weight lambda (see
@@ -512,13 +470,13 @@ def highest_weight_blocks(d: int, n: int, tol: float = RANK_TOL) -> list[WeightB
 
     blocks = []
     for m in sorted(labels, key=order):
-        top = _highest_weight_space(ws, m, tol)
+        top = _highest_weight_space(ws, m)
         if top.shape[1] != labels[m]:
             raise HighestWeightError(
                 f"weight {m} holds {top.shape[1]} highest-weight vectors, "
                 f"CG multiplicity is {labels[m]}"
             )
-        basis = _lowered_span(ws, m, top[:, 0], tol)
+        basis = _lowered_span(ws, m, top[:, 0])
         blocks.append(WeightBlock(m, basis, basis.shape[1], labels[m]))
     return blocks
 
@@ -545,18 +503,12 @@ class CenterBasis:
 
 
 def center_basis_from_blocks(blocks) -> CenterBasis:
+    """Projector basis of the center, one projector per isotypic block."""
     return CenterBasis(
         tuple(b.label for b in blocks),
         tuple(b.projector() for b in blocks),
         tuple(b.block_dim for b in blocks),
     )
-
-
-def center_basis(d: int, n: int, blocks=None) -> CenterBasis:
-    """Projector basis of the center, built from the isotypic blocks."""
-    if blocks is None:
-        blocks = isotypic_blocks(d, n)
-    return center_basis_from_blocks(blocks)
 
 
 def center_coefficients(x, cb: CenterBasis) -> np.ndarray:

@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import reptheory as _rt
-from .tolerances import CLUSTER_TOL, RANK_TOL
+from .tolerances import RANK_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,7 +130,7 @@ def cmd_center(args) -> int:
 
         # One center direction per label whose highest-weight vectors number
         # exactly its CG multiplicity.
-        counts = highest_weight_counts(args.d, args.n, args.tol)
+        counts = highest_weight_counts(args.d, args.n)
         labels = _rt.cg_decompose(args.n, args.d)
         dim = sum(counts[m] == k for m, k in labels.items())
         payload["materialized_dim"] = dim
@@ -147,7 +147,7 @@ def cmd_center(args) -> int:
 def cmd_spectrum(args) -> int:
     from .casimir import isotypic_blocks
 
-    blocks = isotypic_blocks(args.d, args.n, args.cluster_tol, args.tol)
+    blocks = isotypic_blocks(args.d, args.n)
     rows = [
         {
             "block_label": list(b.label),
@@ -285,14 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("center", help="center dimension f(n,d), verified from highest weights "
                                       "when d^n <= 4096")
     _add_size(p)
-    p.add_argument("--tol", type=_tolerance, default=RANK_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_center)
 
     p = sub.add_parser("spectrum", help="isotypic blocks from Casimir spectra")
     _add_size(p)
-    p.add_argument("--tol", type=_tolerance, default=RANK_TOL)
-    p.add_argument("--cluster-tol", type=_tolerance, default=CLUSTER_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 

@@ -137,8 +137,8 @@ class BlockFrame:
         self._upper = tuple(np.triu_indices(k, 1) for k in dims)
 
     @classmethod
-    def build(cls, d: int, n: int, tol: float = RANK_TOL) -> BlockFrame:
-        return cls(highest_weight_blocks(d, n, tol))
+    def build(cls, d: int, n: int) -> BlockFrame:
+        return cls(highest_weight_blocks(d, n))
 
     def matrices(self, rows: np.ndarray, i: int) -> np.ndarray:
         """Block i's traceless parts of ``rows``, as skew-Hermitian (m, d_i, d_i) matrices."""
@@ -450,7 +450,7 @@ def lie_closure(
     if not gens.generators:
         raise ValueError("need a non-empty generator set")
     gens.validate(tol)
-    frame = BlockFrame.build(gens.d, gens.n, tol)
+    frame = BlockFrame.build(gens.d, gens.n)
     if max_dim is None:
         max_dim = ambient_commutant_dim(gens.n, gens.d)
     centers, traceless, center_dim = levi_split(gens, frame, tol)

@@ -56,18 +56,10 @@ def anticommutator(a, b) -> np.ndarray:
     return a @ b + b @ a
 
 
-def dagger(a) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
 def frobenius_inner(a, b) -> complex:
     """Tr(A B^dag)."""
     a, b = _as_pair(a, b)
     return complex(np.vdot(b, a))  # vdot conjugates its first argument
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
 
 
 def kron(a, b) -> np.ndarray:
@@ -213,67 +205,32 @@ def _mat_from_realvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.ascontiguousarray(v).view(complex).reshape(dim, dim)
 
 
-class _RowBuffer:
-    """Rows shared by a chain of spans, each span owning a prefix.
-
-    Rows below ``filled`` are final: no span ever writes them again.
-    """
-
-    __slots__ = ("data", "filled")
-
-    def __init__(self, capacity: int, width: int):
-        self.data = np.empty((capacity, width))
-        self.filled = 0
-
-
 class OrthonormalSpan:
     """Orthonormal basis of a real span of complex ``dim x dim`` matrices.
 
     Basis elements are pairwise orthonormal under Re<A,B>_F.  Instances are
     immutable; :func:`orthonormal_extend` returns a new span.  The basis is
-    stored once, as the first ``dim`` rows of a float64 buffer (see
-    :func:`_realvec`) that the spans of one extension chain share; the
-    buffer grows by doubling.
+    stored as the rows of a float64 array (see :func:`_realvec`).
     """
 
-    __slots__ = ("ambient_dim", "tol", "_buf", "_n")
+    __slots__ = ("ambient_dim", "tol", "_rows")
 
     def __init__(self, ambient_dim: int, tol: float = RANK_TOL):
         self.ambient_dim = int(ambient_dim)
         self.tol = float(tol)
-        self._buf = _RowBuffer(0, 2 * self.ambient_dim**2)
-        self._n = 0
+        self._rows = np.empty((0, 2 * self.ambient_dim**2))
 
     @property
     def dim(self) -> int:
-        return self._n
-
-    @property
-    def _rows(self) -> np.ndarray:
-        return self._buf.data[: self._n]
+        return len(self._rows)
 
     @property
     def basis(self) -> np.ndarray:
         """Read-only ``(dim, ambient_dim, ambient_dim)`` view of the basis."""
         d = self.ambient_dim
-        view = self._rows.view(complex).reshape(self._n, d, d)
+        view = self._rows.view(complex).reshape(self.dim, d, d)
         view.flags.writeable = False
         return view
-
-    def _appended(self, row: np.ndarray) -> OrthonormalSpan:
-        """The span with one more basis row; this span is left unchanged."""
-        buf, n = self._buf, self._n
-        # Row n is free only if no other span extended this one first (a
-        # branch) and the buffer has room; otherwise continue on a copy.
-        if n < buf.filled or n == len(buf.data):
-            grown = _RowBuffer(max(4, 2 * n), buf.data.shape[1])
-            grown.data[:n] = buf.data[:n]
-            buf = grown
-        buf.data[n] = row
-        buf.filled = n + 1
-        out = OrthonormalSpan(self.ambient_dim, self.tol)
-        out._buf, out._n = buf, n + 1
-        return out
 
     def _validate(self, x) -> np.ndarray:
         x = _as_square(x, "candidate")
@@ -338,7 +295,9 @@ def orthonormal_extend(span: OrthonormalSpan, candidate) -> tuple[bool, Orthonor
     r = np.linalg.norm(v)
     if r <= span.tol * max(1.0, norm_x):
         return False, span
-    return True, span._appended(v / r)
+    out = OrthonormalSpan(span.ambient_dim, span.tol)
+    out._rows = np.vstack([rows, v / r])
+    return True, out
 
 
 def span_of(matrices, ambient_dim: int | None = None, tol: float = RANK_TOL) -> OrthonormalSpan:

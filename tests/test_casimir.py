@@ -10,6 +10,7 @@ from qsymlie import casimir as cas
 from qsymlie import generators as g
 from qsymlie import linalg as la
 from qsymlie import reptheory as rt
+from qsymlie.tolerances import RANK_TOL
 
 
 def sum_of_two_body_squares(d, n):
@@ -24,19 +25,21 @@ def sum_of_two_body_squares(d, n):
     return a
 
 
-class TestCasimirSet:
-    def test_qutrit_set(self):
-        cs = cas.casimir_set(3, 2)
-        assert cs.C3 is not None
-        cs.check()
-
-    def test_qubit_set_has_no_cubic(self):
-        cs = cas.casimir_set(2, 3)
-        assert cs.C3 is None
-        cs.check()
+def assert_hermitian_and_invariant(c, d, n):
+    """C is Hermitian and commutes with the adjacent factor swaps and the collectives."""
+    scale = max(1.0, np.linalg.norm(c))
+    assert np.linalg.norm(c - c.conj().T) <= 1e-9 * scale
+    ops = [g.permutation_operator(p, d) for p in g.adjacent_transpositions(n)]
+    ops += [g.hat_f(k, d, n) for k in range(1, d * d)]
+    for u in ops:
+        assert np.linalg.norm(c @ u - u @ c) <= 1e-9 * scale
 
 
 class TestC2Identities:
+    @pytest.mark.parametrize("d,n", [(3, 2), (2, 3)])
+    def test_hermitian_and_invariant(self, d, n):
+        assert_hermitian_and_invariant(cas.build_C2(d, n), d, n)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_qubit_affine_form(self, n):
         c2 = cas.build_C2(2, n)
@@ -175,6 +178,9 @@ class TestC3:
     def test_rejects_other_d(self):
         with pytest.raises(ValueError):
             cas.build_C3(2, 3)
+
+    def test_hermitian_and_invariant_at_two_qutrits(self):
+        assert_hermitian_and_invariant(cas.build_C3(3, 2), 3, 2)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_closed_form_on_each_irrep_copy(self, n):
@@ -329,6 +335,13 @@ class TestIsotypicBlocks:
         assert not any(b.c3_refined for b in blocks)
         assert max(sizes) == largest and sum(sizes) == d**n
 
+    def test_blocks_compare_by_identity(self):
+        # value equality would compare arrays, which have no truth value
+        for build in (cas.isotypic_blocks, cas.highest_weight_blocks):
+            first, again = build(2, 3)[0], build(2, 3)[0]
+            assert (first == first) is True and (first == again) is False
+            assert len({first, again, first}) == 2
+
     def test_single_site_any_d(self):
         blocks = cas.isotypic_blocks(5, 1)
         assert len(blocks) == 1 and blocks[0].label == (1, 0, 0, 0, 0)
@@ -469,6 +482,39 @@ class TestHighestWeightBlocks:
         with pytest.raises(cas.HighestWeightError, match="irrep dimension"):
             cas.highest_weight_blocks(3, 2)
 
+    @pytest.mark.parametrize("d,n", [(2, 8), (3, 6), (4, 4), (5, 3)])
+    def test_rank_cuts_have_margin(self, d, n, monkeypatch):
+        # Both cuts sit at RANK_TOL * max(1, largest value): the kernel of the
+        # raising maps (eigenvalues of sum E^T E, _highest_weight_space) and the
+        # lowered span at each weight (singular values, _lowered_span).  Every
+        # kept value must lie 1e3 above its cut and every dropped one 1e3 below.
+        eigs, svds = [], []
+        real_eig, real_svd = cas.hermitian_eig, np.linalg.svd
+
+        def recording_eig(h, tol):
+            w, v = real_eig(h, tol)
+            eigs.append((w, w[-1]))
+            return w, v
+
+        def recording_svd(a, **kwargs):
+            u, s, vt = real_svd(a, **kwargs)
+            svds.append((s, s.max(initial=0.0)))
+            return u, s, vt
+
+        monkeypatch.setattr(cas, "hermitian_eig", recording_eig)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        cas.highest_weight_blocks(d, n)
+        monkeypatch.undo()
+        for seen in (eigs, svds):
+            dropped_any = False
+            for values, largest in seen:
+                cut = RANK_TOL * max(1.0, largest)
+                kept, dropped = values[values > cut], np.abs(values[values <= cut])
+                assert kept.size == 0 or kept.min() >= 1e3 * cut
+                assert dropped.size == 0 or dropped.max() <= cut / 1e3
+                dropped_any |= dropped.size > 0
+            assert dropped_any  # each cut dropped something, so both sides are measured
+
     def test_single_site_is_the_identity(self):
         (b,) = cas.highest_weight_blocks(5, 1)
         assert b.label == (1, 0, 0, 0, 0) and b.multiplicity == 1
@@ -478,7 +524,7 @@ class TestHighestWeightBlocks:
 class TestCenterBasis:
     def test_dimensions(self, qutrit_center):
         assert qutrit_center.dim == 3 == rt.center_dimension(3, 3)
-        cb2 = cas.center_basis(2, 3)
+        cb2 = cas.center_basis_from_blocks(cas.isotypic_blocks(2, 3))
         assert cb2.dim == 2 == rt.center_dimension(3, 2)
 
     def test_projector_algebra(self, qutrit_center):
@@ -489,7 +535,7 @@ class TestCenterBasis:
                     assert np.linalg.norm(p @ q) <= 1e-9
 
     def test_commutes_with_symmetric_basis_three_qubits(self):
-        cb = cas.center_basis(2, 3)
+        cb = cas.center_basis_from_blocks(cas.isotypic_blocks(2, 3))
         for counts in g.multi_indices(2, 3):
             f = g.symmetric_sum(counts, 2, 3)
             for p in cb.elements:
@@ -510,7 +556,7 @@ class TestQubitCenterElement:
 
     @pytest.mark.parametrize("n,k", [(4, 0), (4, 1), (4, 2), (5, 2)])
     def test_lies_in_center_span(self, n, k):
-        cb = cas.center_basis(2, n)
+        cb = cas.center_basis_from_blocks(cas.isotypic_blocks(2, n))
         x = cas.qubit_center_element(n, k)
         c, s = cas.center_project(x, cb)
         assert np.linalg.norm(s) <= 1e-9 * max(1.0, np.linalg.norm(x))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -173,8 +174,8 @@ class TestCenter:
 
         real = casimir.highest_weight_counts
 
-        def short(d, n, tol):
-            counts = real(d, n, tol)
+        def short(d, n):
+            counts = real(d, n)
             counts[(2, 1, 0)] -= 1
             return counts
 
@@ -531,6 +532,7 @@ class TestExitCodes:
         "argv",
         [
             ["closure", "--preset", "qubits:n=3", "--max-dim", "-1"],
+            ["spectrum", "--d", "3", "--n", "3", "--tol", "1e-9"],  # gone, whatever the value
             *[
                 [*cmd, option, value]
                 for cmd, option in [
@@ -549,7 +551,27 @@ class TestExitCodes:
             cli.main(argv)
         out, err = capsys.readouterr()
         assert exc.value.code == 1 and out == ""
-        assert f"argument {argv[-2]}: must be" in err
+        if argv[0] == "closure":
+            assert f"argument {argv[-2]}: must be" in err
+        else:  # center and spectrum read their tolerances from qsymlie.tolerances
+            assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    def test_option_inventory(self):
+        size = {"--d", "--n"}
+        common = {"-h", "--help", "--format", "--out"}
+        want = {
+            "decompose": size | common,
+            "center": size | common,
+            "spectrum": size | common,
+            "closure": {"--preset", "--spec", "--tol", "--max-dim"} | common,
+            "degeneracy": common,
+        }
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {opt for action in p._actions for opt in action.option_strings}
+            for name, p in sub.choices.items()
+        }
+        assert got == want
 
     @pytest.mark.parametrize(
         "argv",

@@ -94,7 +94,7 @@ def assert_offers(result, gens):
 def joint_closure(gens, tol=la.RANK_TOL):
     """The whole frame closed by one run of the round loop: (frame, rows of L',
     rows of L, center_dim), the reference for the per-block closures."""
-    frame = cl.BlockFrame.build(gens.d, gens.n, tol)
+    frame = cl.BlockFrame.build(gens.d, gens.n)
     centers, traceless, cdim = cl.levi_split(gens, frame, tol)
     norms = np.linalg.norm(np.hstack([traceless, centers]), axis=1)
     seeds = traceless / np.maximum(1.0, norms)[:, None]
@@ -511,7 +511,7 @@ class TestQubitPresets:
         # dim(closure) = dim(traceless part closure) + dim span(center parts);
         # the traceless parts come from the Casimir center projection
         gens = cl.preset("qubits:n=3")
-        cb = cas.center_basis(2, 3)
+        cb = cas.center_basis_from_blocks(cas.isotypic_blocks(2, 3))
         _, _, cdim = cl.levi_split(gens, cl.BlockFrame.build(2, 3))
         traceless = [cas.center_project(x, cb)[1] for x in gens.generators]
         tset = cl.GeneratorSet(2, 3, tuple(traceless), gens.names)
@@ -523,7 +523,7 @@ class TestQubitPresets:
 class TestLeviSplit:
     def test_qubit_preset_center_components(self):
         gens = cl.preset("qubits:n=3")
-        cb = cas.center_basis(2, 3)
+        cb = cas.center_basis_from_blocks(cas.isotypic_blocks(2, 3))
         frame = cl.BlockFrame.build(2, 3)
         centers, traceless, cdim = cl.levi_split(gens, frame)
         norms = [np.linalg.norm(c) for c in centers]
@@ -538,7 +538,7 @@ class TestLeviSplit:
             assert np.allclose(frame.restrict(dense_t), np.concatenate([t, 0 * c]))
 
     def test_all_central_set(self):
-        cb = cas.center_basis(2, 2)
+        cb = cas.center_basis_from_blocks(cas.isotypic_blocks(2, 2))
         gens = cl.GeneratorSet(
             2, 2, tuple(1j * p for p in cb.elements), ("p0", "p1")
         )

@@ -28,10 +28,9 @@ EXPORTS = {
         "two_body_hamiltonian",
     ),
     "casimir": (
-        "CasimirSet", "CenterBasis", "HighestWeightError", "IsotypicBlock", "WeightBlock",
-        "apply_C2", "apply_C3", "build_C2", "build_C3", "casimir_set", "center_basis",
-        "center_project", "highest_weight_blocks", "highest_weight_counts", "isotypic_blocks",
-        "qubit_center_element",
+        "CenterBasis", "HighestWeightError", "IsotypicBlock", "WeightBlock", "apply_C2",
+        "apply_C3", "build_C2", "build_C3", "center_project", "highest_weight_blocks",
+        "highest_weight_counts", "isotypic_blocks", "qubit_center_element",
     ),
     "closure": (
         "BlockFrame", "ControllabilityReport", "GeneratorSet", "LieClosureResult", "RoundTrace",
