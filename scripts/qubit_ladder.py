@@ -20,7 +20,7 @@ def main():
     print(" n   closure  formula  controllable  seconds")
     for n in range(2, args.max_n + 1):
         t0 = time.time()
-        result = closure.lie_closure(closure.preset(f"qubits:n={n}"), tol=1e-7)
+        result = closure.lie_closure(closure.preset(f"qubits:n={n}"))
         report = closure.subspace_controllability(result)
         formula = sum(
             reptheory.irrep_dimension(m) ** 2 - 1 for m in reptheory.cg_decompose(n, 2)

@@ -14,6 +14,7 @@ import json
 import time
 
 from qsymlie import closure
+from qsymlie.tolerances import RANK_TOL
 
 
 def _sigma(value):
@@ -41,13 +42,13 @@ def main():
               f"{link.plain:.2e} plain, {link.conjugate:.2e} conjugate, linked={link.linked}")
 
     # One closure per block (and one joint closure on the "joint" path).
-    # Each batch accepts singular values above the tolerance; its margin is
+    # Each batch accepts singular values above RANK_TOL; its margin is
     # the distance of the smallest accepted and largest rejected ones to it.
     for run in result.runs:
         print(f"\n{'joint closure' if run.label is None else f'block {run.label}'}: "
               f"dim {run.dim}, {run.rounds} rounds, {run.offered} offered")
         print(f"batch  traceless_dim  offered  accepted  smallest_accepted  "
-              f"largest_rejected  (tol {result.tol:g})")
+              f"largest_rejected  (tol {RANK_TOL:g})")
         for i, t in enumerate(run.trace):
             print(f"{'seeds' if i == 0 else i:>5}  {t.dim:>13}  {t.offered:>7}  {t.accepted:>8}"
                   f"  {_sigma(t.smallest_accepted):>17}  {_sigma(t.largest_rejected):>16}")

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import factorial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from .reptheory import (  # c2_eigenvalue and degeneracy_search are re-exported
     degeneracy_search,
     irrep_dimension,
 )
-from .tolerances import CLUSTER_TOL, RANK_TOL
+from .tolerances import RANK_TOL
 
 
 class UnresolvedDegeneracyError(RuntimeError):
@@ -184,12 +183,13 @@ def build_C3(d: int, n: int) -> np.ndarray:
 # Isotypic blocks from Casimir spectra
 # ---------------------------------------------------------------------------
 
-class BlockPiece(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class BlockPiece:
     """The basis columns of an isotypic block that lie in one weight space.
 
     ``vectors`` (real, len(states) x k) holds the entries on the basis
     states ``states`` of the block's basis columns ``columns``; the other
-    entries of those columns are zero.
+    entries of those columns are zero.  Pieces compare by identity.
     """
 
     states: np.ndarray
@@ -263,11 +263,11 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
     eigenvectors V it is block diagonal: per weight space w,
     V_w^T (alpha + beta S2 + gamma S3) V_w is diagonalized, and the pooled C3
     eigenvalues are clustered.  Every eigendecomposition checks Hermiticity
-    at ``RANK_TOL``, and both clusterings split at ``CLUSTER_TOL``.  Blocks are returned by ascending C2
-    eigenvalue, sub-ordered by ascending C3 eigenvalue inside a refined
-    cluster.  Each block holds its basis as weight-space pieces; the
-    d^n-row ``basis`` is built only when read.  An unrefined block's
-    columns are its eigenvectors in ascending C2 order.
+    at ``RANK_TOL``, and both clusterings split at ``CLUSTER_TOL``.  Blocks
+    are returned by ascending C2 eigenvalue, sub-ordered by ascending C3
+    eigenvalue inside a refined cluster.  Each block holds its basis as
+    weight-space pieces; the d^n-row ``basis`` is built only when read.  An
+    unrefined block's columns are its eigenvectors in ascending C2 order.
 
     Raises :class:`UnresolvedDegeneracyError` when labels cannot be
     separated or attached unambiguously.
@@ -290,11 +290,11 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
     c2 = _c2_coefficients(d, n)
     values, vectors = [], []
     for states in spaces:
-        w, v = hermitian_eig(_casimir_on_space(c2, (swaps,), states, ws.pos), RANK_TOL)
+        w, v = hermitian_eig(_casimir_on_space(c2, (swaps,), states, ws.pos))
         values.append(w)
         vectors.append(v)
     evals, order, space_of, local_of = _pooled_order(values)
-    clustering = cluster_eigenvalues(evals[order], CLUSTER_TOL)
+    clustering = cluster_eigenvalues(evals[order])
     clustering.check()
     if len(clustering.clusters) != len(ordered_keys):
         raise UnresolvedDegeneracyError(
@@ -327,13 +327,14 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
         c3, classes = _c3_coefficients(n), (swaps, _three_cycles(d, n))
         w3s, u3s = [], []
         cluster = _pieces(entries, space_of, local_of, spaces, vectors)
-        for states, v, _ in cluster:
-            on_space = _casimir_on_space(c3, classes, states, ws.pos)
-            w3, u3 = hermitian_eig(v.T @ on_space @ v, RANK_TOL)
+        for piece in cluster:
+            v = piece.vectors
+            on_space = _casimir_on_space(c3, classes, piece.states, ws.pos)
+            w3, u3 = hermitian_eig(v.T @ on_space @ v)
             w3s.append(w3)
             u3s.append(v @ u3)
         c3vals, order3, space_of3, local_of3 = _pooled_order(w3s)
-        subcl = cluster_eigenvalues(c3vals[order3], CLUSTER_TOL)
+        subcl = cluster_eigenvalues(c3vals[order3])
         if len(subcl.clusters) != len(members):
             raise UnresolvedDegeneracyError(
                 f"C3 splits cluster {ci} into {len(subcl.clusters)} parts, expected {len(members)}"
@@ -371,7 +372,7 @@ def _highest_weight_space(ws: _WeightSpaces, label) -> np.ndarray:
     maps = [m for _, m in steps]
     if not maps:  # no raising map reaches a weight: the whole space is highest
         return np.eye(len(ws.spaces[label]))
-    w, v = hermitian_eig(sum(m.T @ m for m in maps), RANK_TOL)
+    w, v = hermitian_eig(sum(m.T @ m for m in maps))
     return v[:, w <= RANK_TOL * max(1.0, w[-1])]
 
 

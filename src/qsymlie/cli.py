@@ -17,7 +17,6 @@ import json
 import sys
 
 from . import reptheory as _rt
-from .tolerances import RANK_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,17 +48,6 @@ def _emit(payload, lines, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _tolerance(text: str) -> float:
-    """argparse type of a tolerance option: a positive finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not 0 < value < float("inf"):  # also false for nan
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
 
 
 def _int_at_least(low: int):
@@ -230,7 +218,7 @@ def cmd_closure(args) -> int:
     else:
         gens = _load_generator_spec(args.spec)
     try:
-        result = _closure.lie_closure(gens, args.tol, args.max_dim)
+        result = _closure.lie_closure(gens, args.max_dim)
     except ValueError as exc:  # lie_closure validates the set before any bracket
         raise CliError(f"invalid generator set: {exc}") from exc
     if not result.saturated:
@@ -296,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closure", help="Lie closure and controllability report")
     p.add_argument("--preset", default=None)
     p.add_argument("--spec", default=None, help="generator-spec JSON path")
-    p.add_argument("--tol", type=_tolerance, default=RANK_TOL)
     p.add_argument("--max-dim", type=_int_at_least(0), default=None,
                    help="cap on the traceless dimension "
                         "(default: the ambient bound C(n+d^2-1,d^2-1))")

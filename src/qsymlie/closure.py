@@ -11,6 +11,12 @@ traceless parts of the generators generate the semisimple part, which is
 closed by bracketing and accepted one round at a time.  The system is
 subspace controllable when the traceless algebra acts as su(irrep_dim) on
 every block.
+
+Every floating-point decision here reads its tolerance from
+:mod:`qsymlie.tolerances`: ``RANK_TOL`` for the generator checks, the
+block-leakage gate, the acceptance cut and membership; ``VERDICT_RANK_TOL``
+for the rank of the center part; ``LINK_TOL`` for the linking test.  No
+function takes a tolerance.
 """
 
 from __future__ import annotations
@@ -82,35 +88,36 @@ class GeneratorSet:
         if len(self.generators) != len(self.names):
             raise ValueError("generators and names must be parallel")
 
-    def validate(self, tol: float = RANK_TOL) -> None:
+    def validate(self) -> None:
         dim = self.d**self.n
         for g, name in zip(self.generators, self.names):
             g = _as_square(g, name)
             if g.shape[0] != dim:
                 raise DimensionMismatchError(f"{name}: dimension {g.shape[0]} != {dim}")
-            if not is_skew_hermitian(g, tol):
+            if not is_skew_hermitian(g):
                 raise NonHermitianError(f"{name} is not skew-Hermitian")
             scale = max(1.0, float(np.linalg.norm(g)))
-            if any(defect > tol * scale for defect in _swap_defects(g, self.d, self.n)):
+            if any(defect > RANK_TOL * scale for defect in _swap_defects(g, self.d, self.n)):
                 raise ValueError(f"{name} does not commute with factor permutations")
 
 
-def restrict_to_block(x, block, tol: float = RANK_TOL) -> np.ndarray:
+def restrict_to_block(x, block, gate: bool = True) -> np.ndarray:
     """P^dag X P in the block's orthonormal basis P = ``block.basis``.
 
     ``block`` is a :class:`~qsymlie.casimir.WeightBlock` (one irrep copy)
-    or an :class:`~qsymlie.casimir.IsotypicBlock` (the whole block).
-    Raises :class:`BlockLeakageError` if X maps the block outside itself by
-    more than ``tol * max(1, ||X||_F)``.
+    or an :class:`~qsymlie.casimir.IsotypicBlock` (the whole block).  With
+    ``gate``, raises :class:`BlockLeakageError` if X maps the block outside
+    itself by more than ``RANK_TOL * max(1, ||X||_F)``.
     """
     x = _as_square(x)
     p = block.basis
     xp = x @ p
-    leak = np.linalg.norm(xp - p @ (p.conj().T @ xp))
-    if leak > tol * max(1.0, np.linalg.norm(x)):
-        raise BlockLeakageError(
-            f"leakage {leak:.3e} out of block {block.label} exceeds tolerance"
-        )
+    if gate:
+        leak = np.linalg.norm(xp - p @ (p.conj().T @ xp))
+        if leak > RANK_TOL * max(1.0, np.linalg.norm(x)):
+            raise BlockLeakageError(
+                f"leakage {leak:.3e} out of block {block.label} exceeds tolerance"
+            )
     return p.conj().T @ xp
 
 
@@ -170,11 +177,12 @@ class BlockFrame:
         x[..., dim : dim + half] = entries.real
         x[..., dim + half :] = entries.imag
 
-    def restrict(self, x, tol: float = RANK_TOL) -> np.ndarray:
-        """The row of X; raises :class:`BlockLeakageError` (see :func:`restrict_to_block`)."""
+    def restrict(self, x, gate: bool = True) -> np.ndarray:
+        """The row of X; with ``gate``, raises :class:`BlockLeakageError` (see
+        :func:`restrict_to_block`)."""
         row = np.zeros((1, self.width))
         for i, b in enumerate(self.blocks):
-            m = restrict_to_block(x, b, tol)
+            m = restrict_to_block(x, b, gate)
             c = np.trace(m) / b.irrep_dim
             self._store(row, i, (m - c * np.eye(b.irrep_dim))[None])
             row[0, self.traceless_width + i] = sqrt(b.irrep_dim) * c.imag
@@ -198,18 +206,18 @@ class BlockFrame:
         return out.reshape(-1, self.traceless_width)
 
 
-def _accept(basis: np.ndarray, cand: np.ndarray, tol: float, room: int):
+def _accept(basis: np.ndarray, cand: np.ndarray, room: int):
     """One batch of candidate rows against the orthonormal rows ``basis``.
 
-    Drops rows of norm <= tol, normalizes the rest, projects out the basis
-    twice, and accepts the right singular vectors of singular value > tol
-    (at most ``room`` of them, largest first), re-projected and
+    Drops rows of norm <= RANK_TOL, normalizes the rest, projects out the
+    basis twice, and accepts the right singular vectors of singular value
+    > RANK_TOL (at most ``room`` of them, largest first), re-projected and
     orthonormalized by QR.  Returns (new rows, smallest accepted singular
     value, largest rejected one); a missing value is None.  ``cand`` is
     overwritten.
     """
     norms = np.linalg.norm(cand, axis=1)
-    live = norms > tol
+    live = norms > RANK_TOL
     if not live.any():
         return np.zeros((0, cand.shape[1])), None, None
     cand[~live] = 0.0
@@ -222,7 +230,7 @@ def _accept(basis: np.ndarray, cand: np.ndarray, tol: float, room: int):
         cand -= (cand @ basis.T) @ basis
     _, s, vt = np.linalg.svd(cand, full_matrices=False)
     s = s[: int(live.sum())]  # zero rows add only zero singular values
-    keep = int(np.sum(s > tol))
+    keep = int(np.sum(s > RANK_TOL))
     taken = min(keep, room)
     new = np.zeros((0, cand.shape[1]))
     if taken:
@@ -240,8 +248,8 @@ class RoundTrace:
     ``dim`` is the traceless dimension after the batch; ``smallest_accepted``
     and ``largest_rejected`` are singular values of the normalized,
     projected candidates (None when there is none), whose distance to the
-    tolerance is the batch's margin.  ``seconds`` is wall time and takes no
-    part in comparisons.
+    tolerance ``RANK_TOL`` is the batch's margin.  ``seconds`` is wall time
+    and takes no part in comparisons.
     """
 
     dim: int
@@ -313,7 +321,6 @@ class LieClosureResult:
     runs: tuple[ClosureRun, ...]
     links: tuple[LinkTest, ...]
     path: str
-    tol: float
 
     @property
     def rounds(self) -> int:
@@ -326,8 +333,7 @@ class LieClosureResult:
         return sum(run.offered for run in self.runs)
 
 
-def levi_split(gens: GeneratorSet, frame: BlockFrame, tol: float = RANK_TOL,
-               rank_tol: float = VERDICT_RANK_TOL):
+def levi_split(gens: GeneratorSet, frame: BlockFrame):
     """Split each generator into its center and block-traceless parts.
 
     Returns (center rows, traceless rows, center_dim): the last columns and
@@ -336,12 +342,10 @@ def levi_split(gens: GeneratorSet, frame: BlockFrame, tol: float = RANK_TOL,
     direction counts only if it carries a non-negligible fraction of its
     generator.
     """
-    rows = np.array([frame.restrict(g, tol) for g in gens.generators])
+    rows = np.array([frame.restrict(g) for g in gens.generators])
     centers = rows[:, frame.traceless_width :]
     scale = np.maximum(np.linalg.norm(rows, axis=1), 1e-300)[:, None]
-    return centers, rows[:, : frame.traceless_width], real_span_dim(
-        centers / scale, rank_tol, scale=1.0
-    )
+    return centers, rows[:, : frame.traceless_width], real_span_dim(centers / scale)
 
 
 def _unit_rows(rows: np.ndarray, floor: np.ndarray) -> np.ndarray:
@@ -351,8 +355,8 @@ def _unit_rows(rows: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return rows[live] / norms[live, None]
 
 
-def _close(frame: BlockFrame, cand: np.ndarray, partners: np.ndarray, tol: float,
-           max_dim: int, label) -> tuple[np.ndarray, ClosureRun]:
+def _close(frame: BlockFrame, cand: np.ndarray, partners: np.ndarray, max_dim: int,
+           label) -> tuple[np.ndarray, ClosureRun]:
     """The round loop: orthonormal rows of the span of ``cand`` closed under
     brackets with the ``partners``, and its :class:`ClosureRun`.
 
@@ -368,7 +372,7 @@ def _close(frame: BlockFrame, cand: np.ndarray, partners: np.ndarray, tol: float
     while True:
         start = time.perf_counter()
         offered += len(cand)
-        new, smallest, largest = _accept(basis, cand, tol, max(0, max_dim - len(basis)))
+        new, smallest, largest = _accept(basis, cand, max(0, max_dim - len(basis)))
         basis = np.vstack([basis, new])
         trace.append(RoundTrace(len(basis), len(cand), len(new), smallest, largest,
                                 time.perf_counter() - start))
@@ -397,9 +401,7 @@ def _link_test(labels, s: np.ndarray, t: np.ndarray) -> LinkTest:
     return LinkTest(labels, sigmas[0], sigmas[1], min(sigmas) < LINK_TOL)
 
 
-def lie_closure(
-    gens: GeneratorSet, tol: float = RANK_TOL, max_dim: int | None = None
-) -> LieClosureResult:
+def lie_closure(gens: GeneratorSet, max_dim: int | None = None) -> LieClosureResult:
     """Compute the Lie algebra generated by a set of skew-Hermitian matrices.
 
     Works in :class:`BlockFrame` coordinates.  Each generator X_i = c_i +
@@ -449,21 +451,19 @@ def lie_closure(
     """
     if not gens.generators:
         raise ValueError("need a non-empty generator set")
-    gens.validate(tol)
+    gens.validate()
     frame = BlockFrame.build(gens.d, gens.n)
     if max_dim is None:
         max_dim = ambient_commutant_dim(gens.n, gens.d)
-    centers, traceless, center_dim = levi_split(gens, frame, tol)
-    return _closure_of_split(gens.d, gens.n, frame, centers, traceless, center_dim, tol,
-                             max_dim)
+    centers, traceless, center_dim = levi_split(gens, frame)
+    return _closure_of_split(gens.d, gens.n, frame, centers, traceless, center_dim, max_dim)
 
 
 def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
-                      traceless: np.ndarray, center_dim: int, tol: float,
-                      max_dim: int) -> LieClosureResult:
+                      traceless: np.ndarray, center_dim: int, max_dim: int) -> LieClosureResult:
     """:func:`lie_closure` of the generators' rows in ``frame`` (see :func:`levi_split`)."""
     gen_norms = np.linalg.norm(np.hstack([traceless, centers]), axis=1)
-    floor = tol * np.maximum(1.0, gen_norms)
+    floor = RANK_TOL * np.maximum(1.0, gen_norms)
     seeds = traceless / np.maximum(1.0, gen_norms)[:, None]
 
     runs, pieces, reached = [], [], 0
@@ -474,8 +474,7 @@ def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
             break
         cols = slice(frame.offsets[i], frame.offsets[i + 1])
         rows, run = _close(BlockFrame([b]), seeds[:, cols].copy(),
-                           _unit_rows(traceless[:, cols], floor), tol, max_dim - reached,
-                           b.label)
+                           _unit_rows(traceless[:, cols], floor), max_dim - reached, b.label)
         runs.append(run)
         pieces.append((cols, rows))
         reached += len(rows)
@@ -488,7 +487,7 @@ def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
         blockwise.flags.writeable = False
         rows = np.pad(blockwise, ((0, 0), (0, len(frame.blocks))))
         return LieClosureResult(d, n, frame, blockwise, rows, reached, center_dim, False,
-                                tuple(runs), (), "blocks", tol)
+                                tuple(runs), (), "blocks")
 
     dims = {run.label: run.dim for run in runs}
     full = [i for i, b in enumerate(frame.blocks)
@@ -504,16 +503,16 @@ def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
     if len(full) < len(runs) or any(link.linked for link in links):
         path = "joint"
         if len(runs) > 1:
-            basis, run = _close(frame, seeds, _unit_rows(traceless, floor), tol, max_dim, None)
+            basis, run = _close(frame, seeds, _unit_rows(traceless, floor), max_dim, None)
             runs.append(run)
     basis.flags.writeable = False
-    rows = _rows_of_l(frame, basis, traceless, centers, tol)
+    rows = _rows_of_l(frame, basis, traceless, centers)
     return LieClosureResult(d, n, frame, basis, rows, len(rows), center_dim, True,
-                            tuple(runs), links, path, tol)
+                            tuple(runs), links, path)
 
 
 def _rows_of_l(frame: BlockFrame, basis: np.ndarray, traceless: np.ndarray,
-               centers: np.ndarray, tol: float) -> np.ndarray:
+               centers: np.ndarray) -> np.ndarray:
     """Orthonormal rows of L, from orthonormal rows ``basis`` of L' and the
     generators' split (see :func:`lie_closure`)."""
     gen_norms = np.linalg.norm(np.hstack([traceless, centers]), axis=1)
@@ -522,15 +521,15 @@ def _rows_of_l(frame: BlockFrame, basis: np.ndarray, traceless: np.ndarray,
     # A full L' is its own D, with every z_i = 0: no coefficients.
     d_rows, scoef = basis, np.zeros((len(traceless), 0))
     if len(basis) < frame.bound:
-        partners = _unit_rows(traceless, tol * np.maximum(1.0, gen_norms))
+        partners = _unit_rows(traceless, RANK_TOL * np.maximum(1.0, gen_norms))
         brackets = frame.brackets(basis, partners)
-        dcoef, _, _ = _accept(np.zeros((0, len(basis))), brackets @ basis.T, tol, len(basis))
+        dcoef, _, _ = _accept(np.zeros((0, len(basis))), brackets @ basis.T, len(basis))
         scoef = traceless @ basis.T
         scoef -= (scoef @ dcoef.T) @ dcoef
         d_rows = dcoef @ basis
     rest = np.hstack([scoef, centers]) / np.maximum(gen_norms, 1e-300)[:, None]
-    rank = real_span_dim(rest, VERDICT_RANK_TOL, scale=1.0)
-    extra = np.linalg.svd(rest, full_matrices=False)[2][:rank]
+    _, s, vt = np.linalg.svd(rest, full_matrices=False)
+    extra = vt[: int(np.sum(s > VERDICT_RANK_TOL * max(1.0, s[0])))]
     k = scoef.shape[1]
     rows = np.vstack([
         np.pad(d_rows, ((0, 0), (0, len(frame.blocks)))),
@@ -540,7 +539,7 @@ def _rows_of_l(frame: BlockFrame, basis: np.ndarray, traceless: np.ndarray,
     return rows
 
 
-def membership(x, closure: LieClosureResult, tol: float | None = None) -> tuple[bool, float]:
+def membership(x, closure: LieClosureResult) -> tuple[bool, float]:
     """Whether x lies in the closure; returns (member, relative residual).
 
     Restricts x to the blocks first: the residual is the distance of its
@@ -548,18 +547,19 @@ def membership(x, closure: LieClosureResult, tol: float | None = None) -> tuple[
     skew-Hermitian invariant operators, so the residual is at least the
     Hermitian part of x and the largest ||U x U^dag - x|| over adjacent
     factor transpositions U, relative to max(1, ||x||): a non-invariant x
-    is not a member, even if its restrictions are.
+    is not a member, even if its restrictions are.  Membership is a
+    residual of at most ``RANK_TOL``.
     """
     x = _as_square(x)
     defect = max([np.linalg.norm(x + x.conj().T) / 2, *_swap_defects(x, closure.d, closure.n)])
-    row = closure.frame.restrict(x, np.inf)
+    row = closure.frame.restrict(x, gate=False)
     nrm = max(1.0, float(np.linalg.norm(row)))
     rows = closure.basis
     for _ in range(2):
         row = row - rows.T @ (rows @ row)
     residual = max(float(np.linalg.norm(row)) / nrm,
                    float(defect) / max(1.0, float(np.linalg.norm(x))))
-    return residual <= (closure.tol if tol is None else tol), residual
+    return residual <= RANK_TOL, residual
 
 
 @dataclass(frozen=True)

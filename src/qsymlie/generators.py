@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import _as_square, kron_all
+from .tolerances import RANK_TOL
 
 
 def _sym_pair(d: int, j: int, k: int) -> np.ndarray:
@@ -60,15 +61,15 @@ class HermitianBasis:
     d: int
     elements: tuple[np.ndarray, ...]
 
-    def check(self, tol: float = 1e-12) -> None:
+    def check(self) -> None:
         assert len(self.elements) == self.d**2
         assert np.allclose(self.elements[0], np.eye(self.d))
         for a in range(1, self.d**2):
-            assert abs(np.trace(self.elements[a])) <= tol
+            assert abs(np.trace(self.elements[a])) <= RANK_TOL
             for b in range(a, self.d**2):
                 got = np.trace(self.elements[a] @ self.elements[b].conj().T)
                 want = 2.0 if a == b else 0.0
-                assert abs(got - want) <= tol
+                assert abs(got - want) <= RANK_TOL
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,11 @@ matrices equipped with the real part of the Frobenius inner product
 Re<A,B> = Re Tr(A B^dag).  Spans of skew-Hermitian matrices (real Lie
 algebras) are handled by :class:`OrthonormalSpan`, whose only "mutation" is
 the fresh span returned by :func:`orthonormal_extend`.
+
+The Hermiticity checks, :func:`hermitian_eig`, :func:`cluster_eigenvalues`
+and :func:`real_span_dim` read their cuts from :mod:`qsymlie.tolerances`
+and take no tolerance argument.  Only :class:`OrthonormalSpan`, a reference
+implementation for checking the closure, carries its own ``tol``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import CLUSTER_TOL, RANK_TOL
+from .tolerances import CLUSTER_TOL, RANK_TOL, VERDICT_RANK_TOL
 
 
 class DimensionMismatchError(ValueError):
@@ -80,26 +85,26 @@ def _real_or_complex(a) -> type:
     return complex if np.iscomplexobj(a) else float
 
 
-def is_hermitian(a, tol: float = RANK_TOL) -> bool:
+def is_hermitian(a) -> bool:
     a = _as_square(a, dtype=_real_or_complex(a))
-    return np.linalg.norm(a - a.conj().T) <= tol * max(1.0, np.linalg.norm(a))
+    return np.linalg.norm(a - a.conj().T) <= RANK_TOL * max(1.0, np.linalg.norm(a))
 
 
-def is_skew_hermitian(a, tol: float = RANK_TOL) -> bool:
+def is_skew_hermitian(a) -> bool:
     a = _as_square(a)
-    return np.linalg.norm(a + a.conj().T) <= tol * max(1.0, np.linalg.norm(a))
+    return np.linalg.norm(a + a.conj().T) <= RANK_TOL * max(1.0, np.linalg.norm(a))
 
 
-def hermitian_eig(h, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
     Real input stays real (a real symmetric eigh, real eigenvectors).
     Raises :class:`NonHermitianError` if the input fails the Hermiticity
-    check at relative tolerance ``tol``.
+    check (relative tolerance ``RANK_TOL``).
     """
     h = _as_square(h, dtype=_real_or_complex(h))
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise NonHermitianError("hermitian_eig requires a Hermitian matrix")
     w, v = np.linalg.eigh(h)
     return w, v
@@ -120,7 +125,6 @@ class EigenClustering:
 
     eigenvalues: tuple[float, ...]
     clusters: tuple[tuple[int, ...], ...]
-    cluster_tol: float
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -133,9 +137,9 @@ class EigenClustering:
 
     @property
     def bound(self) -> float:
-        """The clustering threshold, ``cluster_tol * max(1, spectral radius)``."""
+        """The clustering threshold, ``CLUSTER_TOL * max(1, spectral radius)``."""
         scale = max(1.0, max((abs(x) for x in self.eigenvalues), default=0.0))
-        return self.cluster_tol * scale
+        return CLUSTER_TOL * scale
 
     @property
     def min_gap(self) -> float:
@@ -169,25 +173,25 @@ class EigenClustering:
             raise ValueError(f"adjacent clusters separated by only {gap:g}")
 
 
-def cluster_eigenvalues(values, cluster_tol: float = CLUSTER_TOL) -> EigenClustering:
+def cluster_eigenvalues(values) -> EigenClustering:
     """Partition real values into maximal groups split at relative gaps.
 
     Values are sorted ascending first; a new cluster starts wherever the gap
-    to the previous value exceeds ``cluster_tol * max(1, spectral radius)``.
+    to the previous value exceeds ``CLUSTER_TOL * max(1, spectral radius)``.
     Empty input yields an empty clustering.
     """
     vals = sorted(float(x) for x in np.asarray(values, dtype=float).ravel())
     if not vals:
-        return EigenClustering((), (), cluster_tol)
+        return EigenClustering((), ())
     scale = max(1.0, max(abs(vals[0]), abs(vals[-1])))
-    bound = cluster_tol * scale
+    bound = CLUSTER_TOL * scale
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
         if vals[i] - vals[i - 1] > bound:
             clusters.append([i])
         else:
             clusters[-1].append(i)
-    return EigenClustering(tuple(vals), tuple(tuple(c) for c in clusters), cluster_tol)
+    return EigenClustering(tuple(vals), tuple(tuple(c) for c in clusters))
 
 
 # ---------------------------------------------------------------------------
@@ -313,25 +317,20 @@ def span_of(matrices, ambient_dim: int | None = None, tol: float = RANK_TOL) -> 
     return span
 
 
-def real_span_dim(matrices, tol: float = RANK_TOL, scale: float | None = None) -> int:
+def real_span_dim(matrices) -> int:
     """Dimension of the real span of matrices under Re<.,.>_F.
 
     Rank of the stacked real vectors, counting singular values above
-    ``tol * max(scale, s_max)``.  Pass ``scale`` when the inputs carry a
-    known reference size (e.g. restrictions of unit-norm matrices, which may
-    all be numerically zero); otherwise the threshold is purely relative.
+    ``VERDICT_RANK_TOL * max(1, s_max)``.  The inputs are taken to be of
+    unit reference size (e.g. restrictions of unit-norm matrices), so a
+    stack that is all numerically zero has rank zero.
     """
     mats = list(matrices)
     if not mats:
         return 0
     rows = np.vstack([_realvec(np.asarray(m, dtype=complex)) for m in mats])
     s = np.linalg.svd(rows, compute_uv=False)
-    if s.size == 0:
-        return 0
-    ref = s[0] if scale is None else max(scale, s[0])
-    if ref == 0.0:
-        return 0
-    return int(np.sum(s > tol * ref))
+    return int(np.sum(s > VERDICT_RANK_TOL * max(1.0, s.max(initial=0.0))))
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_criterion_02_three_qutrit_headline():
 def test_criterion_03_qubit_fixtures():
     def body():
         for n, want in [(2, 9), (3, 19), (4, 33)]:
-            result = cl.lie_closure(cl.preset(f"qubits:n={n}"), tol=1e-7)
+            result = cl.lie_closure(cl.preset(f"qubits:n={n}"))
             assert result.saturated
             assert result.dim == want
             formula = sum(
@@ -102,11 +102,11 @@ def test_criterion_04_casimir_identities():
 def test_criterion_05_spectrum_shape():
     def body():
         w, _ = la.hermitian_eig(cas.build_C2(3, 3))
-        clusters = la.cluster_eigenvalues(w, 1e-8)
+        clusters = la.cluster_eigenvalues(w)
         assert len(clusters.clusters) == 3
         assert sorted(clusters.sizes) == [1, 10, 16]
         w, _ = la.hermitian_eig(cas.build_C2(2, 4))
-        clusters = la.cluster_eigenvalues(w, 1e-8)
+        clusters = la.cluster_eigenvalues(w)
         assert len(clusters.clusters) == 3
         assert sorted(clusters.sizes) == [2, 5, 9]
 

@@ -69,7 +69,7 @@ class TestC2Identities:
 
     def test_four_qubit_spectrum_clusters(self):
         w, _ = la.hermitian_eig(cas.build_C2(2, 4))
-        cl = la.cluster_eigenvalues(w, 1e-8)
+        cl = la.cluster_eigenvalues(w)
         assert sorted(cl.sizes) == [2, 5, 9]
 
 
@@ -326,9 +326,9 @@ class TestIsotypicBlocks:
         # the largest holds multinomial(n; occupations) states
         sizes = []
 
-        def recording_eig(h, tol):
+        def recording_eig(h):
             sizes.append(len(h))
-            return la.hermitian_eig(h, tol)
+            return la.hermitian_eig(h)
 
         monkeypatch.setattr(cas, "hermitian_eig", recording_eig)
         blocks = cas.isotypic_blocks(d, n)
@@ -337,7 +337,11 @@ class TestIsotypicBlocks:
 
     def test_blocks_compare_by_identity(self):
         # value equality would compare arrays, which have no truth value
-        for build in (cas.isotypic_blocks, cas.highest_weight_blocks):
+        for build in (
+            cas.isotypic_blocks,
+            cas.highest_weight_blocks,
+            lambda d, n: cas.isotypic_blocks(d, n)[0].pieces,
+        ):
             first, again = build(2, 3)[0], build(2, 3)[0]
             assert (first == first) is True and (first == again) is False
             assert len({first, again, first}) == 2
@@ -392,8 +396,8 @@ class TestIsotypicBlocks:
     def test_clustering_margins_at_six_qutrits(self, monkeypatch):
         seen = []
 
-        def recording(values, cluster_tol):
-            seen.append(la.cluster_eigenvalues(values, cluster_tol))
+        def recording(values):
+            seen.append(la.cluster_eigenvalues(values))
             return seen[-1]
 
         monkeypatch.setattr(cas, "cluster_eigenvalues", recording)
@@ -491,8 +495,8 @@ class TestHighestWeightBlocks:
         eigs, svds = [], []
         real_eig, real_svd = cas.hermitian_eig, np.linalg.svd
 
-        def recording_eig(h, tol):
-            w, v = real_eig(h, tol)
+        def recording_eig(h):
+            w, v = real_eig(h)
             eigs.append((w, w[-1]))
             return w, v
 
@@ -614,4 +618,4 @@ class TestCenterProject:
         h = g.two_body_hamiltonian(3, 3)
         c, _ = cas.center_project(h, qutrit_center)
         assert np.linalg.norm(c) > 1.0
-        assert la.real_span_dim([c], 1e-9) == 1
+        assert la.real_span_dim([c]) == 1

@@ -241,9 +241,7 @@ class TestSpectrum:
 
 class TestClosure:
     def test_qubit_preset(self, capsys):
-        code, out, _ = run(
-            capsys, "closure", "--preset", "qubits:n=3", "--format", "json", "--tol", "1e-7"
-        )
+        code, out, _ = run(capsys, "closure", "--preset", "qubits:n=3", "--format", "json")
         assert code == 0
         obj = json.loads(out)
         assert obj["total_dim"] == 19
@@ -339,9 +337,7 @@ class TestClosure:
         }
         path = tmp_path / "gens.json"
         path.write_text(json.dumps(spec))
-        code, out, _ = run(
-            capsys, "closure", "--spec", str(path), "--format", "json", "--tol", "1e-7"
-        )
+        code, out, _ = run(capsys, "closure", "--spec", str(path), "--format", "json")
         assert code == 0
         obj = json.loads(out)
         # same algebra as the qubits:n=3 preset
@@ -533,6 +529,7 @@ class TestExitCodes:
         [
             ["closure", "--preset", "qubits:n=3", "--max-dim", "-1"],
             ["spectrum", "--d", "3", "--n", "3", "--tol", "1e-9"],  # gone, whatever the value
+            ["closure", "--preset", "qubits:n=3", "--tol", "1e-9"],
             *[
                 [*cmd, option, value]
                 for cmd, option in [
@@ -551,9 +548,9 @@ class TestExitCodes:
             cli.main(argv)
         out, err = capsys.readouterr()
         assert exc.value.code == 1 and out == ""
-        if argv[0] == "closure":
-            assert f"argument {argv[-2]}: must be" in err
-        else:  # center and spectrum read their tolerances from qsymlie.tolerances
+        if argv[-2] == "--max-dim":
+            assert "argument --max-dim: must be" in err
+        else:  # every command reads its tolerances from qsymlie.tolerances
             assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
     def test_option_inventory(self):
@@ -563,7 +560,7 @@ class TestExitCodes:
             "decompose": size | common,
             "center": size | common,
             "spectrum": size | common,
-            "closure": {"--preset", "--spec", "--tol", "--max-dim"} | common,
+            "closure": {"--preset", "--spec", "--max-dim"} | common,
             "degeneracy": common,
         }
         (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

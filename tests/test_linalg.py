@@ -169,10 +169,13 @@ class TestOrthonormalSpan:
         assert span.residual(y) == pytest.approx(1.0, abs=1e-9)
 
     def test_real_span_dim_scale_guard(self):
-        # a stack of numerically-zero matrices must rank as zero
+        # the cut is VERDICT_RANK_TOL * max(1, s_max): a stack of
+        # numerically-zero matrices ranks as zero
         noise = [1e-15 * np.eye(3, dtype=complex) for _ in range(4)]
-        assert la.real_span_dim(noise, 1e-7, scale=1.0) == 0
-        assert la.real_span_dim([], 1e-7) == 0
+        assert la.real_span_dim(noise) == 0
+        assert la.real_span_dim([]) == 0
+        assert la.real_span_dim([SX, SZ, 1e-6 * SY]) == 3
+        assert la.real_span_dim([SX, SZ, 1e-9 * SY]) == 2
 
 
 class TestHermitianEig:
@@ -210,43 +213,43 @@ class TestHermitianEig:
 
 class TestClustering:
     def test_basic_split(self):
-        cl = la.cluster_eigenvalues([1.0, 1.0 + 1e-12, 5.0], 1e-9)
+        cl = la.cluster_eigenvalues([1.0, 1.0 + 1e-12, 5.0])
         assert cl.clusters == ((0, 1), (2,))
         cl.check()
 
     def test_all_equal(self):
-        cl = la.cluster_eigenvalues([2.0] * 6, 1e-9)
+        cl = la.cluster_eigenvalues([2.0] * 6)
         assert cl.sizes == (6,)
         cl.check()
 
     def test_empty(self):
-        cl = la.cluster_eigenvalues([], 1e-9)
+        cl = la.cluster_eigenvalues([])
         assert cl.clusters == ()
         assert (cl.min_gap, cl.max_spread) == (math.inf, 0.0)
 
     def test_margins(self):
         values = [-9.0, 1.0, 1.0 + 1e-12, 5.0]
-        cl = la.cluster_eigenvalues(values, 1e-9)
+        cl = la.cluster_eigenvalues(values)
         assert cl.clusters == ((0,), (1, 2), (3,))
-        assert cl.bound == 1e-9 * 9.0  # cluster_tol * max(1, spectral radius)
+        assert cl.bound == la.CLUSTER_TOL * 9.0  # CLUSTER_TOL * max(1, spectral radius)
         assert cl.min_gap == 5.0 - values[2]
         assert cl.max_spread == values[2] - 1.0
         assert cl.relative_gap == cl.min_gap / cl.bound
-        assert cl.relative_spread == pytest.approx(1e-12 / 9e-9, rel=1e-3)
+        assert cl.relative_spread == pytest.approx(1e-12 / (la.CLUSTER_TOL * 9.0), rel=1e-3)
 
     def test_one_cluster_has_no_gap(self):
-        cl = la.cluster_eigenvalues([2.0, 2.0], 1e-9)
+        cl = la.cluster_eigenvalues([2.0, 2.0])
         assert cl.min_gap == cl.relative_gap == math.inf and cl.max_spread == 0.0
 
     @pytest.mark.parametrize(
-        "values,clusters,tol,message",
+        "values,clusters,message",
         [
-            ((1.0, 1.5), ((0,), (1,)), 1.0, "separated by only 0.5"),
-            ((1.0, 3.0), ((0, 1),), 0.5, "cluster spread 2 exceeds 1.5"),
+            ((1.0, 1.0 + 5e-9), ((0,), (1,)), "separated by only 5e-09"),
+            ((1.0, 3.0), ((0, 1),), "cluster spread 2 exceeds 3e-08"),
         ],
     )
-    def test_check_fails_where_a_margin_crosses_the_bound(self, values, clusters, tol, message):
-        cl = la.EigenClustering(values, clusters, tol)
+    def test_check_fails_where_a_margin_crosses_the_bound(self, values, clusters, message):
+        cl = la.EigenClustering(values, clusters)
         assert cl.relative_gap <= 1.0 or cl.relative_spread > 1.0
         with pytest.raises(ValueError, match=message):
             cl.check()
@@ -262,7 +265,7 @@ class TestClustering:
         for i, c in enumerate(sorted(centers)):
             for k in range(reps[i % len(reps)]):
                 values.append(float(c) + jitter[(i * 4 + k) % len(jitter)])
-        cl = la.cluster_eigenvalues(values, 1e-8)
+        cl = la.cluster_eigenvalues(values)
         assert len(cl.clusters) == len(centers)
         cl.check()
 
