@@ -52,7 +52,7 @@ _LAZY = {
         )),
         ("casimir", (
             "CenterBasis", "HighestWeightError", "IsotypicBlock", "WeightBlock", "apply_C2",
-            "apply_C3", "build_C2", "build_C3", "center_project", "highest_weight_blocks",
+            "apply_C3", "build_C2", "build_C3", "highest_weight_blocks",
             "highest_weight_counts", "isotypic_blocks", "qubit_center_element",
         )),
         ("closure", (

@@ -14,13 +14,18 @@ identity and the transpositions, C3 also of the 3-cycles.  Factor
 permutations keep every su(d) weight space (the basis states with one set
 of occupation numbers), and each class sum there is a small count matrix,
 so :func:`_casimir_on_space` is the one constructor of C2 and C3: their
-matrix on one weight space.  :func:`isotypic_blocks` diagonalizes C2 per
-space and refines a C2-degenerate cluster by C3 per space, on the
-cluster's eigenvectors in that space; a block keeps its basis as
-weight-space pieces and assembles the dense d^n-row basis only when it is
-read.  ``apply_C2`` and ``apply_C3`` apply the per-space matrices to the
-rows of each weight space; both are real, so real input stays real.
-``build_C2`` and ``build_C3`` are the actions applied to the identity.
+matrix on one weight space.  A permutation of the d levels, applied on
+every site, commutes with every factor permutation and maps each weight
+space onto another, so the matrices of a level-permutation orbit of weight
+spaces are one matrix with relabeled rows (``_WeightSpaces.orbits``): each
+is built, and diagonalized, once per orbit, on its representative.
+:func:`isotypic_blocks` diagonalizes C2 per orbit and refines a
+C2-degenerate cluster by C3 per orbit, on the cluster's eigenvectors
+there; a block keeps its basis as weight-space pieces and assembles the
+dense d^n-row basis only when it is read.  ``apply_C2`` and ``apply_C3``
+apply each orbit's matrix, relabeled, to the rows of each of its weight
+spaces; both are real, so real input stays real.  ``build_C2`` and
+``build_C3`` are the actions applied to the identity.
 Every floating-point decision here reads its tolerance from
 :mod:`qsymlie.tolerances`.
 """
@@ -29,18 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from math import factorial
 
 import numpy as np
 
-from .linalg import (
-    DimensionMismatchError,
-    _as_square,
-    _real_or_complex,
-    cluster_eigenvalues,
-    hermitian_eig,
-)
+from .linalg import _real_or_complex, cluster_eigenvalues, hermitian_eig
 from .generators import _factor_map, _WeightSpaces, perm_from_cycles, symmetric_sum
 from .reptheory import (  # c2_eigenvalue and degeneracy_search are re-exported
     c2_eigenvalue,
@@ -146,24 +145,33 @@ def _casimir_on_space(coefficients, classes, states: np.ndarray, pos: np.ndarray
 
 
 def _apply(x, d: int, n: int, coefficients, classes) -> np.ndarray:
-    """The class-sum combination applied to x, one weight space of rows at a time."""
+    """The class-sum combination applied to x, one weight space of rows at a time.
+
+    The matrix is built once per level-permutation orbit, on its
+    representative nu, and each weight space mu of the orbit takes it with
+    rows and columns relabeled by ``local`` (see ``_WeightSpaces.orbits``).
+    """
     x = np.asarray(x, dtype=_real_or_complex(x))
     if x.shape[0] != d**n:
         raise ValueError(f"operand has {x.shape[0]} rows, need d^n = {d**n}")
     ws = _WeightSpaces(d, n)
     out = np.zeros_like(x)
-    for states in ws.spaces.values():
-        out[states] = _casimir_on_space(coefficients, classes, states, ws.pos) @ x[states]
+    by_orbit = sorted(ws.orbits.items(), key=lambda item: item[1][0])
+    for nu, members in groupby(by_orbit, key=lambda item: item[1][0]):
+        on_rep = _casimir_on_space(coefficients, classes, ws.spaces[nu], ws.pos)
+        for mu, (_, local) in members:
+            states = ws.spaces[mu]
+            out[states] = on_rep[np.ix_(local, local)] @ x[states]
     return out
 
 
 def apply_C2(x, d: int, n: int) -> np.ndarray:
-    """C2 @ x for x of shape (d^n, m) (or (d^n,)), one weight space at a time."""
+    """C2 @ x for x of shape (d^n, m) (or (d^n,)), one weight-space orbit at a time."""
     return _apply(x, d, n, _c2_coefficients(d, n), (_transpositions(d, n),))
 
 
 def apply_C3(x, d: int, n: int) -> np.ndarray:
-    """C3 @ x for x of shape (3^n, m) (or (3^n,)), one weight space at a time (d = 3 only)."""
+    """C3 @ x for x of shape (3^n, m) (or (3^n,)), one weight-space orbit at a time (d = 3 only)."""
     if d != 3:
         raise ValueError("the cubic Casimir is implemented for d = 3 only")
     return _apply(x, d, n, _c3_coefficients(n), (_transpositions(d, n), _three_cycles(d, n)))
@@ -227,19 +235,30 @@ class IsotypicBlock:
         return self.basis @ self.basis.conj().T
 
 
-def _pieces(entries, space_of, local_of, spaces, vectors) -> tuple[BlockPiece, ...]:
-    """The block columns ``entries``, in order, as one piece per weight space.
+def _runs(entries, space_of, local_of):
+    """The block columns ``entries``, in order, grouped by weight space.
 
-    Entry e is column ``local_of[e]`` of ``vectors[space_of[e]]``, a matrix
-    on the states ``spaces[space_of[e]]``.
+    Entry e is column ``local_of[e]`` of the eigenvectors on weight space
+    ``space_of[e]``.  Yields (space, its local columns, their block columns).
     """
     sid = space_of[entries]
     order = np.argsort(sid, kind="stable")
-    runs = np.split(order, np.flatnonzero(np.diff(sid[order])) + 1)
-    return tuple(
-        BlockPiece(spaces[sid[at[0]]], vectors[sid[at[0]]][:, local_of[entries[at]]], at)
-        for at in runs
-    )
+    for at in np.split(order, np.flatnonzero(np.diff(sid[order])) + 1):
+        yield sid[at[0]], local_of[entries[at]], at
+
+
+def _pieces(runs, ws: _WeightSpaces, spaces, eig) -> tuple[BlockPiece, ...]:
+    """One piece per run (s, cols, at) of :func:`_runs`, on weight space ``spaces[s]``.
+
+    ``eig`` maps each orbit representative nu to (values, vectors) there.
+    The piece's vectors are columns ``cols`` of nu's vectors, with rows
+    gathered by the space's ``local`` (``_WeightSpaces.orbits``).
+    """
+    out = []
+    for s, cols, at in runs:
+        nu, local = ws.orbits[spaces[s]]
+        out.append(BlockPiece(ws.spaces[spaces[s]], eig[nu][1][local[:, None], cols], at))
+    return tuple(out)
 
 
 def _pooled_order(values: list[np.ndarray]):
@@ -251,23 +270,27 @@ def _pooled_order(values: list[np.ndarray]):
 
 
 def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
-    """Isotypic decomposition of (C^d)^(x)n from Casimir spectra, one weight space at a time.
+    """Isotypic decomposition of (C^d)^(x)n from Casimir spectra, one weight-space orbit at a time.
 
     On each weight space, C2 = c0 + c1 S2 with S2 the count matrix of the
-    transpositions; it is diagonalized there, so the largest
-    eigendecomposition has the size of the largest weight space, and each
-    eigenvector lies in one weight space.  The pooled C2 eigenvalues are
-    clustered, and clusters are matched to the expected labels by equality
-    pattern and block dimension.  A cluster shared by two labels is refined
-    with C3 (d = 3).  C3 keeps every weight space too, so on the cluster's
-    eigenvectors V it is block diagonal: per weight space w,
-    V_w^T (alpha + beta S2 + gamma S3) V_w is diagonalized, and the pooled C3
-    eigenvalues are clustered.  Every eigendecomposition checks Hermiticity
-    at ``RANK_TOL``, and both clusterings split at ``CLUSTER_TOL``.  Blocks
-    are returned by ascending C2 eigenvalue, sub-ordered by ascending C3
-    eigenvalue inside a refined cluster.  Each block holds its basis as
-    weight-space pieces; the d^n-row ``basis`` is built only when read.  An
-    unrefined block's columns are its eigenvectors in ascending C2 order.
+    transpositions, and each eigenvector lies in one weight space.  C2 is
+    diagonalized once per level-permutation orbit of weight spaces, on its
+    representative nu, so the largest eigendecomposition has the size of
+    the largest weight space; each space of the orbit takes the same
+    eigenvalues and the eigenvectors with rows gathered by its ``local``
+    (``_WeightSpaces.orbits``).  The pooled C2 eigenvalues are clustered,
+    and clusters are matched to the expected labels by equality pattern and
+    block dimension.  A cluster shared by two labels is refined with C3
+    (d = 3).  C3 keeps every weight space too, so on the cluster's
+    eigenvectors V it is block diagonal: per orbit,
+    V_nu^T (alpha + beta S2 + gamma S3) V_nu is diagonalized, and the pooled
+    C3 eigenvalues are clustered.  Every eigendecomposition checks
+    Hermiticity at ``RANK_TOL``, and both clusterings split at
+    ``CLUSTER_TOL``.  Blocks are returned by ascending C2 eigenvalue,
+    sub-ordered by ascending C3 eigenvalue inside a refined cluster.  Each
+    block holds its basis as weight-space pieces; the d^n-row ``basis`` is
+    built only when read.  An unrefined block's columns are its
+    eigenvectors in ascending C2 order.
 
     Raises :class:`UnresolvedDegeneracyError` when labels cannot be
     separated or attached unambiguously.
@@ -286,14 +309,13 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
 
     swaps = _transpositions(d, n)
     ws = _WeightSpaces(d, n)
-    spaces = list(ws.spaces.values())
+    keys = list(ws.spaces)
     c2 = _c2_coefficients(d, n)
-    values, vectors = [], []
-    for states in spaces:
-        w, v = hermitian_eig(_casimir_on_space(c2, (swaps,), states, ws.pos))
-        values.append(w)
-        vectors.append(v)
-    evals, order, space_of, local_of = _pooled_order(values)
+    eig = {}  # orbit representative -> (eigenvalues, eigenvectors) there
+    for nu, _ in ws.orbits.values():
+        if nu not in eig:
+            eig[nu] = hermitian_eig(_casimir_on_space(c2, (swaps,), ws.spaces[nu], ws.pos))
+    evals, order, space_of, local_of = _pooled_order([eig[ws.orbits[mu][0]][0] for mu in keys])
     clustering = cluster_eigenvalues(evals[order])
     clustering.check()
     if len(clustering.clusters) != len(ordered_keys):
@@ -312,7 +334,7 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
             )
         if len(members) == 1:
             m = members[0]
-            pieces = _pieces(entries, space_of, local_of, spaces, vectors)
+            pieces = _pieces(_runs(entries, space_of, local_of), ws, keys, eig)
             blocks.append(
                 IsotypicBlock(m, pieces, d**n, len(idx), irrep_dimension(m), labels[m], ci)
             )
@@ -325,21 +347,26 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
                 f"labels {members} share both C2 value and block dimension"
             )
         c3, classes = _c3_coefficients(n), (swaps, _three_cycles(d, n))
-        w3s, u3s = [], []
-        cluster = _pieces(entries, space_of, local_of, spaces, vectors)
-        for piece in cluster:
-            v = piece.vectors
-            on_space = _casimir_on_space(c3, classes, piece.states, ws.pos)
-            w3, u3 = hermitian_eig(v.T @ on_space @ v)
-            w3s.append(w3)
-            u3s.append(v @ u3)
-        c3vals, order3, space_of3, local_of3 = _pooled_order(w3s)
+        # Orbit-mates have bitwise equal C2 eigenvalues, so the cluster takes
+        # the same local columns from each, and V_nu^T C3 V_nu is theirs too.
+        cluster = list(_runs(entries, space_of, local_of))
+        cluster_keys = [keys[s] for s, _, _ in cluster]
+        refined = {}  # orbit representative -> C3 eigenvalues, cluster vectors rotated
+        for mu, (_, cols, _) in zip(cluster_keys, cluster):
+            nu = ws.orbits[mu][0]
+            if nu not in refined:
+                v = eig[nu][1][:, cols]
+                on_space = _casimir_on_space(c3, classes, ws.spaces[nu], ws.pos)
+                w3, u3 = hermitian_eig(v.T @ on_space @ v)
+                refined[nu] = w3, v @ u3
+        c3vals, order3, space_of3, local_of3 = _pooled_order(
+            [refined[ws.orbits[mu][0]][0] for mu in cluster_keys]
+        )
         subcl = cluster_eigenvalues(c3vals[order3])
         if len(subcl.clusters) != len(members):
             raise UnresolvedDegeneracyError(
                 f"C3 splits cluster {ci} into {len(subcl.clusters)} parts, expected {len(members)}"
             )
-        states3 = [piece.states for piece in cluster]
         for part in subcl.clusters:
             bd = len(part)
             if bd not in dims:
@@ -347,7 +374,8 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
                     f"C3 sub-block of dimension {bd} matches no label in {members}"
                 )
             m = dims[bd]
-            pieces = _pieces(order3[list(part)], space_of3, local_of3, states3, u3s)
+            runs = _runs(order3[list(part)], space_of3, local_of3)
+            pieces = _pieces(runs, ws, cluster_keys, refined)
             blocks.append(
                 IsotypicBlock(m, pieces, d**n, bd, irrep_dimension(m), labels[m], ci, True)
             )
@@ -510,30 +538,6 @@ def center_basis_from_blocks(blocks) -> CenterBasis:
         tuple(b.projector() for b in blocks),
         tuple(b.block_dim for b in blocks),
     )
-
-
-def center_coefficients(x, cb: CenterBasis) -> np.ndarray:
-    """Complex block coefficients Tr(X P_j) / dim(P_j) of the center component."""
-    x = _as_square(x)
-    if cb.elements and x.shape != cb.elements[0].shape:
-        raise DimensionMismatchError("operator and center basis dimensions differ")
-    return np.array(
-        [np.trace(x @ p) / bd for p, bd in zip(cb.elements, cb.block_dims)]
-    )
-
-
-def center_project(x, cb: CenterBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal split X = C + S with C in the (complex) span of the projectors.
-
-    The split is orthogonal under Re<.,.>_F; for X in the invariant algebra,
-    C is the block-trace part and S is traceless on every block.
-    """
-    x = _as_square(x)
-    coeffs = center_coefficients(x, cb)
-    c = np.zeros_like(x)
-    for coeff, p in zip(coeffs, cb.elements):
-        c = c + coeff * p
-    return c, x - c
 
 
 def qubit_center_element(n: int, k: int) -> np.ndarray:

@@ -8,7 +8,9 @@ states.
 This module is the one home of the basis-index bookkeeping that the other
 layers share: ``_factor_map`` turns a factor permutation into the row
 gather of its operator, and ``_WeightSpaces`` groups the basis states by
-occupation numbers, with the ladder maps of the collective E_ij.
+occupation numbers, with the ladder maps of the collective E_ij and, for
+each weight space, its orbit under permutations of the d levels: the
+orbit's representative and the relabeling of the states onto it.
 
 Basis convention: unnormalized matrices with Tr(F_a F_b) = 2 delta_ab for
 the traceless elements, and the plain identity at index 0.  All symmetric
@@ -23,7 +25,7 @@ multi-index semantics refer to this ordering, which is frozen:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, sqrt
 from typing import NamedTuple
 
@@ -63,7 +65,7 @@ class HermitianBasis:
 
     def check(self) -> None:
         assert len(self.elements) == self.d**2
-        assert np.allclose(self.elements[0], np.eye(self.d))
+        assert np.abs(self.elements[0] - np.eye(self.d)).max() <= RANK_TOL
         for a in range(1, self.d**2):
             assert abs(np.trace(self.elements[a])) <= RANK_TOL
             for b in range(a, self.d**2):
@@ -267,7 +269,8 @@ class _WeightSpaces:
     its weight space.  Factor permutations map every weight space onto
     itself.  The collective E_ij = sum over sites of |i><j| maps weight
     space mu to mu + e_i - e_j; restricted to one weight space it is a 0/1
-    matrix.
+    matrix.  ``orbits`` relates weight spaces that a permutation of the
+    levels maps onto each other.
     """
 
     def __init__(self, d: int, n: int):
@@ -285,6 +288,27 @@ class _WeightSpaces:
         self.pos = np.empty(d**n, dtype=np.intp)
         for states in self.spaces.values():
             self.pos[states] = np.arange(len(states))
+
+    @cached_property
+    def orbits(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], np.ndarray]]:
+        """Each weight space's orbit representative and row relabeling: mu -> (nu, local).
+
+        nu = sorted(mu, reverse=True).  The stable sort of the levels by
+        descending occupation is a level permutation taking mu to nu; applied
+        on every site, it sends state r of weight space mu to state
+        ``local[r]`` of nu.  It commutes with every factor permutation, so
+        the count matrix S of any set of factor permutations satisfies
+        S_mu = S_nu[local][:, local] exactly, and (w, V) diagonalizing S_nu
+        gives (w, V[local]) for S_mu.  Built on first read.
+        """
+        out = {}
+        for mu, states in self.spaces.items():
+            levels = sorted(range(self.d), key=lambda a: -mu[a])
+            relabel = np.empty(self.d, dtype=np.intp)
+            relabel[levels] = np.arange(self.d)
+            nu = tuple(mu[a] for a in levels)
+            out[mu] = nu, self.pos[self.place @ relabel[self.digits[:, states]]]
+        return out
 
     def ladder(self, mu, i: int, j: int):
         """(target weight, matrix of E_ij from weight space mu), i != j, or None if it is zero."""

@@ -138,8 +138,7 @@ class EigenClustering:
     @property
     def bound(self) -> float:
         """The clustering threshold, ``CLUSTER_TOL * max(1, spectral radius)``."""
-        scale = max(1.0, max((abs(x) for x in self.eigenvalues), default=0.0))
-        return CLUSTER_TOL * scale
+        return _cluster_bound(self.eigenvalues)
 
     @property
     def min_gap(self) -> float:
@@ -173,6 +172,11 @@ class EigenClustering:
             raise ValueError(f"adjacent clusters separated by only {gap:g}")
 
 
+def _cluster_bound(ascending) -> float:
+    """``CLUSTER_TOL * max(1, spectral radius)`` of sorted values, read at their ends."""
+    return CLUSTER_TOL * max([1.0, *(abs(x) for x in ascending[:1] + ascending[-1:])])
+
+
 def cluster_eigenvalues(values) -> EigenClustering:
     """Partition real values into maximal groups split at relative gaps.
 
@@ -183,8 +187,7 @@ def cluster_eigenvalues(values) -> EigenClustering:
     vals = sorted(float(x) for x in np.asarray(values, dtype=float).ravel())
     if not vals:
         return EigenClustering((), ())
-    scale = max(1.0, max(abs(vals[0]), abs(vals[-1])))
-    bound = CLUSTER_TOL * scale
+    bound = _cluster_bound(vals)
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
         if vals[i] - vals[i - 1] > bound:

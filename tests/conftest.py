@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsymlie import casimir, closure, generators
+from qsymlie import casimir, closure, generators, linalg
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +51,25 @@ def young_projector_21(d):
         (-1.0, generators.perm_from_cycles(3, (2, 1, 3))),
     ]
     return sum(c * generators.permutation_operator(p, d) for c, p in terms)
+
+
+def center_coefficients(x, cb):
+    """Complex block coefficients Tr(X P_j) / dim(P_j) of the center component,
+    for a ``casimir.CenterBasis`` ``cb``."""
+    x = linalg._as_square(x)
+    if cb.elements and x.shape != cb.elements[0].shape:
+        raise linalg.DimensionMismatchError("operator and center basis dimensions differ")
+    return np.array([np.trace(x @ p) / bd for p, bd in zip(cb.elements, cb.block_dims)])
+
+
+def center_project(x, cb):
+    """Orthogonal split X = C + S with C in the (complex) span of the projectors.
+
+    The split is orthogonal under Re<.,.>_F; for X in the invariant algebra,
+    C is the block-trace part and S is traceless on every block.
+    """
+    x = linalg._as_square(x)
+    c = np.zeros_like(x)
+    for coeff, p in zip(center_coefficients(x, cb), cb.elements):
+        c = c + coeff * p
+    return c, x - c

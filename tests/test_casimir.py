@@ -12,6 +12,8 @@ from qsymlie import linalg as la
 from qsymlie import reptheory as rt
 from qsymlie.tolerances import RANK_TOL
 
+from conftest import center_coefficients, center_project
+
 
 def sum_of_two_body_squares(d, n):
     """A = sum over the d^2-1 traceless slots of F_(n-2, 2 at slot k)."""
@@ -138,6 +140,21 @@ class TestCasimirAction:
             c3 = cas.apply_C3(x, d, n)
             assert c3.dtype == np.float64
             assert np.abs(c3 - dense_C3(d, n) @ x).max() <= 1e-10
+
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (3, 5), (4, 4)])
+    def test_orbit_relabeling_carries_the_count_matrices(self, d, n):
+        # a level permutation on every site commutes with the factor
+        # permutations, so each weight space's count matrices are its
+        # representative's with rows and columns gathered by local
+        ws = g._WeightSpaces(d, n)
+        classes = (cas._transpositions(d, n), cas._three_cycles(d, n))
+        for mu, (nu, local) in ws.orbits.items():
+            assert list(nu) == sorted(mu, reverse=True)
+            assert sorted(local) == list(range(len(ws.spaces[mu])))
+            for maps in classes:
+                on_mu = cas._class_sum(maps, ws.spaces[mu], ws.pos)
+                on_nu = cas._class_sum(maps, ws.spaces[nu], ws.pos)
+                assert np.array_equal(on_mu, on_nu[np.ix_(local, local)])
 
     def test_apply_c2_rejects_wrong_row_count(self):
         with pytest.raises(ValueError):
@@ -322,8 +339,9 @@ class TestIsotypicBlocks:
 
     @pytest.mark.parametrize("d,n,largest", [(2, 6, 20), (3, 5, 30), (4, 4, 24)])
     def test_largest_eigh_is_one_weight_space(self, d, n, largest, monkeypatch):
-        # no C3 refinement at these sizes, so every eigh is a C2 weight space:
-        # the largest holds multinomial(n; occupations) states
+        # no C3 refinement at these sizes, so every eigh is C2 on one orbit
+        # representative: one per non-increasing occupation tuple, that is per
+        # partition of n into at most d parts, of multinomial(n; occupations) states
         sizes = []
 
         def recording_eig(h):
@@ -333,7 +351,23 @@ class TestIsotypicBlocks:
         monkeypatch.setattr(cas, "hermitian_eig", recording_eig)
         blocks = cas.isotypic_blocks(d, n)
         assert not any(b.c3_refined for b in blocks)
-        assert max(sizes) == largest and sum(sizes) == d**n
+        assert len(sizes) == rt.center_dimension(n, d)
+        reps = [nu for nu in g.occupation_vectors(d, n) if list(nu) == sorted(nu, reverse=True)]
+        multinomials = [math.factorial(n) // math.prod(map(math.factorial, nu)) for nu in reps]
+        assert sorted(sizes) == sorted(multinomials)
+        assert max(sizes) == largest
+
+    def test_six_qutrits_take_one_eigh_per_orbit(self, monkeypatch):
+        # 7 C2 orbit representatives; the (4,1,1)/(3,3,0) cluster meets 4 of them
+        sizes = []
+
+        def recording_eig(h):
+            sizes.append(len(h))
+            return la.hermitian_eig(h)
+
+        monkeypatch.setattr(cas, "hermitian_eig", recording_eig)
+        cas.isotypic_blocks(3, 6)
+        assert len(sizes) == 11
 
     def test_blocks_compare_by_identity(self):
         # value equality would compare arrays, which have no truth value
@@ -562,7 +596,7 @@ class TestQubitCenterElement:
     def test_lies_in_center_span(self, n, k):
         cb = cas.center_basis_from_blocks(cas.isotypic_blocks(2, n))
         x = cas.qubit_center_element(n, k)
-        c, s = cas.center_project(x, cb)
+        c, s = center_project(x, cb)
         assert np.linalg.norm(s) <= 1e-9 * max(1.0, np.linalg.norm(x))
 
     def test_range_check(self):
@@ -579,17 +613,17 @@ def two_body_diagonal_oracle(w):
 
 class TestCenterProject:
     def test_identity_is_central(self, qutrit_center):
-        c, s = cas.center_project(np.eye(27), qutrit_center)
+        c, s = center_project(np.eye(27), qutrit_center)
         assert np.allclose(c, np.eye(27), atol=1e-9)
         assert np.linalg.norm(s) <= 1e-9
 
     def test_collective_has_no_center_part(self, qutrit_center):
-        c, s = cas.center_project(g.hat_f(3, 3, 3), qutrit_center)
+        c, s = center_project(g.hat_f(3, 3, 3), qutrit_center)
         assert np.linalg.norm(c) <= 1e-9
 
     def test_split_is_exact_and_orthogonal(self, qutrit_center, rng):
         x = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
-        c, s = cas.center_project(x, qutrit_center)
+        c, s = center_project(x, qutrit_center)
         assert np.allclose(c + s, x)
         for p in qutrit_center.elements:
             # remainder orthogonal to every projector and to i*projector
@@ -604,7 +638,7 @@ class TestCenterProject:
         sym_trace = sum(two_body_diagonal_oracle(w) for w in occs)
         assert sym_trace == 5
         full_trace = 0
-        coeffs = cas.center_coefficients(h, qutrit_center)
+        coeffs = center_coefficients(h, qutrit_center)
         by_label = dict(zip(qutrit_center.labels, coeffs))
         bd = dict(zip(qutrit_center.labels, qutrit_center.block_dims))
         assert by_label[(3, 0, 0)] * bd[(3, 0, 0)] == pytest.approx(5.0, abs=1e-9)
@@ -616,6 +650,6 @@ class TestCenterProject:
 
     def test_two_body_center_component_is_one_dimensional(self, qutrit_center):
         h = g.two_body_hamiltonian(3, 3)
-        c, _ = cas.center_project(h, qutrit_center)
+        c, _ = center_project(h, qutrit_center)
         assert np.linalg.norm(c) > 1.0
         assert la.real_span_dim([c]) == 1

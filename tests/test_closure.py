@@ -12,7 +12,7 @@ from qsymlie import generators as g
 from qsymlie import linalg as la
 from qsymlie import reptheory as rt
 
-from conftest import random_skew
+from conftest import center_coefficients, center_project, random_skew
 
 SX, SY, SZ = g.pauli_matrices()
 
@@ -82,7 +82,7 @@ def dense_verdicts(span, d, n):
             m = cl.restrict_to_block(x, b)
             restricted.append(m - (np.trace(m) / b.block_dim) * np.eye(b.block_dim))
         ranks[b.label] = la.real_span_dim(restricted)
-    coeffs = [cas.center_coefficients(x, cb) for x in span.basis]
+    coeffs = [center_coefficients(x, cb) for x in span.basis]
     center = la.real_span_dim([np.concatenate([c.real, c.imag]) for c in coeffs])
     return ranks, center
 
@@ -541,7 +541,7 @@ class TestQubitPresets:
         gens = cl.preset("qubits:n=3")
         cb = cas.center_basis_from_blocks(cas.isotypic_blocks(2, 3))
         _, _, cdim = cl.levi_split(gens, cl.BlockFrame.build(2, 3))
-        traceless = [cas.center_project(x, cb)[1] for x in gens.generators]
+        traceless = [center_project(x, cb)[1] for x in gens.generators]
         tset = cl.GeneratorSet(2, 3, tuple(traceless), gens.names)
         t_dim = cl.lie_closure(tset).dim
         full_dim = cl.lie_closure(gens).dim
@@ -561,7 +561,7 @@ class TestLeviSplit:
         assert cdim == 1
         # the same split as the Casimir block projectors give
         for c, t, x in zip(centers, traceless, gens.generators):
-            dense_c, dense_t = cas.center_project(x, cb)
+            dense_c, dense_t = center_project(x, cb)
             assert np.allclose(frame.restrict(dense_c), np.concatenate([0 * t, c]))
             assert np.allclose(frame.restrict(dense_t), np.concatenate([t, 0 * c]))
 
