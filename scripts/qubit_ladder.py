@@ -4,12 +4,17 @@
 The generated algebra is the direct sum of su(dim V) over the non-isomorphic
 spin blocks plus a single central direction, so its dimension is
 sum((2j+1)^2 - 1) + 1 over j = n/2, n/2-1, ...
+
+The last two columns are the closure's acceptance margins, in units of
+RANK_TOL, over every round of every closure run: the smallest accepted and
+the largest rejected singular value.
 """
 
 import argparse
 import time
 
 from qsymlie import closure, reptheory
+from qsymlie.tolerances import RANK_TOL
 
 
 def main():
@@ -17,7 +22,7 @@ def main():
     ap.add_argument("--max-n", type=int, default=5)
     args = ap.parse_args()
 
-    print(" n   closure  formula  controllable  seconds")
+    print(" n   closure  formula  controllable  seconds  min accepted  max rejected")
     for n in range(2, args.max_n + 1):
         t0 = time.time()
         result = closure.lie_closure(closure.preset(f"qubits:n={n}"))
@@ -25,8 +30,13 @@ def main():
         formula = sum(
             reptheory.irrep_dimension(m) ** 2 - 1 for m in reptheory.cg_decompose(n, 2)
         ) + 1
+        trace = [t for run in result.runs for t in run.trace]
+        accepted = min(t.smallest_accepted for t in trace if t.smallest_accepted is not None)
+        rejected = max((t.largest_rejected for t in trace if t.largest_rejected is not None),
+                       default=0.0)
         print(f"{n:>2} {result.dim:>9} {formula:>8}"
-              f"  {str(report.subspace_controllable):>11}  {time.time() - t0:>7.2f}")
+              f"  {str(report.subspace_controllable):>11}  {time.time() - t0:>7.2f}"
+              f"  {accepted / RANK_TOL:>12.2e}  {rejected / RANK_TOL:>12.2e}")
 
 
 if __name__ == "__main__":

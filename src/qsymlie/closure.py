@@ -209,19 +209,17 @@ class BlockFrame:
 def _accept(basis: np.ndarray, cand: np.ndarray, room: int):
     """One batch of candidate rows against the orthonormal rows ``basis``.
 
-    Drops rows of norm <= RANK_TOL, normalizes the rest, projects out the
-    basis twice, and accepts the right singular vectors of singular value
-    > RANK_TOL (at most ``room`` of them, largest first), re-projected and
-    orthonormalized by QR.  Returns (new rows, smallest accepted singular
-    value, largest rejected one); a missing value is None.  ``cand`` is
-    overwritten.
+    Projects out the basis twice and accepts the right singular vectors of
+    singular value > RANK_TOL (at most ``room`` of them, largest first),
+    re-projected and orthonormalized by QR.  Candidates enter at their own
+    size: a closure run offers unit partner rows and their brackets with
+    orthonormal rows, so a bracket that nearly cancels keeps its small norm
+    and its rounding noise is not scaled up.  Returns (new rows, smallest
+    accepted singular value, largest rejected one); a missing value is
+    None.  ``cand`` is overwritten.
     """
-    norms = np.linalg.norm(cand, axis=1)
-    live = norms > RANK_TOL
-    if not live.any():
+    if not len(cand):
         return np.zeros((0, cand.shape[1])), None, None
-    cand[~live] = 0.0
-    np.divide(cand, norms[:, None], out=cand, where=live[:, None])
     if len(cand) > cand.shape[1]:
         # A tall batch has the right singular vectors and values of its
         # triangular factor, which is projected in its place.
@@ -229,7 +227,6 @@ def _accept(basis: np.ndarray, cand: np.ndarray, room: int):
     for _ in range(2):
         cand -= (cand @ basis.T) @ basis
     _, s, vt = np.linalg.svd(cand, full_matrices=False)
-    s = s[: int(live.sum())]  # zero rows add only zero singular values
     keep = int(np.sum(s > RANK_TOL))
     taken = min(keep, room)
     new = np.zeros((0, cand.shape[1]))
@@ -245,11 +242,12 @@ def _accept(basis: np.ndarray, cand: np.ndarray, room: int):
 class RoundTrace:
     """One acceptance batch of a closure run: the seeds, then each round.
 
-    ``dim`` is the traceless dimension after the batch; ``smallest_accepted``
-    and ``largest_rejected`` are singular values of the normalized,
-    projected candidates (None when there is none), whose distance to the
-    tolerance ``RANK_TOL`` is the batch's margin.  ``seconds`` is wall time
-    and takes no part in comparisons.
+    ``dim`` is the traceless dimension after the batch, whose ``offered``
+    rows are the k' partners or k' brackets per row the last batch added;
+    ``smallest_accepted`` and ``largest_rejected`` are singular values of
+    the projected candidates (None when there is none), whose distance to
+    ``RANK_TOL`` is the batch's margin.  ``seconds`` is wall time and takes
+    no part in comparisons.
     """
 
     dim: int
@@ -266,8 +264,8 @@ class ClosureRun:
     frame when ``label`` is None.
 
     ``dim`` is the traceless dimension reached, ``rounds`` the bracket
-    rounds after the seeds, ``offered`` the candidate rows (one per
-    generator, then every bracket) and ``trace`` one entry for the seeds and
+    rounds after the seeds, ``offered`` the candidate rows (the k' partners
+    as seeds, then every bracket) and ``trace`` one entry for the seeds and
     one per round.
     """
 
@@ -284,9 +282,9 @@ class LinkTest:
 
     ``plain`` and ``conjugate`` are the smallest singular values, relative to
     the largest, of the stacked equations X s_i = t_i X and X conj(s_i) =
-    t_i X over the generators' unit-norm traceless parts s_i and t_i on the
-    two blocks.  The blocks are linked when either falls below ``LINK_TOL``;
-    the distance of both to it is the test's margin.
+    t_i X over the parts s_i and t_i on the two blocks of the generators'
+    traceless rows, scaled to unit norm.  The blocks are linked when either
+    falls below ``LINK_TOL``; the distance of both to it is the margin.
     """
 
     labels: tuple[tuple[int, ...], tuple[int, ...]]
@@ -355,20 +353,22 @@ def _unit_rows(rows: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return rows[live] / norms[live, None]
 
 
-def _close(frame: BlockFrame, cand: np.ndarray, partners: np.ndarray, max_dim: int,
+def _close(frame: BlockFrame, partners: np.ndarray, max_dim: int,
            label) -> tuple[np.ndarray, ClosureRun]:
-    """The round loop: orthonormal rows of the span of ``cand`` closed under
-    brackets with the ``partners``, and its :class:`ClosureRun`.
+    """The round loop: orthonormal rows of the algebra the unit rows
+    ``partners`` generate, and its :class:`ClosureRun`.
 
-    The seeds ``cand`` (overwritten) are accepted as one batch; then each
-    round brackets the rows the previous batch added with every partner and
+    The partners are the seeds, accepted as one batch; then each round
+    brackets the rows the previous batch added with every partner and
     accepts the whole round as one batch (see :func:`_accept`).  Stops when
-    a batch adds nothing or the dimension reaches ``max_dim``; a dimension
+    a batch adds nothing, after k'(1 + D) candidates for k' partners and
+    dimension D, or when the dimension reaches ``max_dim``; a dimension
     above ``frame.bound`` raises :class:`ClosureError`.
     """
     basis = np.zeros((0, frame.traceless_width))
     trace = []
     offered, rounds = 0, 0
+    cand = partners.copy()
     while True:
         start = time.perf_counter()
         offered += len(cand)
@@ -412,17 +412,18 @@ def lie_closure(gens: GeneratorSet, max_dim: int | None = None) -> LieClosureRes
     Each block lambda of irrep_dim >= 2 is closed on its own, in a
     one-block frame (see :func:`_close`).  The projection of L' on a block
     is the algebra the projections s_i^lambda generate, so a block's run
-    gives its verdict exactly, whatever the other blocks do.  A run seeds
-    the span with the s_i^lambda, then each round brackets the elements the
-    previous one added with every nonzero s_j^lambda scaled to unit norm.
+    gives its verdict exactly, whatever the other blocks do.  A run's one
+    set of rows is its partners, the k' nonzero s_i^lambda scaled to unit
+    norm: it seeds the span with them, then each round brackets the
+    elements the previous one added with every partner.
 
     Brackets with the generators suffice.  The final span W lies in the
     algebra, contains the generators, and satisfies [s, W] within W for
     every generator s.  By the Jacobi identity the x with [x, W] within W
     form a Lie subalgebra; it contains the generators, hence the whole
     algebra, so W is all of it.  A run that stops because a round added
-    nothing offers ``k`` seeds and one bracket per basis element and
-    nonzero partner.
+    nothing at dimension D offers k'(1 + D) candidates: its k' partners as
+    seeds, and one bracket per basis element and partner.
 
     When every block is full, L' is semisimple and, by Goursat's lemma, the
     sum of one diagonal su(d) per class of linked blocks: blocks of equal
@@ -431,9 +432,9 @@ def lie_closure(gens: GeneratorSet, max_dim: int | None = None) -> LieClosureRes
     linked pair, L' is all of sum su(irrep_dim) and no joint closure runs:
     ``path`` is ``"blocks"`` and ``traceless`` holds the blocks' rows side
     by side.  Otherwise (``path`` is ``"joint"``) the same loop closes the
-    whole frame once, with the unit-norm s_j as partners, for the total
-    dimension; a frame with one block of irrep_dim >= 2 reuses that
-    block's run.
+    whole frame once, with the nonzero s_j scaled to unit norm as partners,
+    for the total dimension; a frame with one block of irrep_dim >= 2
+    reuses that block's run.
 
     Then dim L = dim D + rank{c_i + z_i}, where D = [L', L'] and z_i is the
     component of s_i in the center of L' (orthogonal to D).  D is spanned
@@ -462,9 +463,7 @@ def lie_closure(gens: GeneratorSet, max_dim: int | None = None) -> LieClosureRes
 def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
                       traceless: np.ndarray, center_dim: int, max_dim: int) -> LieClosureResult:
     """:func:`lie_closure` of the generators' rows in ``frame`` (see :func:`levi_split`)."""
-    gen_norms = np.linalg.norm(np.hstack([traceless, centers]), axis=1)
-    floor = RANK_TOL * np.maximum(1.0, gen_norms)
-    seeds = traceless / np.maximum(1.0, gen_norms)[:, None]
+    floor = RANK_TOL * np.maximum(1.0, np.linalg.norm(np.hstack([traceless, centers]), axis=1))
 
     runs, pieces, reached = [], [], 0
     for i, b in enumerate(frame.blocks):
@@ -473,8 +472,8 @@ def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
         if reached >= max_dim:
             break
         cols = slice(frame.offsets[i], frame.offsets[i + 1])
-        rows, run = _close(BlockFrame([b]), seeds[:, cols].copy(),
-                           _unit_rows(traceless[:, cols], floor), max_dim - reached, b.label)
+        rows, run = _close(BlockFrame([b]), _unit_rows(traceless[:, cols], floor),
+                           max_dim - reached, b.label)
         runs.append(run)
         pieces.append((cols, rows))
         reached += len(rows)
@@ -492,7 +491,7 @@ def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
     dims = {run.label: run.dim for run in runs}
     full = [i for i, b in enumerate(frame.blocks)
             if b.irrep_dim >= 2 and dims[b.label] == b.irrep_dim**2 - 1]
-    unit = traceless / np.maximum(np.linalg.norm(traceless, axis=1), 1e-300)[:, None]
+    unit = _unit_rows(traceless, floor)
     links = tuple(
         _link_test((frame.blocks[i].label, frame.blocks[j].label),
                    frame.matrices(unit, i), frame.matrices(unit, j))
@@ -503,7 +502,7 @@ def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
     if len(full) < len(runs) or any(link.linked for link in links):
         path = "joint"
         if len(runs) > 1:
-            basis, run = _close(frame, seeds, _unit_rows(traceless, floor), max_dim, None)
+            basis, run = _close(frame, unit, max_dim, None)
             runs.append(run)
     basis.flags.writeable = False
     rows = _rows_of_l(frame, basis, traceless, centers)

@@ -1,9 +1,12 @@
 
 import json
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsymlie import casimir as cas
 from qsymlie import cli
@@ -88,15 +91,15 @@ def dense_verdicts(span, d, n):
 
 
 def assert_offers(result, gens):
-    """Each run that stops because a round added nothing offers one seed per
-    generator, then one bracket per (basis element, nonzero partner)."""
+    """Each run that stops because a round added nothing offers its nonzero
+    partners as seeds, then one bracket per (basis element, partner)."""
     _, traceless, _ = cl.levi_split(gens, result.frame)
     cols = {b.label: slice(result.frame.offsets[i], result.frame.offsets[i + 1])
             for i, b in enumerate(result.frame.blocks)}
     for run in result.runs:
         part = traceless if run.label is None else traceless[:, cols[run.label]]
         partners = int(np.sum(np.linalg.norm(part, axis=1) > 1e-6))
-        assert run.offered == len(gens.generators) + partners * run.dim, run.label
+        assert run.offered == partners * (1 + run.dim), run.label
 
 
 def joint_closure(gens):
@@ -105,9 +108,8 @@ def joint_closure(gens):
     frame = cl.BlockFrame.build(gens.d, gens.n)
     centers, traceless, cdim = cl.levi_split(gens, frame)
     norms = np.linalg.norm(np.hstack([traceless, centers]), axis=1)
-    seeds = traceless / np.maximum(1.0, norms)[:, None]
     partners = cl._unit_rows(traceless, la.RANK_TOL * np.maximum(1.0, norms))
-    basis, run = cl._close(frame, seeds, partners, frame.bound + 1, None)
+    basis, run = cl._close(frame, partners, frame.bound + 1, None)
     assert run.trace[-1].accepted == 0  # saturated
     return frame, basis, cl._rows_of_l(frame, basis, traceless, centers), cdim
 
@@ -187,16 +189,30 @@ class TestLieClosure:
         assert not cl.lie_closure(gens, max_dim=3).saturated
 
     def test_cap_holds_while_seeding(self):
-        # the cap falls inside the seed batch, which offers every generator
-        # and is cut at the cap
+        # the cap falls inside the seed batch, which offers every nonzero
+        # partner (i*1 has no traceless part) and is cut at the cap
         gens = single_site_set(1j * SX, 1j * SY, 1j * SZ, 1j * np.eye(2))
         r = cl.lie_closure(gens, max_dim=3)
-        assert r.dim == 3 and r.offered == 4 and not r.saturated
+        assert r.dim == 3 and r.offered == 3 and not r.saturated
         r = cl.lie_closure(gens, max_dim=2)
-        assert r.dim == 2 and r.offered == 4 and not r.saturated
+        assert r.dim == 2 and r.offered == 3 and not r.saturated
         assert r.runs[0].trace[0].accepted == 2 and r.rounds == 0
         r = cl.lie_closure(gens, max_dim=0)
         assert r.dim == 0 and not r.saturated
+
+    def test_central_generators_offer_nothing(self):
+        # i*1 and i*C2 have no traceless part on any block: every run gets
+        # no partners, so its seed batch has no rows, and only the center counts
+        gens = cl.GeneratorSet(2, 3, (1j * np.eye(8), 1j * cas.build_C2(2, 3)), ("i*1", "i*C2"))
+        r = cl.lie_closure(gens)
+        assert (r.dim, r.center_dim, r.saturated) == (2, 2, True)
+        assert not cl.subspace_controllability(r).subspace_controllable
+        assert [run.label for run in r.runs] == [b.label for b in r.frame.blocks] + [None]
+        assert all((run.offered, run.dim) == (0, 0) for run in r.runs)
+
+    def test_accept_empty_batch(self):
+        new, smallest, largest = cl._accept(np.zeros((0, 4)), np.zeros((0, 4)), 3)
+        assert new.shape == (0, 4) and smallest is None and largest is None
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -415,7 +431,7 @@ class TestRoundTrace:
             assert [t.dim for t in run.trace] == list(np.cumsum([t.accepted for t in run.trace]))
             assert run.trace[-1].dim == run.dim and run.trace[-1].accepted == 0
             assert sum(t.offered for t in run.trace) == run.offered
-            assert run.trace[0].offered == len(gens.generators)
+            assert run.offered == run.trace[0].offered * (1 + run.dim)
         assert sum(run.dim for run in r.runs) == len(r.traceless)
         assert sum(run.offered for run in r.runs) == r.offered
         assert max(run.rounds for run in r.runs) == r.rounds
@@ -439,6 +455,96 @@ class TestRoundTrace:
         second = cl.lie_closure(cl.preset("qubits:n=3")).runs
         assert first == second
         assert all(t.seconds >= 0.0 for run in first for t in run.trace)
+
+
+def spin_frame(d):
+    """A one-block frame of dimension d and the rows of the exact spin-j
+    generators {iJx, iJy, iJz, i(Jz^2 - tr/d)}, j = (d - 1)/2."""
+    j = (d - 1) / 2
+    m = j - np.arange(d)
+    jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
+    jx, jy, jz = (jp + jp.T) / 2, (jp - jp.T) / 2j, np.diag(m)
+    jz2 = jz @ jz - np.trace(jz @ jz) / d * np.eye(d)
+    frame = cl.BlockFrame([cas.WeightBlock((d - 1, 0), np.eye(d), d, 1)])
+    rows = np.zeros((4, frame.traceless_width))
+    frame._store(rows, 0, 1j * np.array([jx, jy, jz, jz2]))
+    return frame, rows
+
+
+def diagonal_pair(s, eps):
+    """{s a, s (a + eps b)} for a = i diag(1, -1, 0), b = i diag(1, 1, -2)."""
+    a, b = 1j * np.diag([1.0, -1, 0]), 1j * np.diag([1.0, 1, -2])
+    return single_site_set(s * a, s * (a + eps * b))
+
+
+_SCALE_CASES = ("qubits:n=3", "qubits:n=4", "qutrits:n=3:H", "lemma2:2,2,(1,3)")
+
+
+@lru_cache(maxsize=None)
+def cached_preset(name):
+    return cl.preset(name)
+
+
+def outcome(gens):
+    """What a closure decides: dim, center_dim, per-block dims and path."""
+    r = cl.lie_closure(gens)
+    dims = tuple(v.restricted_dim for v in cl.subspace_controllability(r).per_block)
+    return r.dim, r.center_dim, dims, r.path
+
+
+@lru_cache(maxsize=None)
+def preset_outcome(name):
+    return outcome(cached_preset(name))
+
+
+def replaced(gens, mats):
+    return cl.GeneratorSet(gens.d, gens.n, tuple(mats), tuple(f"g{i}" for i in range(len(mats))))
+
+
+class TestCandidateScale:
+    """A run offers unit rows and their brackets, so no decision depends on
+    the generators' norms, order or repetition."""
+
+    @pytest.mark.parametrize("d", [12, 13, 14])
+    def test_spin_block_closes(self, d):
+        # long bracket chains on one qubit-like block: the candidates'
+        # rounding noise must stay below the cut up to d = 14
+        frame, rows = spin_frame(d)
+        r = cl._closure_of_split(None, None, frame, np.zeros((4, 1)), rows, 0, frame.bound + 1)
+        assert (r.dim, r.saturated, r.path) == (d * d - 1, True, "blocks")
+
+    @pytest.mark.parametrize("s", [1e-8, 1e-7, 1e-6, 1.0])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_small_nearly_parallel_pair(self, s, eps):
+        r = cl.lie_closure(diagonal_pair(s, eps))
+        assert r.dim == 2 and r.saturated
+
+    @pytest.mark.parametrize("name", _SCALE_CASES)
+    @settings(max_examples=12, deadline=None)
+    @given(exponents=st.lists(st.floats(-8, 6), min_size=9, max_size=9))
+    def test_rescaling(self, name, exponents):
+        gens = cached_preset(name)
+        mats = [10.0**u * x for u, x in zip(exponents, gens.generators)]
+        assert outcome(replaced(gens, mats)) == preset_outcome(name)
+
+    @pytest.mark.parametrize("name", _SCALE_CASES)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_reordering(self, name, data):
+        gens = cached_preset(name)
+        mats = data.draw(st.permutations(gens.generators))
+        assert outcome(replaced(gens, mats)) == preset_outcome(name)
+
+    @pytest.mark.parametrize("name", _SCALE_CASES)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_duplicating(self, name, data):
+        gens = cached_preset(name)
+        k = len(gens.generators)
+        which, where = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k))
+        mats = list(gens.generators)
+        mats.insert(where, gens.generators[which])
+        assert outcome(replaced(gens, mats)) == preset_outcome(name)
 
 
 class TestBlockCoordinates:
