@@ -19,13 +19,18 @@ every site, commutes with every factor permutation and maps each weight
 space onto another, so the matrices of a level-permutation orbit of weight
 spaces are one matrix with relabeled rows (``_WeightSpaces.orbits``): each
 is built, and diagonalized, once per orbit, on its representative.
-:func:`isotypic_blocks` diagonalizes C2 per orbit and refines a
-C2-degenerate cluster by C3 per orbit, on the cluster's eigenvectors
-there; a block keeps its basis as weight-space pieces and assembles the
-dense d^n-row basis only when it is read.  ``apply_C2`` and ``apply_C3``
-apply each orbit's matrix, relabeled, to the rows of each of its weight
-spaces; both are real, so real input stays real.  ``build_C2`` and
-``build_C3`` are the actions applied to the identity.
+:func:`isotypic_blocks` diagonalizes C2 per orbit and clusters the
+representatives' eigenvalues only, each once; it refines a C2-degenerate
+cluster by C3 per orbit, on the cluster's eigenvectors there.  Clusters
+and C3 sub-clusters are attached to labels in ascending
+:func:`_block_order`, the one exact order of the blocks (content sum, then
+for d = 3 the C3 polynomial), which :func:`highest_weight_blocks` follows
+too.  A block keeps its basis as weight-space pieces, its columns in
+weight-space order, and assembles the dense d^n-row basis only when it is
+read.  ``apply_C2`` and ``apply_C3`` apply each orbit's matrix, relabeled,
+to the rows of each of its weight spaces; both are real, so real input
+stays real.  ``build_C2`` and ``build_C3`` are the actions applied to the
+identity.
 Every floating-point decision here reads its tolerance from
 :mod:`qsymlie.tolerances`.
 """
@@ -235,38 +240,63 @@ class IsotypicBlock:
         return self.basis @ self.basis.conj().T
 
 
-def _runs(entries, space_of, local_of):
-    """The block columns ``entries``, in order, grouped by weight space.
+def _block_order(label, d: int) -> tuple[int, int]:
+    """The order of the isotypic blocks: ascending content sum, which orders
+    C2, and for d = 3 ties by (p-q)(2p+q+3)(p+2q+3), which orders C3.
 
-    Entry e is column ``local_of[e]`` of the eigenvectors on weight space
-    ``space_of[e]``.  Yields (space, its local columns, their block columns).
+    On label lambda, C2 = 2n(d^2-1)/d - 2n(n-1)/d + 4 content_sum(lambda),
+    and C3 is a positive multiple of the polynomial in the su(3) quantum
+    numbers p, q, so both integers have the Casimir spectra's equalities
+    and order.
     """
-    sid = space_of[entries]
-    order = np.argsort(sid, kind="stable")
-    for at in np.split(order, np.flatnonzero(np.diff(sid[order])) + 1):
-        yield sid[at[0]], local_of[entries[at]], at
+    if d != 3:
+        return content_sum(label), 0
+    p, q = label[0] - label[1], label[1] - label[2]
+    return content_sum(label), (p - q) * (2 * p + q + 3) * (p + 2 * q + 3)
 
 
-def _pieces(runs, ws: _WeightSpaces, spaces, eig) -> tuple[BlockPiece, ...]:
-    """One piece per run (s, cols, at) of :func:`_runs`, on weight space ``spaces[s]``.
+def _clusters(eig: dict) -> list[dict]:
+    """The clusters of the orbit representatives' pooled eigenvalues.
 
-    ``eig`` maps each orbit representative nu to (values, vectors) there.
-    The piece's vectors are columns ``cols`` of nu's vectors, with rows
-    gathered by the space's ``local`` (``_WeightSpaces.orbits``).
+    ``eig`` maps each representative nu to (ascending eigenvalues,
+    eigenvectors) there.  Each cluster, in ascending order, maps every nu
+    it meets to its eigenvectors whose values lie between the cluster's
+    first and last value, the same floats.  Orbit-mates hold bitwise equal
+    values, so leaving them out changes no gap and neither end.
     """
+    clustering = cluster_eigenvalues(np.concatenate([w for w, _ in eig.values()]))
+    clustering.check()
+    ev = clustering.eigenvalues
     out = []
-    for s, cols, at in runs:
-        nu, local = ws.orbits[spaces[s]]
-        out.append(BlockPiece(ws.spaces[spaces[s]], eig[nu][1][local[:, None], cols], at))
-    return tuple(out)
+    for idx in clustering.clusters:
+        lo, hi = ev[idx[0]], ev[idx[-1]]
+        cuts = {nu: (np.searchsorted(w, lo), np.searchsorted(w, hi, "right"))
+                for nu, (w, _) in eig.items()}
+        out.append({nu: eig[nu][1][:, a:b] for nu, (a, b) in cuts.items() if b > a})
+    return out
 
 
-def _pooled_order(values: list[np.ndarray]):
-    """The pooled ``values``, their stable ascending order, and each entry's list and place."""
-    pooled = np.concatenate(values)
-    space_of = np.repeat(np.arange(len(values)), [len(w) for w in values])
-    local_of = np.concatenate([np.arange(len(w)) for w in values])
-    return pooled, np.argsort(pooled, kind="stable"), space_of, local_of
+def _block(label, ws: _WeightSpaces, vectors: dict, labels, ci: int,
+           refined: bool) -> IsotypicBlock:
+    """The block ``label`` with columns ``vectors`` (nu -> columns on nu), checked.
+
+    Each weight space mu, in ``ws.spaces`` order, takes the columns of its
+    representative nu with rows gathered by its ``local``
+    (``_WeightSpaces.orbits``) as one piece; the block's columns follow.
+    """
+    pieces, top = [], 0
+    for mu, (nu, local) in ws.orbits.items():
+        if nu in vectors:
+            v = vectors[nu][local]
+            pieces.append(BlockPiece(ws.spaces[mu], v, np.arange(top, top + v.shape[1])))
+            top += v.shape[1]
+    want = labels[label] * irrep_dimension(label)
+    if top != want:
+        raise UnresolvedDegeneracyError(
+            f"the block of {label} has dimension {top}, the CG decomposition needs {want}"
+        )
+    return IsotypicBlock(label, tuple(pieces), ws.d**ws.n, top, irrep_dimension(label),
+                         labels[label], ci, refined)
 
 
 def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
@@ -275,110 +305,65 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
     On each weight space, C2 = c0 + c1 S2 with S2 the count matrix of the
     transpositions, and each eigenvector lies in one weight space.  C2 is
     diagonalized once per level-permutation orbit of weight spaces, on its
-    representative nu, so the largest eigendecomposition has the size of
-    the largest weight space; each space of the orbit takes the same
-    eigenvalues and the eigenvectors with rows gathered by its ``local``
-    (``_WeightSpaces.orbits``).  The pooled C2 eigenvalues are clustered,
-    and clusters are matched to the expected labels by equality pattern and
-    block dimension.  A cluster shared by two labels is refined with C3
-    (d = 3).  C3 keeps every weight space too, so on the cluster's
-    eigenvectors V it is block diagonal: per orbit,
-    V_nu^T (alpha + beta S2 + gamma S3) V_nu is diagonalized, and the pooled
-    C3 eigenvalues are clustered.  Every eigendecomposition checks
-    Hermiticity at ``RANK_TOL``, and both clusterings split at
-    ``CLUSTER_TOL``.  Blocks are returned by ascending C2 eigenvalue,
-    sub-ordered by ascending C3 eigenvalue inside a refined cluster.  Each
-    block holds its basis as weight-space pieces; the d^n-row ``basis`` is
-    built only when read.  An unrefined block's columns are its
-    eigenvectors in ascending C2 order.
+    representative nu; each space of the orbit takes the same eigenvalues
+    and the eigenvectors with rows gathered by its ``local``
+    (``_WeightSpaces.orbits``).  Only the representatives' eigenvalues are
+    clustered (:func:`_clusters`).  A cluster shared by labels of one
+    content sum is split by C3 (d = 3), which keeps every weight space too:
+    per representative, V_nu^T (alpha + beta S2 + gamma S3) V_nu on the
+    cluster's eigenvectors V_nu is diagonalized, and its eigenvalues are
+    clustered.  Clusters, and the sub-clusters of each, are attached to the
+    labels in ascending :func:`_block_order`, which is the blocks' order;
+    each block's dimension must be its CG multiplicity times its irrep
+    dimension.  Every eigendecomposition checks Hermiticity at
+    ``RANK_TOL``, and both clusterings split at ``CLUSTER_TOL``.  A block
+    holds its basis as weight-space pieces, its columns in weight-space
+    order; the d^n-row ``basis`` is built only when read.
 
-    Raises :class:`UnresolvedDegeneracyError` when labels cannot be
-    separated or attached unambiguously.
+    Raises :class:`UnresolvedDegeneracyError` when labels share a C2 value
+    and d != 3, or when a cluster count or a block dimension disagrees
+    with the labels.
     """
     labels = cg_decompose(n, d)
-    # On label lambda, C2 = 2n(d^2-1)/d - 2n(n-1)/d + 4 content_sum(lambda):
-    # the exact integer content sum has the spectrum's equality and order.
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for m in labels:
-        groups.setdefault(content_sum(m), []).append(m)
-    ordered_keys = sorted(groups)
-    if any(len(groups[k]) > 1 for k in ordered_keys) and d != 3:
+    order = sorted(labels, key=lambda m: _block_order(m, d))
+    groups = [list(g) for _, g in groupby(order, key=content_sum)]
+    if any(len(members) > 1 for members in groups) and d != 3:
         raise UnresolvedDegeneracyError(
             f"labels share a C2 eigenvalue and no cubic Casimir is available for d={d}"
         )
 
     swaps = _transpositions(d, n)
     ws = _WeightSpaces(d, n)
-    keys = list(ws.spaces)
     c2 = _c2_coefficients(d, n)
     eig = {}  # orbit representative -> (eigenvalues, eigenvectors) there
     for nu, _ in ws.orbits.values():
         if nu not in eig:
             eig[nu] = hermitian_eig(_casimir_on_space(c2, (swaps,), ws.spaces[nu], ws.pos))
-    evals, order, space_of, local_of = _pooled_order([eig[ws.orbits[mu][0]][0] for mu in keys])
-    clustering = cluster_eigenvalues(evals[order])
-    clustering.check()
-    if len(clustering.clusters) != len(ordered_keys):
+    clusters = _clusters(eig)
+    if len(clusters) != len(groups):
         raise UnresolvedDegeneracyError(
-            f"found {len(clustering.clusters)} C2 clusters, expected {len(ordered_keys)}"
+            f"found {len(clusters)} C2 clusters, expected {len(groups)}"
         )
 
     blocks: list[IsotypicBlock] = []
-    for ci, (key, idx) in enumerate(zip(ordered_keys, clustering.clusters)):
-        members = groups[key]
-        entries = order[list(idx)]
-        expected = sum(labels[m] * irrep_dimension(m) for m in members)
-        if len(idx) != expected:
-            raise UnresolvedDegeneracyError(
-                f"cluster {ci} has dimension {len(idx)}, labels {members} need {expected}"
-            )
+    for ci, (members, vectors) in enumerate(zip(groups, clusters)):
         if len(members) == 1:
-            m = members[0]
-            pieces = _pieces(_runs(entries, space_of, local_of), ws, keys, eig)
-            blocks.append(
-                IsotypicBlock(m, pieces, d**n, len(idx), irrep_dimension(m), labels[m], ci)
-            )
+            blocks.append(_block(members[0], ws, vectors, labels, ci, False))
             continue
-        # C2-degenerate: split the cluster along the C3 spectrum and attach
-        # labels by block dimension.
-        dims = {labels[m] * irrep_dimension(m): m for m in members}
-        if len(dims) != len(members):
-            raise UnresolvedDegeneracyError(
-                f"labels {members} share both C2 value and block dimension"
-            )
+        # C2-degenerate: split the cluster along the C3 spectrum.
         c3, classes = _c3_coefficients(n), (swaps, _three_cycles(d, n))
-        # Orbit-mates have bitwise equal C2 eigenvalues, so the cluster takes
-        # the same local columns from each, and V_nu^T C3 V_nu is theirs too.
-        cluster = list(_runs(entries, space_of, local_of))
-        cluster_keys = [keys[s] for s, _, _ in cluster]
         refined = {}  # orbit representative -> C3 eigenvalues, cluster vectors rotated
-        for mu, (_, cols, _) in zip(cluster_keys, cluster):
-            nu = ws.orbits[mu][0]
-            if nu not in refined:
-                v = eig[nu][1][:, cols]
-                on_space = _casimir_on_space(c3, classes, ws.spaces[nu], ws.pos)
-                w3, u3 = hermitian_eig(v.T @ on_space @ v)
-                refined[nu] = w3, v @ u3
-        c3vals, order3, space_of3, local_of3 = _pooled_order(
-            [refined[ws.orbits[mu][0]][0] for mu in cluster_keys]
-        )
-        subcl = cluster_eigenvalues(c3vals[order3])
-        if len(subcl.clusters) != len(members):
+        for nu, v in vectors.items():
+            on_space = _casimir_on_space(c3, classes, ws.spaces[nu], ws.pos)
+            w3, u3 = hermitian_eig(v.T @ on_space @ v)
+            refined[nu] = w3, v @ u3
+        parts = _clusters(refined)
+        if len(parts) != len(members):
             raise UnresolvedDegeneracyError(
-                f"C3 splits cluster {ci} into {len(subcl.clusters)} parts, expected {len(members)}"
+                f"C3 splits cluster {ci} into {len(parts)} parts, expected {len(members)}"
             )
-        for part in subcl.clusters:
-            bd = len(part)
-            if bd not in dims:
-                raise UnresolvedDegeneracyError(
-                    f"C3 sub-block of dimension {bd} matches no label in {members}"
-                )
-            m = dims[bd]
-            runs = _runs(order3[list(part)], space_of3, local_of3)
-            pieces = _pieces(runs, ws, cluster_keys, refined)
-            blocks.append(
-                IsotypicBlock(m, pieces, d**n, bd, irrep_dimension(m), labels[m], ci, True)
-            )
+        for m, part in zip(members, parts):
+            blocks.append(_block(m, ws, part, labels, ci, True))
     return blocks
 
 
@@ -484,21 +469,12 @@ def highest_weight_blocks(d: int, n: int) -> list[WeightBlock]:
     Casimir is needed: the vectors of weight lambda that every raising
     operator kills are exactly the highest-weight vectors of the copies of
     irrep lambda, whatever other labels share its C2 value.  Blocks come in
-    the order of :func:`isotypic_blocks`:
-    ascending content sum, which orders C2, and for d = 3 ties by ascending
-    C3, which is a positive multiple of (p-q)(2p+q+3)(p+2q+3).
+    :func:`_block_order`, the order of :func:`isotypic_blocks`.
     """
     ws = _WeightSpaces(d, n)
     labels = cg_decompose(n, d)
-
-    def order(m):
-        if d != 3:
-            return content_sum(m), 0
-        p, q = m[0] - m[1], m[1] - m[2]
-        return content_sum(m), (p - q) * (2 * p + q + 3) * (p + 2 * q + 3)
-
     blocks = []
-    for m in sorted(labels, key=order):
+    for m in sorted(labels, key=lambda m: _block_order(m, d)):
         top = _highest_weight_space(ws, m)
         if top.shape[1] != labels[m]:
             raise HighestWeightError(

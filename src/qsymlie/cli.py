@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import index
 
 from . import reptheory as _rt
 
@@ -168,7 +169,9 @@ def _load_generator_spec(path: str):
     {"multi_index": [...], "coeff_re": x, "coeff_im": y} (a combination of
     symmetric basis elements) or a raw matrix {"dim", "re", "im"}.
     Hermitian inputs H become generators iH; skew-Hermitian inputs are used
-    as given.  Returns a :class:`~qsymlie.closure.GeneratorSet`.
+    as given.  ``d`` and ``n`` convert by ``operator.index``, so a float or
+    string is refused.  A missing key or a value of the wrong type raises
+    :class:`CliError`.  Returns a :class:`~qsymlie.closure.GeneratorSet`.
     """
     from .closure import GeneratorSet
     from .generators import hamiltonian_from_terms
@@ -180,21 +183,24 @@ def _load_generator_spec(path: str):
     except OSError as exc:
         raise CliError(f"cannot read generator spec {path}: {exc.strerror}") from exc
     try:
-        d, n = int(obj["d"]), int(obj["n"])
-        ham_specs = obj["hamiltonians"]
+        d, n = index(obj["d"]), index(obj["n"])
+        ham_specs = list(obj["hamiltonians"])
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed generator spec {path}: {exc}") from exc
     gens = []
     names = []
     for idx, spec in enumerate(ham_specs):
-        if isinstance(spec, dict) and "dim" in spec:
-            h = matrix_from_json(spec)
-            if h.shape[0] != d**n:
-                raise CliError(f"generator {idx}: matrix dim {h.shape[0]} != d^n = {d ** n}")
-        elif isinstance(spec, list):
-            h = hamiltonian_from_terms(spec, d, n)
-        else:
-            raise CliError(f"generator {idx}: expected a term list or a matrix object")
+        try:
+            if isinstance(spec, dict) and "dim" in spec:
+                h = matrix_from_json(spec)
+            elif isinstance(spec, list):
+                h = hamiltonian_from_terms(spec, d, n)
+            else:
+                raise CliError(f"generator {idx}: expected a term list or a matrix object")
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise CliError(f"generator {idx}: malformed ({type(exc).__name__}: {exc})") from exc
+        if h.shape[0] != d**n:
+            raise CliError(f"generator {idx}: matrix dim {h.shape[0]} != d^n = {d ** n}")
         if is_skew_hermitian(h):
             gens.append(h)
         elif is_hermitian(h):

@@ -346,10 +346,11 @@ def levi_split(gens: GeneratorSet, frame: BlockFrame):
     return centers, rows[:, : frame.traceless_width], real_span_dim(centers / scale)
 
 
-def _unit_rows(rows: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """The rows of norm above ``floor`` (one value per row), scaled to unit norm."""
+def _unit_rows(rows: np.ndarray, gen_norms: np.ndarray) -> np.ndarray:
+    """The rows of norm above ``RANK_TOL * max(1, gen_norms)``, scaled to unit
+    norm; ``gen_norms`` holds the norm of each row's whole generator."""
     norms = np.linalg.norm(rows, axis=1)
-    live = norms > floor
+    live = norms > RANK_TOL * np.maximum(1.0, gen_norms)
     return rows[live] / norms[live, None]
 
 
@@ -463,7 +464,7 @@ def lie_closure(gens: GeneratorSet, max_dim: int | None = None) -> LieClosureRes
 def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
                       traceless: np.ndarray, center_dim: int, max_dim: int) -> LieClosureResult:
     """:func:`lie_closure` of the generators' rows in ``frame`` (see :func:`levi_split`)."""
-    floor = RANK_TOL * np.maximum(1.0, np.linalg.norm(np.hstack([traceless, centers]), axis=1))
+    gen_norms = np.linalg.norm(np.hstack([traceless, centers]), axis=1)
 
     runs, pieces, reached = [], [], 0
     for i, b in enumerate(frame.blocks):
@@ -472,7 +473,7 @@ def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
         if reached >= max_dim:
             break
         cols = slice(frame.offsets[i], frame.offsets[i + 1])
-        rows, run = _close(BlockFrame([b]), _unit_rows(traceless[:, cols], floor),
+        rows, run = _close(BlockFrame([b]), _unit_rows(traceless[:, cols], gen_norms),
                            max_dim - reached, b.label)
         runs.append(run)
         pieces.append((cols, rows))
@@ -491,7 +492,7 @@ def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
     dims = {run.label: run.dim for run in runs}
     full = [i for i, b in enumerate(frame.blocks)
             if b.irrep_dim >= 2 and dims[b.label] == b.irrep_dim**2 - 1]
-    unit = _unit_rows(traceless, floor)
+    unit = _unit_rows(traceless, gen_norms)
     links = tuple(
         _link_test((frame.blocks[i].label, frame.blocks[j].label),
                    frame.matrices(unit, i), frame.matrices(unit, j))
@@ -505,22 +506,22 @@ def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
             basis, run = _close(frame, unit, max_dim, None)
             runs.append(run)
     basis.flags.writeable = False
-    rows = _rows_of_l(frame, basis, traceless, centers)
+    rows = _rows_of_l(frame, basis, traceless, centers, unit)
     return LieClosureResult(d, n, frame, basis, rows, len(rows), center_dim, True,
                             tuple(runs), links, path)
 
 
 def _rows_of_l(frame: BlockFrame, basis: np.ndarray, traceless: np.ndarray,
-               centers: np.ndarray) -> np.ndarray:
-    """Orthonormal rows of L, from orthonormal rows ``basis`` of L' and the
-    generators' split (see :func:`lie_closure`)."""
+               centers: np.ndarray, partners: np.ndarray) -> np.ndarray:
+    """Orthonormal rows of L, from orthonormal rows ``basis`` of L', the
+    generators' split (see :func:`lie_closure`) and the closure's unit
+    ``partners`` (see :func:`_unit_rows`)."""
     gen_norms = np.linalg.norm(np.hstack([traceless, centers]), axis=1)
     # Orthonormal coefficients, in the rows of L', of D = [L', L'] and of
     # the z_i; the rank of the c_i + z_i is taken at the verdict tolerance.
     # A full L' is its own D, with every z_i = 0: no coefficients.
     d_rows, scoef = basis, np.zeros((len(traceless), 0))
     if len(basis) < frame.bound:
-        partners = _unit_rows(traceless, RANK_TOL * np.maximum(1.0, gen_norms))
         brackets = frame.brackets(basis, partners)
         dcoef, _, _ = _accept(np.zeros((0, len(basis))), brackets @ basis.T, len(basis))
         scoef = traceless @ basis.T

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -351,10 +352,11 @@ def matrix_to_json(a) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Decode the {"dim", "re", "im"} exchange format."""
+    """Decode the {"dim", "re", "im"} exchange format; ``dim`` converts by
+    ``operator.index``, so a float or string raises TypeError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    dim = int(obj["dim"])
+    dim = index(obj["dim"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.size != dim * dim or im.size != dim * dim:

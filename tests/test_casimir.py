@@ -369,6 +369,27 @@ class TestIsotypicBlocks:
         cas.isotypic_blocks(3, 6)
         assert len(sizes) == 11
 
+    @pytest.mark.parametrize(
+        "change,match",
+        [
+            (lambda labels: labels.pop((4, 2, 0)), "found 6 C2 clusters, expected 5"),
+            (lambda labels: labels.update({(4, 2, 0): 8}), r"\(4, 2, 0\) has dimension 243"),
+            (lambda labels: labels.update({(3, 3, 0): 6}), r"\(3, 3, 0\) has dimension 50"),
+            # (4,1,0) shares the content sum of (4,2,0), whose cluster C3 does not split
+            (lambda labels: labels.update({(4, 1, 0): 1}), "C3 splits cluster 3 into 1 parts"),
+        ],
+        ids=["count", "c2-dimension", "c3-dimension", "c3-count"],
+    )
+    def test_mismatch_with_the_labels_raises(self, monkeypatch, change, match):
+        def altered(n, d):
+            labels = dict(rt.cg_decompose(n, d))
+            change(labels)
+            return labels
+
+        monkeypatch.setattr(cas, "cg_decompose", altered)
+        with pytest.raises(cas.UnresolvedDegeneracyError, match=match):
+            cas.isotypic_blocks(3, 6)
+
     def test_blocks_compare_by_identity(self):
         # value equality would compare arrays, which have no truth value
         for build in (
@@ -384,7 +405,7 @@ class TestIsotypicBlocks:
         blocks = cas.isotypic_blocks(5, 1)
         assert len(blocks) == 1 and blocks[0].label == (1, 0, 0, 0, 0)
         assert blocks[0].block_dim == 5
-        # an unrefined block's columns come in ascending C2 order, ties by weight space
+        # a block's columns come in weight-space order, one state per space here
         assert np.array_equal(np.abs(blocks[0].basis), np.eye(5))
 
     @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (3, 6), (4, 3)])
@@ -437,6 +458,10 @@ class TestIsotypicBlocks:
         monkeypatch.setattr(cas, "cluster_eigenvalues", recording)
         cas.isotypic_blocks(3, 6)
         c2, c3 = seen
+        # only the orbit representatives' values: 222 of C2 on the 7 of them
+        # (729 states), 45 of V^T C3 V on the 4 that the (4,1,1)/(3,3,0)
+        # cluster meets (its 150 columns)
+        assert (len(c2.eigenvalues), len(c3.eigenvalues)) == (222, 45)
         # C2 values differ by 4 x (content sums); C3 is +-144 on (4,1,1)/(3,3,0)
         assert c2.min_gap == pytest.approx(8.0) and c3.min_gap == pytest.approx(288.0)
         for cl in (c2, c3):
@@ -462,7 +487,9 @@ class TestIsotypicBlocks:
                 assert np.abs(sub - lam * np.eye(b.block_dim)).max() <= 1e-9
                 values[b.label] = lam
         assert set(values) == {(3, 3, 0), (4, 1, 1)}
-        assert abs(values[(3, 3, 0)] - values[(4, 1, 1)]) > 1.0
+        # ascending C3 is ascending _block_order, by which labels are attached
+        assert values[(3, 3, 0)] + 1.0 < values[(4, 1, 1)]
+        assert cas._block_order((3, 3, 0), 3) < cas._block_order((4, 1, 1), 3)
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_content_sum_orders_like_qutrit_c2(self, n):
@@ -497,7 +524,9 @@ class TestHighestWeightBlocks:
     def test_order_matches_isotypic_blocks(self, d, n, six_qutrit_blocks):
         # at (3, 6), (4,1,1) and (3,3,0) share C2 and are ordered by C3
         blocks = six_qutrit_blocks if (d, n) == (3, 6) else cas.isotypic_blocks(d, n)
-        assert [b.label for b in cas.highest_weight_blocks(d, n)] == [b.label for b in blocks]
+        want = sorted(rt.cg_decompose(n, d), key=lambda m: cas._block_order(m, d))
+        assert [b.label for b in cas.highest_weight_blocks(d, n)] == want
+        assert [b.label for b in blocks] == want
 
     def test_copies_invariant_under_symmetric_basis(self):
         for b in cas.highest_weight_blocks(3, 3):

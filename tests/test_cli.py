@@ -596,3 +596,27 @@ class TestExitCodes:
         monkeypatch.setattr(cas, "isotypic_blocks", fail)
         with pytest.raises(KeyError):
             cli.main(["spectrum", "--d", "2", "--n", "2"])
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ({"d": 2, "n": 2, "hamiltonians": [[{"coeff_re": 1.0}]]}, "KeyError: 'multi_index'"),
+            ({"d": 2, "n": 2, "hamiltonians": [[5]]}, "AttributeError"),
+            ({"d": 2, "n": 1, "hamiltonians": [{"dim": 2, "re": [1, 0, 0, -1]}]}, "KeyError: 'im'"),
+            ({"d": 2, "n": 2, "hamiltonians": 5}, "not iterable"),
+            ({"d": 2.5, "n": 2, "hamiltonians": [[]]}, "'float' object cannot be interpreted"),
+            ({"d": "2", "n": 2, "hamiltonians": [[]]}, "'str' object cannot be interpreted"),
+            ({"d": 2, "n": 2.0, "hamiltonians": [[]]}, "'float' object cannot be interpreted"),
+            ({"d": 2, "n": 1, "hamiltonians": [{"dim": 2.5, "re": [1, 0, 0, -1], "im": [0] * 4}]},
+             "TypeError: 'float' object cannot be interpreted"),
+        ],
+        ids=["term-without-multi_index", "non-dict-term", "matrix-without-im",
+             "hamiltonians-not-a-list", "float-d", "string-d", "float-n", "float-matrix-dim"],
+    )
+    def test_malformed_spec_exits_1(self, capsys, tmp_path, spec, message):
+        # one "error:" line, no traceback, whatever part of the spec is malformed
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "closure", "--spec", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err

@@ -107,11 +107,10 @@ def joint_closure(gens):
     rows of L, center_dim), the reference for the per-block closures."""
     frame = cl.BlockFrame.build(gens.d, gens.n)
     centers, traceless, cdim = cl.levi_split(gens, frame)
-    norms = np.linalg.norm(np.hstack([traceless, centers]), axis=1)
-    partners = cl._unit_rows(traceless, la.RANK_TOL * np.maximum(1.0, norms))
+    partners = cl._unit_rows(traceless, np.linalg.norm(np.hstack([traceless, centers]), axis=1))
     basis, run = cl._close(frame, partners, frame.bound + 1, None)
     assert run.trace[-1].accepted == 0  # saturated
-    return frame, basis, cl._rows_of_l(frame, basis, traceless, centers), cdim
+    return frame, basis, cl._rows_of_l(frame, basis, traceless, centers, partners), cdim
 
 
 def block_ranks(frame, rows):

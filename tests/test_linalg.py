@@ -281,3 +281,8 @@ class TestMatrixJson:
     def test_bad_length(self):
         with pytest.raises(la.DimensionMismatchError):
             la.matrix_from_json({"dim": 2, "re": [1.0], "im": [0.0]})
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, "2"])
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(TypeError):
+            la.matrix_from_json({"dim": dim, "re": [1.0, 0, 0, 1], "im": [0.0] * 4})
