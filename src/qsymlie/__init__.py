@@ -39,15 +39,14 @@ _LAZY = {
     name: module
     for module, names in (
         ("linalg", (
-            "EigenClustering", "OrthonormalSpan", "anticommutator", "cluster_eigenvalues",
-            "commutator", "frobenius_inner", "hermitian_eig", "is_hermitian",
-            "is_skew_hermitian", "kron", "matrix_from_json", "matrix_to_json",
-            "orthonormal_extend", "real_span_dim", "span_of",
+            "EigenClustering", "OrthonormalSpan", "cluster_eigenvalues", "commutator",
+            "frobenius_inner", "hermitian_eig", "is_hermitian", "is_skew_hermitian", "kron",
+            "matrix_from_json", "matrix_to_json", "orthonormal_extend", "real_span_dim",
+            "span_of",
         )),
         ("generators", (
-            "HermitianBasis", "StructureConstants", "collective", "collective_apply",
-            "dicke_basis", "gell_mann_basis", "hat_f", "multi_indices", "pauli_matrices",
-            "perm_from_cycles", "permutation_operator", "standard_spin_ops",
+            "HermitianBasis", "StructureConstants", "collective", "gell_mann_basis", "hat_f",
+            "multi_indices", "pauli_matrices", "perm_from_cycles", "permutation_operator",
             "structure_constants", "symmetric_sum", "two_body_hamiltonian",
         )),
         ("casimir", (

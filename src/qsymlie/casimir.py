@@ -45,7 +45,13 @@ from math import factorial
 import numpy as np
 
 from .linalg import _real_or_complex, cluster_eigenvalues, hermitian_eig
-from .generators import _factor_map, _WeightSpaces, perm_from_cycles, symmetric_sum
+from .generators import (
+    _factor_map,
+    _placement_sum,
+    _WeightSpaces,
+    gell_mann_basis,
+    perm_from_cycles,
+)
 from .reptheory import (  # c2_eigenvalue and degeneracy_search are re-exported
     c2_eigenvalue,
     cg_decompose,
@@ -524,8 +530,7 @@ def qubit_center_element(n: int, k: int) -> np.ndarray:
     """
     if not 0 <= k <= n // 2:
         raise ValueError(f"k must lie in 0..floor(n/2) = {n // 2}")
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
+    terms = []
     for a in range(k + 1):
         for b in range(k - a + 1):
             c = k - a - b
@@ -533,5 +538,5 @@ def qubit_center_element(n: int, k: int) -> np.ndarray:
                 factorial(2 * a) * factorial(2 * b) * factorial(2 * c)
                 // (factorial(a) * factorial(b) * factorial(c))
             )
-            out += coeff * symmetric_sum((n - 2 * k, 2 * a, 2 * b, 2 * c), 2, n)
-    return out
+            terms.append((coeff, (n - 2 * k, 2 * a, 2 * b, 2 * c)))
+    return _placement_sum(gell_mann_basis(2).elements, terms, n)

@@ -37,6 +37,7 @@ from .linalg import (
     real_span_dim,
 )
 from .generators import (
+    _collective_square,
     _factor_map,
     adjacent_transpositions,
     gell_mann_basis,
@@ -684,29 +685,35 @@ def preset(name: str) -> GeneratorSet:
         n = int(m.group(1))
         if n < 2:
             raise ValueError("qubits preset needs n >= 2")
-        sx, sy, sz = (hat_f(k, 2, n) for k in (1, 2, 3))
-        gens = (1j * sx, 1j * sy, 1j * sz, 1j * (sz @ sz))
-        return GeneratorSet(2, n, gens, ("i*Sx", "i*Sy", "i*Sz", "i*Sz^2"))
+        sz = gell_mann_basis(2).elements[3]
+        gens = [hat_f(k, 2, n) for k in (1, 2, 3)] + [_collective_square(sz, n)]
+        return GeneratorSet(2, n, _times_i(gens), ("i*Sx", "i*Sy", "i*Sz", "i*Sz^2"))
     m = _QUTRITS_RE.match(name)
     if m:
         n, kind = int(m.group(1)), m.group(2)
         if n < 2:
             raise ValueError("qutrits preset needs n >= 2")
-        gens = [1j * hat_f(k, 3, n) for k in range(1, 9)]
+        gens = [hat_f(k, 3, n) for k in range(1, 9)]
         names = [f"i*E{k}_hat" for k in range(1, 9)]
         if kind == "H":
-            gens.append(1j * two_body_hamiltonian(3, n))
+            gens.append(two_body_hamiltonian(3, n))
             names.append("i*H2body")
         else:
-            f3 = hat_f(3, 3, n)
-            gens.append(1j * (f3 @ f3))
+            gens.append(_collective_square(gell_mann_basis(3).elements[3], n))
             names.append("i*E3_hat^2")
-        return GeneratorSet(3, n, tuple(gens), tuple(names))
+        return GeneratorSet(3, n, _times_i(gens), tuple(names))
     m = _LEMMA2_RE.match(name)
     if m:
         n1, n2, j, mm = (int(m.group(i)) for i in range(1, 5))
         return _lemma2_set(n1, n2, j, mm)
     raise ValueError(f"unknown preset {name!r}")
+
+
+def _times_i(mats) -> tuple[np.ndarray, ...]:
+    """i * each matrix, in place: a d^n x d^n generator is never copied."""
+    for m in mats:
+        m *= 1j
+    return tuple(mats)
 
 
 def _lemma2_set(n1: int, n2: int, j: int, m: int) -> GeneratorSet:

@@ -2,8 +2,13 @@
 
 Single-site Hermitian bases (Pauli, Gell-Mann, generalized Gell-Mann),
 structure constants, symmetrized operator-basis elements F_(j0,...),
-collective operators, ladder operators, permutation operators, and Dicke
-states.
+collective operators and permutation operators.
+
+Every symmetric operator is built by one constructor, ``_placement_sum``:
+F_(j0,...), collective lifts and their squares, the two-body coupling,
+term-list Hamiltonians and the qubit center elements of ``casimir``.  It
+adds one site at a time and keys its partial sums by the counts used so
+far, so it enumerates no placement and forms no d^n x d^n product.
 
 This module is the one home of the basis-index bookkeeping that the other
 layers share: ``_factor_map`` turns a factor permutation into the row
@@ -26,12 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, factorial, sqrt
-from typing import NamedTuple
+from itertools import product
+from math import comb, sqrt
+from operator import index
 
 import numpy as np
 
-from .linalg import _as_square, kron_all
+from .linalg import _as_square
 from .tolerances import RANK_TOL
 
 
@@ -161,26 +167,6 @@ def structure_constants(basis: HermitianBasis) -> StructureConstants:
 # Symmetrized operator basis of the S_n-invariant algebra
 # ---------------------------------------------------------------------------
 
-def multiset_permutations(word):
-    """Distinct permutations of a sorted multiset, lexicographic order."""
-    word = sorted(word)
-    n = len(word)
-
-    def rec(remaining):
-        if not remaining:
-            yield ()
-            return
-        seen = None
-        for i, x in enumerate(remaining):
-            if x == seen:
-                continue
-            seen = x
-            for tail in rec(remaining[:i] + remaining[i + 1 :]):
-                yield (x,) + tail
-
-    yield from rec(word)
-
-
 def _compositions(n: int, parts: int):
     """Tuples of ``parts`` naturals summing to n, descending lexicographic."""
     if parts == 1:
@@ -203,56 +189,80 @@ def multi_indices(d: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def symmetric_sum(counts, d: int, n: int) -> np.ndarray:
-    """F_(j0,j1,...): sum over all distinct placements of the indicated multiset.
+def _add_kron(out: np.ndarray, p: np.ndarray, a: np.ndarray) -> None:
+    """out += p (x) a in place: one strided block of ``out`` per nonzero entry of a."""
+    d, m = a.shape[0], p.shape[0]
+    blocks = out.reshape(m, d, m, d)
+    for i, j in zip(*np.nonzero(a)):
+        blocks[:, i, :, j] += p * a[i, j]
 
-    ``counts[a]`` is how many tensor factors carry basis element ``a`` (0 is
-    the identity).  The sum has n!/(j0! j1! ...) terms.
+
+def _placement_sum(mats, terms, n: int) -> np.ndarray:
+    """sum_t coeff_t F(c_t), F(c) the sum over the distinct placements on n
+    sites of the multiset holding ``mats[a]`` c[a] times (sum(c) = n).
+
+    The placements that put mats[a] on the last site are those of c - e_a
+    on the first n - 1 sites, so F(c) = sum_a F(c - e_a) (x) mats[a].  The
+    partial sums are built one site at a time and keyed by the counts used
+    so far, prod_a (c_a + 1) of them, where a sum placement by placement
+    takes n!/prod_a c_a! Kronecker chains.  The last site is added in place
+    into the output.  With the identity first in ``mats``, each entry is
+    summed over the sites in site order, as a site-by-site collective does.
     """
-    counts = tuple(int(c) for c in counts)
+    d = mats[0].shape[0]
+    out = np.zeros((d**n, d**n), dtype=complex)
+
+    def add_last_site(target, sums, counts, factors):
+        for a, c in enumerate(counts):
+            if c:
+                _add_kron(target, sums[counts[:a] + (c - 1,) + counts[a + 1 :]], factors[a])
+        return target
+
+    for coeff, counts in terms:
+        sums = {(0,) * len(counts): np.ones((1, 1), dtype=complex)}
+        for k in range(1, n):
+            sums = {
+                u: add_last_site(np.zeros((d**k, d**k), dtype=complex), sums, u, mats)
+                for u in product(*(range(c + 1) for c in counts))
+                if sum(u) == k
+            }
+        add_last_site(out, sums, counts, [coeff * m for m in mats])
+    return out
+
+
+def _multi_index(counts, d: int, n: int) -> tuple[int, ...]:
+    """``counts`` as d^2 naturals summing to n; entries convert by ``operator.index``."""
+    counts = tuple(index(c) for c in counts)
     if len(counts) != d * d:
         raise ValueError(f"need d^2 = {d * d} counts, got {len(counts)}")
     if any(c < 0 for c in counts) or sum(counts) != n:
         raise ValueError(f"counts must be naturals summing to n={n}: {counts}")
-    basis = gell_mann_basis(d).elements
-    word = [a for a, c in enumerate(counts) for _ in range(c)]
-    dim = d**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for arrangement in multiset_permutations(word):
-        out += kron_all(basis[a] for a in arrangement)
-    return out
+    return counts
 
 
-def symmetric_term_count(counts) -> int:
-    n = sum(counts)
-    out = factorial(n)
-    for c in counts:
-        out //= factorial(c)
-    return out
+def symmetric_sum(counts, d: int, n: int) -> np.ndarray:
+    """F_(j0,j1,...): sum over all distinct placements of the indicated multiset.
 
-
-def collective_apply(op, x, n: int) -> np.ndarray:
-    """``collective(op, n) @ x`` without forming the d^n x d^n lift.
-
-    ``x`` has shape (d^n, m) (or (d^n,)).  For each site j the rows of x are
-    viewed as (d^j, d, rest) and op acts on the middle index by one batched
-    d x d matmul, at cost n * d^2 * d^n * m.
+    ``counts[a]`` is how many tensor factors carry basis element ``a`` (0 is
+    the identity); a float or string count raises ``TypeError``.
     """
-    op = _as_square(op)
-    d = op.shape[0]
-    x = np.ascontiguousarray(x, dtype=complex)
-    if x.shape[0] != d**n:
-        raise ValueError(f"operand has {x.shape[0]} rows, need d^n = {d**n}")
-    out = np.zeros(x.shape, dtype=complex)
-    for j in range(n):
-        out.reshape(d**j, d, -1)[...] += op @ x.reshape(d**j, d, -1)
-    return out
+    return _placement_sum(gell_mann_basis(d).elements, [(1, _multi_index(counts, d, n))], n)
 
 
 def collective(op, n: int) -> np.ndarray:
     """sum_j 1 (x) ... (x) op (x) ... (x) 1 over the n factor positions."""
     op = _as_square(op)
-    return collective_apply(op, np.eye(op.shape[0] ** n, dtype=complex), n)
+    return _placement_sum((np.eye(op.shape[0]), op), [(1, (n - 1, 1))], n)
+
+
+def _collective_square(op, n: int) -> np.ndarray:
+    """(collective op)^2 = collective(op^2) + 2 sum_{i<j} op_i op_j, for n >= 2.
+
+    Only the d x d product op @ op is formed.
+    """
+    op = _as_square(op)
+    mats = (np.eye(op.shape[0]), op @ op, op)
+    return _placement_sum(mats, [(1, (n - 1, 1, 0)), (2, (n - 2, 0, 2))], n)
 
 
 def hat_f(k: int, d: int, n: int) -> np.ndarray:
@@ -327,35 +337,8 @@ class _WeightSpaces:
 
 
 # ---------------------------------------------------------------------------
-# Ladder operators and named Hamiltonians
+# Named Hamiltonians
 # ---------------------------------------------------------------------------
-
-class SpinOps(NamedTuple):
-    z: np.ndarray
-    plus: np.ndarray
-    minus: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-
-def standard_spin_ops(d: int, l: int) -> SpinOps:
-    """Single-site ladder triple acting on levels l-1 and l of C^d.
-
-    S_z = (|l-1><l-1| - |l><l|)/2, S_+ = |l-1><l|, S_- = S_+^T,
-    S_x = S_+ + S_-, S_y = i(S_+ - S_-).  Note the unnormalized x/y
-    convention: for d=3, l=1 this gives S_x = E_1, S_y = -E_2 and
-    S_z = E_3 / 2.
-    """
-    if not 1 <= l <= d - 1:
-        raise ValueError(f"l must lie in 1..{d - 1}")
-    sz = np.zeros((d, d), dtype=complex)
-    sz[l - 1, l - 1] = 0.5
-    sz[l, l] = -0.5
-    sp = np.zeros((d, d), dtype=complex)
-    sp[l - 1, l] = 1.0
-    sm = sp.T.copy()
-    return SpinOps(sz, sp, sm, sp + sm, 1j * (sp - sm))
-
 
 def two_body_hamiltonian(d: int = 3, n: int = 3) -> np.ndarray:
     """Symmetric two-body coupling of the z-type diagonal element.
@@ -418,7 +401,7 @@ def adjacent_transpositions(n: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Dicke states
+# Weight-space order
 # ---------------------------------------------------------------------------
 
 def occupation_vectors(d: int, n: int) -> list[tuple[int, ...]]:
@@ -430,42 +413,29 @@ def occupation_vectors(d: int, n: int) -> list[tuple[int, ...]]:
     return sorted(_compositions(n, d), key=lambda w: tuple(reversed(w)))
 
 
-def dicke_state(w, d: int) -> np.ndarray:
-    """Normalized symmetric sum of product states with occupation counts w."""
-    w = tuple(int(x) for x in w)
-    occs, cols = dicke_basis(d, sum(w))
-    if w not in occs:
-        raise ValueError(f"not an occupation vector of {d} levels: {w}")
-    return cols[:, occs.index(w)]
-
-
-def dicke_basis(d: int, n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Occupations and the matrix whose columns are the Dicke states.
-
-    Each column is the normalized indicator of one weight space.  The
-    columns span the symmetric sector, the module of the i-weight
-    (n, 0, ..., 0).
-    """
-    ws = _WeightSpaces(d, n)
-    occs = occupation_vectors(d, n)
-    cols = np.zeros((d**n, len(occs)), dtype=complex)
-    for c, w in enumerate(occs):
-        cols[ws.spaces[w], c] = 1.0 / sqrt(len(ws.spaces[w]))
-    return occs, cols
-
-
 # ---------------------------------------------------------------------------
 # Generator-spec input format
 # ---------------------------------------------------------------------------
+
+def _coefficient(term, key: str):
+    """A term's ``coeff_re`` or ``coeff_im``: an int or float, 0 when absent."""
+    x = term.get(key, 0.0)
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{key} must be a number, got {type(x).__name__}")
+    return x
+
 
 def hamiltonian_from_terms(terms, d: int, n: int) -> np.ndarray:
     """Sum of coeff * F_(multi_index) from exchange-format term dicts.
 
     Each term is {"multi_index": [...], "coeff_re": x, "coeff_im": y}.
+    Counts convert by ``operator.index`` and coefficients must be int or
+    float, so a fractional count or a string or bool coefficient raises
+    ``TypeError``.
     """
-    dim = d**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for t in terms:
-        coeff = float(t.get("coeff_re", 0.0)) + 1j * float(t.get("coeff_im", 0.0))
-        out += coeff * symmetric_sum(t["multi_index"], d, n)
-    return out
+    terms = [
+        (_coefficient(t, "coeff_re") + 1j * _coefficient(t, "coeff_im"),
+         _multi_index(t["multi_index"], d, n))
+        for t in terms
+    ]
+    return _placement_sum(gell_mann_basis(d).elements, terms, n)

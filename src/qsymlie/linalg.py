@@ -56,12 +56,6 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def anticommutator(a, b) -> np.ndarray:
-    """{A, B} = AB + BA."""
-    a, b = _as_pair(a, b)
-    return a @ b + b @ a
-
-
 def frobenius_inner(a, b) -> complex:
     """Tr(A B^dag)."""
     a, b = _as_pair(a, b)
@@ -71,15 +65,6 @@ def frobenius_inner(a, b) -> complex:
 def kron(a, b) -> np.ndarray:
     """Kronecker product; result dimension is the product of the factors'."""
     return np.kron(_as_square(a), _as_square(b))
-
-
-def kron_all(mats) -> np.ndarray:
-    """Left-to-right Kronecker chain of a non-empty sequence."""
-    mats = list(mats)
-    out = _as_square(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, _as_square(m))
-    return out
 
 
 def _real_or_complex(a) -> type:

@@ -12,7 +12,7 @@ from qsymlie import linalg as la
 from qsymlie import reptheory as rt
 from qsymlie.tolerances import RANK_TOL
 
-from conftest import center_coefficients, center_project
+from conftest import center_coefficients, center_project, dicke_basis, kron_all
 
 
 def sum_of_two_body_squares(d, n):
@@ -78,7 +78,7 @@ class TestC2Identities:
 def kron_collective(op, n):
     """Collective lift as a sum of Kronecker products, apart from the package."""
     eye = np.eye(op.shape[0])
-    return sum(la.kron_all([eye] * j + [op] + [eye] * (n - 1 - j)) for j in range(n))
+    return sum(kron_all([eye] * j + [op] + [eye] * (n - 1 - j)) for j in range(n))
 
 
 def dense_C2(d, n):
@@ -312,7 +312,7 @@ class TestIsotypicBlocks:
 
     def test_symmetric_sector_matches_dicke_span(self, qutrit_blocks):
         sym = next(b for b in qutrit_blocks if b.label == (3, 0, 0))
-        _, dicke = g.dicke_basis(3, 3)
+        _, dicke = dicke_basis(3, 3)
         # same projector
         assert np.allclose(sym.projector(), dicke @ dicke.conj().T, atol=1e-9)
 
@@ -663,7 +663,7 @@ class TestCenterProject:
         # entries given by occupation counts; sum them over each block's
         # basis states
         h = g.two_body_hamiltonian(3, 3)
-        occs, dicke = g.dicke_basis(3, 3)
+        occs, dicke = dicke_basis(3, 3)
         sym_trace = sum(two_body_diagonal_oracle(w) for w in occs)
         assert sym_trace == 5
         full_trace = 0

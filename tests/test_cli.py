@@ -609,9 +609,16 @@ class TestExitCodes:
             ({"d": 2, "n": 2.0, "hamiltonians": [[]]}, "'float' object cannot be interpreted"),
             ({"d": 2, "n": 1, "hamiltonians": [{"dim": 2.5, "re": [1, 0, 0, -1], "im": [0] * 4}]},
              "TypeError: 'float' object cannot be interpreted"),
+            ({"d": 2, "n": 3, "hamiltonians": [[{"multi_index": [2.9, 1.2, 0, 0]}]]},
+             "generator 0: malformed (TypeError: 'float' object cannot be interpreted"),
+            ({"d": 2, "n": 3, "hamiltonians": [[{"multi_index": [2, 1, 0, 0], "coeff_re": "1.5"}]]},
+             "generator 0: malformed (TypeError: coeff_re must be a number, got str)"),
+            ({"d": 2, "n": 3, "hamiltonians": [[{"multi_index": [2, 1, 0, 0], "coeff_im": True}]]},
+             "generator 0: malformed (TypeError: coeff_im must be a number, got bool)"),
         ],
         ids=["term-without-multi_index", "non-dict-term", "matrix-without-im",
-             "hamiltonians-not-a-list", "float-d", "string-d", "float-n", "float-matrix-dim"],
+             "hamiltonians-not-a-list", "float-d", "string-d", "float-n", "float-matrix-dim",
+             "float-multi_index", "string-coefficient", "bool-coefficient"],
     )
     def test_malformed_spec_exits_1(self, capsys, tmp_path, spec, message):
         # one "error:" line, no traceback, whatever part of the spec is malformed

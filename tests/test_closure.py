@@ -15,7 +15,7 @@ from qsymlie import generators as g
 from qsymlie import linalg as la
 from qsymlie import reptheory as rt
 
-from conftest import center_coefficients, center_project, random_skew
+from conftest import center_coefficients, center_project, kron_all, random_skew
 
 SX, SY, SZ = g.pauli_matrices()
 
@@ -48,7 +48,7 @@ def haar_unitary(rng, dim):
 
 def conjugated(gens, u):
     """``gens`` with every generator conjugated by the collective unitary u^(x)n."""
-    un = la.kron_all([u] * gens.n)
+    un = kron_all([u] * gens.n)
     return cl.GeneratorSet(
         gens.d, gens.n, tuple(un @ x @ un.conj().T for x in gens.generators), gens.names
     )

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -13,7 +14,16 @@ from qsymlie import generators as g
 from qsymlie import linalg as la
 from qsymlie import reptheory as rt
 
-from conftest import young_projector_21
+from conftest import (
+    dicke_basis,
+    dicke_state,
+    kron_all,
+    multiset_permutations,
+    placement_sum,
+    site_collective,
+    standard_spin_ops,
+    young_projector_21,
+)
 
 S3 = sqrt(3.0)
 
@@ -107,8 +117,8 @@ def sc():
 
 @pytest.fixture(scope="module")
 def restricted():
-    occs, v = g.dicke_basis(3, 3)
-    ops = g.standard_spin_ops(3, 1)
+    occs, v = dicke_basis(3, 3)
+    ops = standard_spin_ops(3, 1)
     out = {}
     for name, op in [("x", ops.x), ("y", ops.y), ("z", ops.z)]:
         out[name] = v.conj().T @ g.collective(op, 3) @ v
@@ -167,13 +177,23 @@ class TestStructureConstants:
                 rebuilt = sc.gamma * (j == k) * np.eye(3) + sum(
                     sc.dsym[j, k, l] * es[l] for l in range(8)
                 )
-                assert np.linalg.norm(la.anticommutator(es[j], es[k]) - rebuilt) <= 1e-12
+                anti = es[j] @ es[k] + es[k] @ es[j]
+                assert np.linalg.norm(anti - rebuilt) <= 1e-12
 
     def test_qubit_constants(self):
         sc2 = g.structure_constants(g.gell_mann_basis(2))
         assert sc2.f_entry(1, 2, 3) == pytest.approx(2.0)
         assert np.allclose(sc2.dsym, 0, atol=1e-12)
         assert sc2.gamma == pytest.approx(2.0)
+
+
+@st.composite
+def multi_index_draws(draw):
+    """(d, n, counts) with d in {2, 3, 4}, 1 <= n <= 4 and counts summing to n."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(min_value=1, max_value=4))
+    word = draw(st.lists(st.integers(0, d * d - 1), min_size=n, max_size=n))
+    return d, n, tuple(word.count(a) for a in range(d * d))
 
 
 class TestSymmetricSum:
@@ -197,6 +217,23 @@ class TestSymmetricSum:
         with pytest.raises(ValueError):
             g.symmetric_sum((1, 1, 0), 2, 2)
 
+    @pytest.mark.parametrize("counts", [(2.9, 1.2, 0, 0), (2.0, 1, 0, 0), ("2", 1, 0, 0)])
+    def test_non_integer_counts_raise(self, counts):
+        # 2.9 and 1.2 would truncate to (2, 1, 0, 0), a valid multi-index at n = 3
+        with pytest.raises(TypeError):
+            g.symmetric_sum(counts, 2, 3)
+
+    @given(multi_index_draws())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_placement_by_placement_sum(self, drawn):
+        d, n, counts = drawn
+        got, want = g.symmetric_sum(counts, d, n), placement_sum(counts, d, n)
+        if d == 2:
+            # Pauli entries are 0, +-1 and +-i: every sum and product is exact
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-12
+
     @pytest.mark.parametrize("counts", [(2, 1, 0, 0), (1, 1, 1, 0), (0, 2, 2, 0)])
     def test_term_counts(self, counts):
         word = [a for a, c in enumerate(counts) for _ in range(c)]
@@ -204,8 +241,7 @@ class TestSymmetricSum:
         want = factorial(n)
         for c in counts:
             want //= factorial(c)
-        assert len(list(g.multiset_permutations(word))) == want
-        assert g.symmetric_term_count(counts) == want
+        assert len(list(multiset_permutations(word))) == want
 
     def test_commutes_with_all_permutations(self):
         perms = [p for p in itertools.permutations(range(3))]
@@ -237,35 +273,29 @@ class TestCollective:
         # a non-Hermitian op, so a transposed site action would show
         op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         eye = np.eye(d)
-        want = sum(la.kron_all([eye] * j + [op] + [eye] * (n - 1 - j)) for j in range(n))
+        want = sum(kron_all([eye] * j + [op] + [eye] * (n - 1 - j)) for j in range(n))
         assert np.abs(g.collective(op, n) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("d,n,m", [(2, 5, 3), (3, 4, 7), (4, 3, 1)])
     def test_apply_matches_dense_product(self, d, n, m, rng):
+        # the dense lift applied to x equals op applied to x one site at a time
         op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         x = rng.standard_normal((d**n, m)) + 1j * rng.standard_normal((d**n, m))
         dense = g.collective(op, n)
-        assert np.abs(g.collective_apply(op, x, n) - dense @ x).max() <= 1e-12
-        # a single vector, and a column block that is not C-contiguous
-        assert np.abs(g.collective_apply(op, x[:, 0], n) - dense @ x[:, 0]).max() <= 1e-12
-        xf = np.asfortranarray(x)
-        assert np.abs(g.collective_apply(op, xf, n) - dense @ x).max() <= 1e-12
-
-    def test_apply_rejects_wrong_row_count(self):
-        with pytest.raises(ValueError):
-            g.collective_apply(np.eye(2), np.ones((6, 2)), 2)
+        assert np.abs(site_collective(op, n, x) - dense @ x).max() <= 1e-12
+        assert np.abs(site_collective(op, n, x[:, 0]) - dense @ x[:, 0]).max() <= 1e-12
 
 
 class TestSpinOps:
     def test_qutrit_l1(self):
-        ops = g.standard_spin_ops(3, 1)
+        ops = standard_spin_ops(3, 1)
         e = g.gell_mann_basis(3).elements
         assert np.allclose(ops.x, e[1])
         assert np.allclose(ops.y, -e[2])
         assert np.allclose(2 * ops.z, e[3])
 
     def test_qutrit_l2(self):
-        ops = g.standard_spin_ops(3, 2)
+        ops = standard_spin_ops(3, 2)
         assert np.allclose(2 * ops.z, np.diag([0, 1, -1]))
         want_plus = np.zeros((3, 3))
         want_plus[1, 2] = 1.0
@@ -273,7 +303,7 @@ class TestSpinOps:
         assert np.allclose(ops.minus, want_plus.T)
 
     def test_qubit(self):
-        ops = g.standard_spin_ops(2, 1)
+        ops = standard_spin_ops(2, 1)
         sx, _, sz = g.pauli_matrices()
         assert np.allclose(ops.z, sz / 2)
         assert np.allclose(ops.x, sx)
@@ -282,15 +312,15 @@ class TestSpinOps:
         # [S_z, S_+/-] = +/- S_+/- in every allowed slot
         for d in (2, 3, 4):
             for l in range(1, d):
-                ops = g.standard_spin_ops(d, l)
+                ops = standard_spin_ops(d, l)
                 assert np.allclose(la.commutator(ops.z, ops.plus), ops.plus)
                 assert np.allclose(la.commutator(ops.z, ops.minus), -ops.minus)
 
     def test_range(self):
         with pytest.raises(ValueError):
-            g.standard_spin_ops(3, 3)
+            standard_spin_ops(3, 3)
         with pytest.raises(ValueError):
-            g.standard_spin_ops(3, 0)
+            standard_spin_ops(3, 0)
 
 
 class TestTwoBodyHamiltonian:
@@ -303,9 +333,9 @@ class TestTwoBodyHamiltonian:
         e3 = g.gell_mann_basis(3).elements[3]
         eye = np.eye(3)
         want = (
-            la.kron_all([e3, e3, eye])
-            + la.kron_all([e3, eye, e3])
-            + la.kron_all([eye, e3, e3])
+            kron_all([e3, e3, eye])
+            + kron_all([e3, eye, e3])
+            + kron_all([eye, e3, e3])
         )
         assert np.allclose(g.two_body_hamiltonian(3, 3), want)
 
@@ -420,14 +450,14 @@ class TestDicke:
         ]
 
     def test_states_orthonormal(self):
-        _, v = g.dicke_basis(3, 3)
+        _, v = dicke_basis(3, 3)
         assert v.shape == (27, 10)
         assert np.allclose(v.conj().T @ v, np.eye(10))
 
     @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 3)])
     def test_columns_are_weight_space_indicators(self, d, n):
         weights = [tuple(s.count(a) for a in range(d)) for s in itertools.product(range(d), repeat=n)]
-        occs, v = g.dicke_basis(d, n)
+        occs, v = dicke_basis(d, n)
         for w, col in zip(occs, v.T):
             members = [r for r, x in enumerate(weights) if x == w]
             want = np.zeros(d**n)
@@ -437,19 +467,19 @@ class TestDicke:
     @pytest.mark.parametrize("w", [(2, 1), (2, 0, 1, 0), (2, -1, 2)])
     def test_rejects_non_occupation_vector(self, w):
         with pytest.raises(ValueError):
-            g.dicke_state(w, 3)
+            dicke_state(w, 3)
 
     def test_example_state(self):
         # (|002> + |200> + |020>)/sqrt 3
-        vec = g.dicke_state((2, 0, 1), 3)
+        vec = dicke_state((2, 0, 1), 3)
         want = np.zeros(27)
         want[2] = want[18] = want[6] = 1 / math.sqrt(3)
         assert np.allclose(vec, want)
 
     def test_raising_operator_matrix_elements(self):
         # frozen matrix of collective S_+^2 in the ordered Dicke basis
-        _, v = g.dicke_basis(3, 3)
-        sp2 = g.collective(g.standard_spin_ops(3, 2).plus, 3)
+        _, v = dicke_basis(3, 3)
+        sp2 = g.collective(standard_spin_ops(3, 2).plus, 3)
         m = v.conj().T @ sp2 @ v
         want = np.zeros((10, 10))
         for (r, c), val in {
@@ -462,9 +492,9 @@ class TestDicke:
     def test_raising_lowering_amplitudes(self):
         # S_+^l maps occupations (.., w_l, w_{l+1}, ..) with amplitude
         # sqrt((w_l + 1) w_{l+1})
-        occs, v = g.dicke_basis(3, 3)
+        occs, v = dicke_basis(3, 3)
         index = {w: i for i, w in enumerate(occs)}
-        sp1 = g.collective(g.standard_spin_ops(3, 1).plus, 3)
+        sp1 = g.collective(standard_spin_ops(3, 1).plus, 3)
         m = v.conj().T @ sp1 @ v
         for w, i in index.items():
             if w[1] == 0:
@@ -498,6 +528,44 @@ class TestSectorStructure:
             assert np.allclose(block, j * (j + 1) * np.eye(dim), atol=1e-12)
 
 
+def site_by_site_preset(name):
+    """The generators of ``preset(name)`` built without the placement recursion:
+    collectives one site at a time, squares as products of d^n x d^n
+    collectives, the two-body coupling placement by placement, then i * each."""
+    kind, n, variant = re.fullmatch(r"(qubits|qutrits):n=(\d+)(?::(H|Sz2))?", name).groups()
+    n = int(n)
+    if kind == "qubits":
+        sx, sy, sz = (site_collective(e, n) for e in g.pauli_matrices())
+        return [1j * sx, 1j * sy, 1j * sz, 1j * (sz @ sz)]
+    e = g.gell_mann_basis(3).elements
+    gens = [1j * site_collective(e[k], n) for k in range(1, 9)]
+    if variant == "H":
+        return gens + [1j * placement_sum((n - 2, 0, 0, 2, 0, 0, 0, 0, 0), 3, n)]
+    f3 = site_collective(e[3], n)
+    return gens + [1j * (f3 @ f3)]
+
+
+class TestPresetConstruction:
+    @pytest.mark.parametrize(
+        "name",
+        [f"qubits:n={n}" for n in range(2, 9)]
+        + [f"qutrits:n={n}:{v}" for n in (2, 3, 4) for v in ("H", "Sz2")],
+    )
+    def test_equal_to_the_site_by_site_construction(self, name):
+        # the closure's float noise follows its inputs, so equal inputs, not
+        # close ones: each entry is summed over the sites in the same order
+        got = cl.preset(name).generators
+        want = site_by_site_preset(name)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d,k,n", [(2, 3, 2), (2, 1, 5), (3, 3, 4), (3, 8, 3), (3, 5, 3)])
+    def test_collective_square_without_a_dense_product(self, d, k, n):
+        f = g.hat_f(k, d, n)
+        assert np.abs(g._collective_square(g.gell_mann_basis(d).elements[k], n) - f @ f).max() <= 1e-12
+
+
 class TestGeneratorSpecTerms:
     def test_two_body_from_terms(self):
         terms = [{"multi_index": [1, 0, 0, 2, 0, 0, 0, 0, 0], "coeff_re": 1.0, "coeff_im": 0.0}]
@@ -512,3 +580,26 @@ class TestGeneratorSpecTerms:
         sz = g.gell_mann_basis(2).elements[3]
         want = 0.5 * g.collective(sx, 3) - g.collective(sz, 3)
         assert np.allclose(g.hamiltonian_from_terms(terms, 2, 3), want)
+
+    def test_combination_matches_term_by_term_sum(self):
+        terms = [
+            {"multi_index": [1, 0, 0, 2, 0, 0, 0, 0, 0], "coeff_re": 0.25, "coeff_im": -1},
+            {"multi_index": [0, 1, 0, 0, 1, 0, 0, 0, 1], "coeff_re": 3},
+        ]
+        want = (0.25 - 1j) * placement_sum(terms[0]["multi_index"], 3, 3) + 3 * placement_sum(
+            terms[1]["multi_index"], 3, 3
+        )
+        assert np.abs(g.hamiltonian_from_terms(terms, 3, 3) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"multi_index": [2, 1, 0, 0], "coeff_re": "1.5"},
+            {"multi_index": [2, 1, 0, 0], "coeff_im": True},
+            {"multi_index": [2, 1, 0, 0], "coeff_re": None},
+        ],
+        ids=["string-coefficient", "bool-coefficient", "null-coefficient"],
+    )
+    def test_malformed_terms_raise_type_error(self, term):
+        with pytest.raises(TypeError):
+            g.hamiltonian_from_terms([term], 2, 3)

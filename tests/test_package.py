@@ -10,10 +10,9 @@ import qsymlie
 EXPORTS = {
     "tolerances": ("CLUSTER_TOL", "RANK_TOL"),
     "linalg": (
-        "EigenClustering", "OrthonormalSpan", "anticommutator", "cluster_eigenvalues",
-        "commutator", "frobenius_inner", "hermitian_eig", "is_hermitian", "is_skew_hermitian",
-        "kron", "matrix_from_json", "matrix_to_json", "orthonormal_extend", "real_span_dim",
-        "span_of",
+        "EigenClustering", "OrthonormalSpan", "cluster_eigenvalues", "commutator",
+        "frobenius_inner", "hermitian_eig", "is_hermitian", "is_skew_hermitian", "kron",
+        "matrix_from_json", "matrix_to_json", "orthonormal_extend", "real_span_dim", "span_of",
     ),
     "reptheory": (
         "GTPattern", "SSYT", "algorithm1_decompose", "ambient_commutant_dim", "c2_eigenvalue",
@@ -22,10 +21,9 @@ EXPORTS = {
         "sz_eigenvalue", "tensor_with_standard", "weight_vector",
     ),
     "generators": (
-        "HermitianBasis", "StructureConstants", "collective", "collective_apply", "dicke_basis",
-        "gell_mann_basis", "hat_f", "multi_indices", "pauli_matrices", "perm_from_cycles",
-        "permutation_operator", "standard_spin_ops", "structure_constants", "symmetric_sum",
-        "two_body_hamiltonian",
+        "HermitianBasis", "StructureConstants", "collective", "gell_mann_basis", "hat_f",
+        "multi_indices", "pauli_matrices", "perm_from_cycles", "permutation_operator",
+        "structure_constants", "symmetric_sum", "two_body_hamiltonian",
     ),
     "casimir": (
         "CenterBasis", "HighestWeightError", "IsotypicBlock", "WeightBlock", "apply_C2",
