@@ -2,35 +2,35 @@
 
 The quadratic Casimir C2 = sum_k (collective E_k)^2 acts as a scalar on each
 isotypic block of the tensor-power decomposition, so clustering its spectrum
-recovers the blocks.  Two non-isomorphic su(3) blocks can share a C2
-eigenvalue (the quadratic eigenvalue c2(p,q) is symmetric in p,q); the cubic
-Casimir C3 then refines the cluster.  Raw C2 eigenvalues are never compared
-against c2(p,q) values, only their equality patterns are matched.
+recovers the blocks; where two blocks share a C2 eigenvalue, the cubic
+Casimir C3 refines the cluster, for every d.  Raw eigenvalues are never
+compared against exact values, only their equality patterns are matched.
 
 Both Casimirs lie in the center of the image of the group algebra C[S_n],
 so each is a combination of permutation class sums (coefficients in
 :func:`_c2_coefficients` and :func:`_c3_coefficients`): C2 of the
-identity and the transpositions, C3 also of the 3-cycles.  Factor
-permutations keep every su(d) weight space (the basis states with one set
-of occupation numbers), and each class sum there is a small count matrix,
-so :func:`_casimir_on_space` is the one constructor of C2 and C3: their
-matrix on one weight space.  A permutation of the d levels, applied on
-every site, commutes with every factor permutation and maps each weight
-space onto another, so the matrices of a level-permutation orbit of weight
-spaces are one matrix with relabeled rows (``_WeightSpaces.orbits``): each
-is built, and diagonalized, once per orbit, on its representative.
+identity and the transpositions, C3 also of the 3-cycles, which act on
+block lambda as sum c and sum c^2 - n(n-1)/2 over its box contents c
+(the Jucys-Murphy content rule).  Factor permutations keep every su(d)
+weight space (the basis states with one set of occupation numbers), and
+each class sum there is a small count matrix, so :func:`_casimir_on_space`
+is the one constructor of C2 and C3: their matrix on one weight space.  A
+permutation of the d levels, applied on every site, commutes with every
+factor permutation and maps each weight space onto another, so the
+matrices of a level-permutation orbit of weight spaces are one matrix with
+relabeled rows (``_WeightSpaces.orbits``): each is built, and diagonalized,
+once per orbit, on its representative.
 :func:`isotypic_blocks` diagonalizes C2 per orbit and clusters the
 representatives' eigenvalues only, each once; it refines a C2-degenerate
 cluster by C3 per orbit, on the cluster's eigenvectors there.  Clusters
 and C3 sub-clusters are attached to labels in ascending
-:func:`_block_order`, the one exact order of the blocks (content sum, then
-for d = 3 the C3 polynomial), which :func:`highest_weight_blocks` follows
-too.  A block keeps its basis as weight-space pieces, its columns in
-weight-space order, and assembles the dense d^n-row basis only when it is
-read.  ``apply_C2`` and ``apply_C3`` apply each orbit's matrix, relabeled,
-to the rows of each of its weight spaces; both are real, so real input
-stays real.  ``build_C2`` and ``build_C3`` are the actions applied to the
-identity.
+:func:`_block_order`, the one exact order of the blocks (sum c, then
+sum c^2), which :func:`highest_weight_blocks` follows too.  A block keeps
+its basis as weight-space pieces, its columns in weight-space order, and
+assembles the dense d^n-row basis only when it is read.  ``apply_C2`` and
+``apply_C3`` apply each orbit's matrix, relabeled, to the rows of each of
+its weight spaces; both are real, so real input stays real.  ``build_C2``
+and ``build_C3`` are the actions applied to the identity.
 Every floating-point decision here reads its tolerance from
 :mod:`qsymlie.tolerances`.
 """
@@ -55,7 +55,6 @@ from .generators import (
 from .reptheory import (  # c2_eigenvalue and degeneracy_search are re-exported
     c2_eigenvalue,
     cg_decompose,
-    content_sum,
     degeneracy_search,
     irrep_dimension,
 )
@@ -91,10 +90,10 @@ def _c2_coefficients(d: int, n: int) -> tuple[float, int]:
     return 2 * n * (d * d - 1) / d - 2 * n * (n - 1) / d, 4
 
 
-def _c3_coefficients(n: int) -> tuple[float, int, int]:
+def _c3_coefficients(d: int, n: int) -> tuple[float, float, int]:
     """(alpha, beta, gamma) with C3 = alpha + beta sum_{i<j} P_ij + gamma sum_{3-cycles} P_sigma.
 
-    C3 = sum_{l,m,q} D_lmq hat(F_l) hat(F_m) hat(F_q) (d = 3 only), where
+    C3 = sum_{l,m,q} D_lmq hat(F_l) hat(F_m) hat(F_q), where
     D = ``structure_constants(gell_mann_basis(d)).dsym``.  With
     Tr(F_a F_b) = 2 delta_ab, D_lmq = 1/2 Tr(F_q {F_l, F_m}) = 2 d_lmq, where
     d_lmq = 1/4 Tr(F_l {F_m, F_q}) is totally symmetric, sum_m d_lmm = 0 and
@@ -122,10 +121,13 @@ def _c3_coefficients(n: int) -> tuple[float, int, int]:
     Each pair lies in n-2 triples.  Summing, and doubling for D = 2d:
     C3 = alpha 1 + beta sum_{i<j} P_ij + 24 sum_{3-cycles} P_sigma with
     alpha = [4(d^2-4)(d^2-1) n - 12(d^2-4) n(n-1) + 16 n(n-1)(n-2)] / d^2 and
-    beta = 24(d^2-4)/d - 48(n-2)/d; at d = 3, alpha = 16n^3/9 - 12n^2 + 28n
-    and beta = 72 - 16n.  C3 is real, and real input gives real output.
+    beta = [24(d^2-4) - 48(n-2)] / d, each one correctly rounded division of
+    integers.  At d = 2, d_lmq = 0 and C3 = 0.  C3 is real, and real input
+    gives real output.
     """
-    return 16 * n**3 / 9 - 12 * n * n + 28 * n, 72 - 16 * n, 24
+    d2 = d * d
+    alpha = 4 * (d2 - 4) * (d2 - 1) * n - 12 * (d2 - 4) * n * (n - 1) + 16 * n * (n - 1) * (n - 2)
+    return alpha / d2, (24 * (d2 - 4) - 48 * (n - 2)) / d, 24
 
 
 def _class_sum(maps: np.ndarray, states: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -182,10 +184,8 @@ def apply_C2(x, d: int, n: int) -> np.ndarray:
 
 
 def apply_C3(x, d: int, n: int) -> np.ndarray:
-    """C3 @ x for x of shape (3^n, m) (or (3^n,)), one weight-space orbit at a time (d = 3 only)."""
-    if d != 3:
-        raise ValueError("the cubic Casimir is implemented for d = 3 only")
-    return _apply(x, d, n, _c3_coefficients(n), (_transpositions(d, n), _three_cycles(d, n)))
+    """C3 @ x for x of shape (d^n, m) (or (d^n,)), one weight-space orbit at a time."""
+    return _apply(x, d, n, _c3_coefficients(d, n), (_transpositions(d, n), _three_cycles(d, n)))
 
 
 def build_C2(d: int, n: int) -> np.ndarray:
@@ -194,7 +194,7 @@ def build_C2(d: int, n: int) -> np.ndarray:
 
 
 def build_C3(d: int, n: int) -> np.ndarray:
-    """Cubic Casimir sum_{l,m,q} d_{lm}^q hat(F_l) hat(F_m) hat(F_q), as a matrix (d = 3 only)."""
+    """Cubic Casimir sum_{l,m,q} D_lmq hat(F_l) hat(F_m) hat(F_q), as a matrix."""
     return apply_C3(np.eye(d**n), d, n)
 
 
@@ -246,19 +246,14 @@ class IsotypicBlock:
         return self.basis @ self.basis.conj().T
 
 
-def _block_order(label, d: int) -> tuple[int, int]:
-    """The order of the isotypic blocks: ascending content sum, which orders
-    C2, and for d = 3 ties by (p-q)(2p+q+3)(p+2q+3), which orders C3.
+def _block_order(label) -> tuple[int, int]:
+    """(sum c, sum c^2) over the box contents c of ``label``: the order of the blocks.
 
-    On label lambda, C2 = 2n(d^2-1)/d - 2n(n-1)/d + 4 content_sum(lambda),
-    and C3 is a positive multiple of the polynomial in the su(3) quantum
-    numbers p, q, so both integers have the Casimir spectra's equalities
-    and order.
+    On block lambda, C2 = c0 + 4 sum c and C3 = alpha + beta sum c +
+    24 (sum c^2 - n(n-1)/2), so the key orders C2, and C3 within a C2 tie.
     """
-    if d != 3:
-        return content_sum(label), 0
-    p, q = label[0] - label[1], label[1] - label[2]
-    return content_sum(label), (p - q) * (2 * p + q + 3) * (p + 2 * q + 3)
+    contents = [col - row for row, length in enumerate(label) for col in range(length)]
+    return sum(contents), sum(c * c for c in contents)
 
 
 def _clusters(eig: dict) -> list[dict]:
@@ -315,8 +310,8 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
     and the eigenvectors with rows gathered by its ``local``
     (``_WeightSpaces.orbits``).  Only the representatives' eigenvalues are
     clustered (:func:`_clusters`).  A cluster shared by labels of one
-    content sum is split by C3 (d = 3), which keeps every weight space too:
-    per representative, V_nu^T (alpha + beta S2 + gamma S3) V_nu on the
+    content sum is split by C3, which keeps every weight space too: per
+    representative, V_nu^T (alpha + beta S2 + gamma S3) V_nu on the
     cluster's eigenvectors V_nu is diagonalized, and its eigenvalues are
     clustered.  Clusters, and the sub-clusters of each, are attached to the
     labels in ascending :func:`_block_order`, which is the blocks' order;
@@ -326,17 +321,17 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
     holds its basis as weight-space pieces, its columns in weight-space
     order; the d^n-row ``basis`` is built only when read.
 
-    Raises :class:`UnresolvedDegeneracyError` when labels share a C2 value
-    and d != 3, or when a cluster count or a block dimension disagrees
-    with the labels.
+    Raises :class:`UnresolvedDegeneracyError` before any eigendecomposition
+    when two labels share their :func:`_block_order` key, and when a cluster
+    count or a block dimension disagrees with the labels.
     """
     labels = cg_decompose(n, d)
-    order = sorted(labels, key=lambda m: _block_order(m, d))
-    groups = [list(g) for _, g in groupby(order, key=content_sum)]
-    if any(len(members) > 1 for members in groups) and d != 3:
-        raise UnresolvedDegeneracyError(
-            f"labels share a C2 eigenvalue and no cubic Casimir is available for d={d}"
-        )
+    keys = {m: _block_order(m) for m in labels}
+    order = sorted(labels, key=keys.get)
+    for a, b in zip(order, order[1:]):
+        if keys[a] == keys[b]:
+            raise UnresolvedDegeneracyError(f"labels {a} and {b} share their C2 and C3 values")
+    groups = [list(g) for _, g in groupby(order, key=lambda m: keys[m][0])]
 
     swaps = _transpositions(d, n)
     ws = _WeightSpaces(d, n)
@@ -357,7 +352,7 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
             blocks.append(_block(members[0], ws, vectors, labels, ci, False))
             continue
         # C2-degenerate: split the cluster along the C3 spectrum.
-        c3, classes = _c3_coefficients(n), (swaps, _three_cycles(d, n))
+        c3, classes = _c3_coefficients(d, n), (swaps, _three_cycles(d, n))
         refined = {}  # orbit representative -> C3 eigenvalues, cluster vectors rotated
         for nu, v in vectors.items():
             on_space = _casimir_on_space(c3, classes, ws.spaces[nu], ws.pos)
@@ -480,7 +475,7 @@ def highest_weight_blocks(d: int, n: int) -> list[WeightBlock]:
     ws = _WeightSpaces(d, n)
     labels = cg_decompose(n, d)
     blocks = []
-    for m in sorted(labels, key=lambda m: _block_order(m, d)):
+    for m in sorted(labels, key=_block_order):
         top = _highest_weight_space(ws, m)
         if top.shape[1] != labels[m]:
             raise HighestWeightError(

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import index
 
 from . import reptheory as _rt
 
@@ -169,13 +168,13 @@ def _load_generator_spec(path: str):
     {"multi_index": [...], "coeff_re": x, "coeff_im": y} (a combination of
     symmetric basis elements) or a raw matrix {"dim", "re", "im"}.
     Hermitian inputs H become generators iH; skew-Hermitian inputs are used
-    as given.  ``d`` and ``n`` convert by ``operator.index``, so a float or
-    string is refused.  A missing key or a value of the wrong type raises
-    :class:`CliError`.  Returns a :class:`~qsymlie.closure.GeneratorSet`.
+    as given.  ``d``, ``n``, multi-index counts and matrix ``dim`` refuse
+    floats, strings and bools (``linalg._json_int``); a missing key or a
+    wrong type raises :class:`CliError`.  Returns a ``GeneratorSet``.
     """
     from .closure import GeneratorSet
     from .generators import hamiltonian_from_terms
-    from .linalg import is_hermitian, is_skew_hermitian, matrix_from_json
+    from .linalg import _json_int, is_hermitian, is_skew_hermitian, matrix_from_json
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -183,7 +182,7 @@ def _load_generator_spec(path: str):
     except OSError as exc:
         raise CliError(f"cannot read generator spec {path}: {exc.strerror}") from exc
     try:
-        d, n = index(obj["d"]), index(obj["n"])
+        d, n = _json_int(obj["d"]), _json_int(obj["n"])
         ham_specs = list(obj["hamiltonians"])
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed generator spec {path}: {exc}") from exc

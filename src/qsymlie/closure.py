@@ -39,9 +39,9 @@ from .linalg import (
 from .generators import (
     _collective_square,
     _factor_map,
-    adjacent_transpositions,
     gell_mann_basis,
     hat_f,
+    sn_generators,
     two_body_hamiltonian,
 )
 from .casimir import WeightBlock, highest_weight_blocks
@@ -62,12 +62,12 @@ class BlockLeakageError(ClosureError):
 
 
 def _swap_defects(x: np.ndarray, d: int, n: int):
-    """||U X U^dag - X||_F for each adjacent factor transposition U.
+    """||U X U^dag - X||_F for U the factor permutations (1 2) and (1 2 ... n).
 
     U permutes basis states, so U X U^dag is X with rows and columns
     permuted: no d^n x d^n product is formed.
     """
-    for perm in adjacent_transpositions(n):
+    for perm in sn_generators(n):
         p = _factor_map(perm, d)
         yield float(np.linalg.norm(x[np.ix_(p, p)] - x))
 
@@ -77,7 +77,7 @@ class GeneratorSet:
     """Named skew-Hermitian generators on (C^d)^(x)n.
 
     Members must commute with all tensor-factor permutations; closure runs
-    check this (commuting with adjacent transpositions suffices).
+    check this (commuting with (1 2) and (1 2 ... n) suffices).
     """
 
     d: int
@@ -546,10 +546,10 @@ def membership(x, closure: LieClosureResult) -> tuple[bool, float]:
     Restricts x to the blocks first: the residual is the distance of its
     row from the span, relative to max(1, ||row||).  Rows hold only
     skew-Hermitian invariant operators, so the residual is at least the
-    Hermitian part of x and the largest ||U x U^dag - x|| over adjacent
-    factor transpositions U, relative to max(1, ||x||): a non-invariant x
-    is not a member, even if its restrictions are.  Membership is a
-    residual of at most ``RANK_TOL``.
+    Hermitian part of x and the largest ||U x U^dag - x|| over the factor
+    permutations U = (1 2) and (1 2 ... n), relative to max(1, ||x||): a
+    non-invariant x is not a member, even if its restrictions are.
+    Membership is a residual of at most ``RANK_TOL``.
     """
     x = _as_square(x)
     defect = max([np.linalg.norm(x + x.conj().T) / 2, *_swap_defects(x, closure.d, closure.n)])

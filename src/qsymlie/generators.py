@@ -33,11 +33,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import comb, sqrt
-from operator import index
 
 import numpy as np
 
-from .linalg import _as_square
+from .linalg import _as_square, _json_int
 from .tolerances import RANK_TOL
 
 
@@ -231,8 +230,8 @@ def _placement_sum(mats, terms, n: int) -> np.ndarray:
 
 
 def _multi_index(counts, d: int, n: int) -> tuple[int, ...]:
-    """``counts`` as d^2 naturals summing to n; entries convert by ``operator.index``."""
-    counts = tuple(index(c) for c in counts)
+    """``counts`` as d^2 naturals summing to n; entries convert by ``linalg._json_int``."""
+    counts = tuple(_json_int(c) for c in counts)
     if len(counts) != d * d:
         raise ValueError(f"need d^2 = {d * d} counts, got {len(counts)}")
     if any(c < 0 for c in counts) or sum(counts) != n:
@@ -343,18 +342,14 @@ class _WeightSpaces:
 def two_body_hamiltonian(d: int = 3, n: int = 3) -> np.ndarray:
     """Symmetric two-body coupling of the z-type diagonal element.
 
-    F with n-2 identities and two copies of basis element 3 (sigma_z for
-    d=2, E_3 for d=3); for d=3, n=3 this is
+    The sum over site pairs of Z (x) Z, Z = diag(1, -1, 0, ..., 0) (sigma_z
+    for d=2, E_3 for d=3); for d=3, n=3 this is
     E3 x E3 x 1 + E3 x 1 x E3 + 1 x E3 x E3.
     """
-    if d not in (2, 3):
-        raise ValueError("two_body_hamiltonian is defined for d in {2, 3}")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    counts = [0] * (d * d)
-    counts[0] = n - 2
-    counts[3] = 2
-    return symmetric_sum(counts, d, n)
+    if d < 2 or n < 2:
+        raise ValueError("need d >= 2 and n >= 2")
+    z = np.diag([1, -1] + [0] * (d - 2)).astype(complex)
+    return _placement_sum((np.eye(d, dtype=complex), z), [(1, (n - 2, 2))], n)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +390,12 @@ def perm_from_cycles(n: int, *cycles) -> tuple[int, ...]:
     return tuple(images)
 
 
-def adjacent_transpositions(n: int) -> list[tuple[int, ...]]:
-    """Generators (i, i+1) of S_n; commuting with these means commuting with S_n."""
-    return [perm_from_cycles(n, (i, i + 1)) for i in range(1, n)]
+def sn_generators(n: int) -> list[tuple[int, ...]]:
+    """(1 2) and the n-cycle (1 2 ... n), once each: they generate S_n, so
+    commuting with both means commuting with S_n."""
+    if n < 2:
+        return []
+    return list(dict.fromkeys(perm_from_cycles(n, c) for c in ((1, 2), tuple(range(1, n + 1)))))
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +427,9 @@ def hamiltonian_from_terms(terms, d: int, n: int) -> np.ndarray:
     """Sum of coeff * F_(multi_index) from exchange-format term dicts.
 
     Each term is {"multi_index": [...], "coeff_re": x, "coeff_im": y}.
-    Counts convert by ``operator.index`` and coefficients must be int or
-    float, so a fractional count or a string or bool coefficient raises
-    ``TypeError``.
+    Counts convert by ``linalg._json_int`` and coefficients must be int or
+    float, so a fractional or bool count or a string or bool coefficient
+    raises ``TypeError``.
     """
     terms = [
         (_coefficient(t, "coeff_re") + 1j * _coefficient(t, "coeff_im"),

@@ -336,12 +336,19 @@ def matrix_to_json(a) -> dict:
     }
 
 
+def _json_int(x) -> int:
+    """``x`` by ``operator.index``; a float, string or bool raises TypeError."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return index(x)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Decode the {"dim", "re", "im"} exchange format; ``dim`` converts by
-    ``operator.index``, so a float or string raises TypeError."""
+    :func:`_json_int`, so a float, string or bool raises TypeError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    dim = index(obj["dim"])
+    dim = _json_int(obj["dim"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.size != dim * dim or im.size != dim * dim:

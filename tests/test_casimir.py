@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ def sum_of_two_body_squares(d, n):
 
 
 def assert_hermitian_and_invariant(c, d, n):
-    """C is Hermitian and commutes with the adjacent factor swaps and the collectives."""
+    """C is Hermitian and commutes with (1 2), the n-cycle and the collectives."""
     scale = max(1.0, np.linalg.norm(c))
     assert np.linalg.norm(c - c.conj().T) <= 1e-9 * scale
-    ops = [g.permutation_operator(p, d) for p in g.adjacent_transpositions(n)]
+    ops = [g.permutation_operator(p, d) for p in g.sn_generators(n)]
     ops += [g.hat_f(k, d, n) for k in range(1, d * d)]
     for u in ops:
         assert np.linalg.norm(c @ u - u @ c) <= 1e-9 * scale
@@ -101,19 +102,32 @@ def dense_C3(d, n):
     return out
 
 
+def c3_on_label(label, d):
+    """C3 on block ``label`` by the content rule, exact: alpha + beta sum c +
+    24 (sum c^2 - C(n, 2)) over the box contents c of its Young diagram."""
+    n = sum(label)
+    contents = [j - i for i, row in enumerate(label) for j in range(row)]
+    alpha = Fraction(
+        4 * (d * d - 4) * (d * d - 1) * n - 12 * (d * d - 4) * n * (n - 1)
+        + 16 * n * (n - 1) * (n - 2), d * d)
+    beta = Fraction(24 * (d * d - 4) - 48 * (n - 2), d)
+    return alpha + beta * sum(contents) + 24 * (sum(c * c for c in contents) - math.comb(n, 2))
+
+
 class TestCasimirAction:
-    @pytest.mark.parametrize("d,n", [(2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5)])
+    @pytest.mark.parametrize(
+        "d,n",
+        [(2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (5, 2), (5, 3)],
+    )
     def test_builds_match_dense_oracle(self, d, n):
         assert np.abs(cas.build_C2(d, n) - dense_C2(d, n)).max() <= 1e-10
-        if d == 3:
-            assert np.abs(cas.build_C3(d, n) - dense_C3(d, n)).max() <= 1e-10
+        assert np.abs(cas.build_C3(d, n) - dense_C3(d, n)).max() <= 1e-10
 
     @pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
     def test_apply_on_columns(self, d, n, rng):
         x = rng.standard_normal((d**n, 5)) + 1j * rng.standard_normal((d**n, 5))
         assert np.abs(cas.apply_C2(x, d, n) - dense_C2(d, n) @ x).max() <= 1e-10
-        if d == 3:
-            assert np.abs(cas.apply_C3(x, d, n) - dense_C3(d, n) @ x).max() <= 1e-10
+        assert np.abs(cas.apply_C3(x, d, n) - dense_C3(d, n) @ x).max() <= 1e-10
 
     @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 3)])
     def test_c2_keeps_each_weight_space(self, d, n):
@@ -136,10 +150,9 @@ class TestCasimirAction:
         c2 = cas.apply_C2(x, d, n)
         assert c2.dtype == np.float64
         assert np.abs(c2 - dense_C2(d, n) @ x).max() <= 1e-10
-        if d == 3:
-            c3 = cas.apply_C3(x, d, n)
-            assert c3.dtype == np.float64
-            assert np.abs(c3 - dense_C3(d, n) @ x).max() <= 1e-10
+        c3 = cas.apply_C3(x, d, n)
+        assert c3.dtype == np.float64
+        assert np.abs(c3 - dense_C3(d, n) @ x).max() <= 1e-10
 
     @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (3, 5), (4, 4)])
     def test_orbit_relabeling_carries_the_count_matrices(self, d, n):
@@ -160,9 +173,12 @@ class TestCasimirAction:
         with pytest.raises(ValueError):
             cas.apply_C2(np.eye(8), 3, 2)
 
-    def test_apply_c3_rejects_other_d(self):
-        with pytest.raises(ValueError):
-            cas.apply_C3(np.eye(4), 2, 2)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_apply_c3_is_zero_at_two_levels(self, n, rng):
+        # d_lmq = 0 for su(2); the integer class-sum coefficients cancel exactly
+        x = rng.standard_normal((2**n, 3))
+        assert not cas.apply_C3(x, 2, n).any()
+        assert np.abs(dense_C3(2, n)).max() == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -192,25 +208,44 @@ class TestC3:
             lam = np.trace(sub) / b.block_dim
             assert np.linalg.norm(sub - lam * np.eye(b.block_dim)) <= 1e-9
 
-    def test_rejects_other_d(self):
-        with pytest.raises(ValueError):
-            cas.build_C3(2, 3)
+    @pytest.mark.parametrize("d,n", [(4, 3), (5, 2)])
+    def test_hermitian_and_invariant_at_other_d(self, d, n):
+        assert_hermitian_and_invariant(cas.build_C3(d, n), d, n)
 
     def test_hermitian_and_invariant_at_two_qutrits(self):
         assert_hermitian_and_invariant(cas.build_C3(3, 2), 3, 2)
 
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_closed_form_on_each_irrep_copy(self, n):
-        # C3 = (8/9)(p-q)(2p+q+3)(p+2q+3) on the copy of (p, q), and
-        # highest_weight_blocks orders C2 ties by ascending C3
+    @pytest.mark.parametrize(
+        "d,n",
+        [pytest.param(3, n, id=str(n)) for n in range(1, 8)]
+        + [pytest.param(4, n, id=f"d4-{n}") for n in range(1, 6)],
+    )
+    def test_closed_form_on_each_irrep_copy(self, d, n):
+        # C3 = alpha + beta sum c + 24 (sum c^2 - C(n, 2)) on the copy of
+        # lambda, and highest_weight_blocks orders C2 ties by ascending C3
         keys = []
-        for b in cas.highest_weight_blocks(3, n):
-            p, q = rt.quantum_numbers(b.label)
-            want = 8 / 9 * (p - q) * (2 * p + q + 3) * (p + 2 * q + 3)
-            err = np.abs(cas.apply_C3(b.basis, 3, n) - want * b.basis).max()
+        for b in cas.highest_weight_blocks(d, n):
+            want = float(c3_on_label(b.label, d))
+            err = np.abs(cas.apply_C3(b.basis, d, n) - want * b.basis).max()
             assert err <= 1e-9 * max(1.0, abs(want))
             keys.append((rt.content_sum(b.label), want))
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_block_order_matches_su3_polynomial(self, n):
+        # Oracle: at d = 3, C3 = (8/9)(p-q)(2p+q+3)(p+2q+3) on (p, q); the
+        # content rule gives the same value exactly, and (sum c, sum c^2)
+        # orders the labels as (content sum, polynomial) does
+        labels = list(rt.cg_decompose(n, 3))
+        poly = {}
+        for m in labels:
+            p, q = rt.quantum_numbers(m)
+            poly[m] = (p - q) * (2 * p + q + 3) * (p + 2 * q + 3)
+            assert c3_on_label(m, 3) == Fraction(8, 9) * poly[m]
+        for a, b in itertools.combinations(labels, 2):
+            old = (rt.content_sum(a), poly[a]), (rt.content_sum(b), poly[b])
+            new = cas._block_order(a), cas._block_order(b)
+            assert (old[0] < old[1], old[0] == old[1]) == (new[0] < new[1], new[0] == new[1])
 
 
 class Testc2Formula:
@@ -375,8 +410,9 @@ class TestIsotypicBlocks:
             (lambda labels: labels.pop((4, 2, 0)), "found 6 C2 clusters, expected 5"),
             (lambda labels: labels.update({(4, 2, 0): 8}), r"\(4, 2, 0\) has dimension 243"),
             (lambda labels: labels.update({(3, 3, 0): 6}), r"\(3, 3, 0\) has dimension 50"),
-            # (4,1,0) shares the content sum of (4,2,0), whose cluster C3 does not split
-            (lambda labels: labels.update({(4, 1, 0): 1}), "C3 splits cluster 3 into 1 parts"),
+            # (4,4,2) shares the content sum, not the sum of squares, of (4,2,0),
+            # whose cluster C3 does not split
+            (lambda labels: labels.update({(4, 4, 2): 1}), "C3 splits cluster 3 into 1 parts"),
         ],
         ids=["count", "c2-dimension", "c3-dimension", "c3-count"],
     )
@@ -389,6 +425,59 @@ class TestIsotypicBlocks:
         monkeypatch.setattr(cas, "cg_decompose", altered)
         with pytest.raises(cas.UnresolvedDegeneracyError, match=match):
             cas.isotypic_blocks(3, 6)
+
+    def test_labels_sharing_both_keys_raise_before_any_eigh(self, monkeypatch):
+        # (4,1,0) and (4,2,0) have contents with equal sums and equal sums of
+        # squares, so C2 and C3 take equal values on both
+        assert cas._block_order((4, 1, 0)) == cas._block_order((4, 2, 0))
+        real = cas.cg_decompose
+        monkeypatch.setattr(cas, "cg_decompose", lambda n, d: {**real(n, d), (4, 1, 0): 1})
+        calls = []
+        monkeypatch.setattr(cas, "hermitian_eig", lambda h: calls.append(h))
+        with pytest.raises(cas.UnresolvedDegeneracyError,
+                           match=r"\(4, 2, 0\) and \(4, 1, 0\) share their C2 and C3 values"):
+            cas.isotypic_blocks(3, 6)
+        assert calls == []
+
+    @pytest.mark.parametrize("d,n,pair", [
+        (4, 16, ((8, 5, 3, 0), (7, 7, 1, 1))),
+        (5, 15, ((7, 4, 2, 2, 0), (6, 6, 1, 1, 1))),
+    ])
+    def test_first_labels_sharing_both_keys(self, d, n, pair):
+        # below n no two labels share (sum c, sum c^2); at n the first pair
+        # does, and isotypic_blocks refuses before it builds any matrix
+        for m in range(1, n):
+            keys = [cas._block_order(label) for label in rt.cg_decompose(m, d)]
+            assert len(set(keys)) == len(keys)
+        assert cas._block_order(pair[0]) == cas._block_order(pair[1])
+        with pytest.raises(cas.UnresolvedDegeneracyError, match="share their C2 and C3 values"):
+            cas.isotypic_blocks(d, n)
+
+    @pytest.mark.parametrize("d,n", [(4, 6), (5, 6)])
+    def test_c3_refines_past_three_levels(self, d, n, monkeypatch):
+        # the first sizes with content-sum ties at d = 4 and 5: two tied pairs
+        # each, both split by C3, every clustering with wide margins
+        seen = []
+
+        def recording(values):
+            seen.append(la.cluster_eigenvalues(values))
+            return seen[-1]
+
+        monkeypatch.setattr(cas, "cluster_eigenvalues", recording)
+        blocks = cas.isotypic_blocks(d, n)
+        sums = [rt.content_sum(b.label) for b in blocks]
+        assert [b.c3_refined for b in blocks] == [sums.count(s) > 1 for s in sums]
+        assert sum(b.c3_refined for b in blocks) == 4 and len(seen) == 3
+        assert sum(b.block_dim for b in blocks) == d**n
+        for cl in seen:
+            assert cl.relative_gap > 1e6 and cl.relative_spread < 1e-5
+        for b in blocks:  # C3 on one weight-space piece of each refined block
+            if b.c3_refined:
+                piece = b.pieces[0]
+                x = np.zeros((d**n, len(piece.columns)))
+                x[piece.states] = piece.vectors
+                want = float(c3_on_label(b.label, d))
+                assert np.abs(cas.apply_C3(x, d, n) - want * x).max() <= 1e-9 * max(1.0, abs(want))
 
     def test_blocks_compare_by_identity(self):
         # value equality would compare arrays, which have no truth value
@@ -489,7 +578,7 @@ class TestIsotypicBlocks:
         assert set(values) == {(3, 3, 0), (4, 1, 1)}
         # ascending C3 is ascending _block_order, by which labels are attached
         assert values[(3, 3, 0)] + 1.0 < values[(4, 1, 1)]
-        assert cas._block_order((3, 3, 0), 3) < cas._block_order((4, 1, 1), 3)
+        assert cas._block_order((3, 3, 0)) < cas._block_order((4, 1, 1))
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_content_sum_orders_like_qutrit_c2(self, n):
@@ -524,7 +613,7 @@ class TestHighestWeightBlocks:
     def test_order_matches_isotypic_blocks(self, d, n, six_qutrit_blocks):
         # at (3, 6), (4,1,1) and (3,3,0) share C2 and are ordered by C3
         blocks = six_qutrit_blocks if (d, n) == (3, 6) else cas.isotypic_blocks(d, n)
-        want = sorted(rt.cg_decompose(n, d), key=lambda m: cas._block_order(m, d))
+        want = sorted(rt.cg_decompose(n, d), key=cas._block_order)
         assert [b.label for b in cas.highest_weight_blocks(d, n)] == want
         assert [b.label for b in blocks] == want
 

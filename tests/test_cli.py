@@ -217,6 +217,19 @@ class TestSpectrum:
         sums = [content(tuple(b["block_label"])) for b in rows]
         assert sums == sorted(sums)
 
+    @pytest.mark.parametrize("d,n", [(4, 6), (5, 6)])
+    def test_c3_refines_past_three_levels(self, capsys, d, n):
+        # the first content-sum ties at d = 4 and 5; C3 splits them
+        code, out, _ = run(capsys, "spectrum", "--d", str(d), "--n", str(n), "--format", "json")
+        assert code == 0
+        got = {
+            tuple(b["block_label"]): (b["block_dim"], b["irrep_dim"], b["multiplicity"], b["c3_refined"])
+            for b in json.loads(out)["blocks"]
+        }
+        want = hook_table(n, d)
+        assert got == {lam: (dim * mult, dim, mult, refined) for lam, (dim, mult, refined) in want.items()}
+        assert sum(refined for *_, refined in got.values()) == 4
+
     def test_never_assembles_a_block_basis(self, capsys, monkeypatch):
         # the blocks keep weight-space pieces; spectrum prints labels and sizes only
         seen = []
@@ -615,10 +628,17 @@ class TestExitCodes:
              "generator 0: malformed (TypeError: coeff_re must be a number, got str)"),
             ({"d": 2, "n": 3, "hamiltonians": [[{"multi_index": [2, 1, 0, 0], "coeff_im": True}]]},
              "generator 0: malformed (TypeError: coeff_im must be a number, got bool)"),
+            ({"d": True, "n": 2, "hamiltonians": [[]]}, "expected an integer, got True"),
+            ({"d": 2, "n": True, "hamiltonians": [[]]}, "expected an integer, got True"),
+            ({"d": 2, "n": 2, "hamiltonians": [[{"multi_index": [True, True, 0, 0]}]]},
+             "generator 0: malformed (TypeError: expected an integer, got True)"),
+            ({"d": 2, "n": 1, "hamiltonians": [{"dim": True, "re": [1], "im": [0]}]},
+             "generator 0: malformed (TypeError: expected an integer, got True)"),
         ],
         ids=["term-without-multi_index", "non-dict-term", "matrix-without-im",
              "hamiltonians-not-a-list", "float-d", "string-d", "float-n", "float-matrix-dim",
-             "float-multi_index", "string-coefficient", "bool-coefficient"],
+             "float-multi_index", "string-coefficient", "bool-coefficient", "bool-d", "bool-n",
+             "bool-multi_index", "bool-matrix-dim"],
     )
     def test_malformed_spec_exits_1(self, capsys, tmp_path, spec, message):
         # one "error:" line, no traceback, whatever part of the spec is malformed

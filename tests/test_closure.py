@@ -175,6 +175,22 @@ class TestLieClosure:
         with pytest.raises(ValueError):
             cl.lie_closure(gens)
 
+    @pytest.mark.parametrize("commutes_with", ["swap", "cycle"])
+    def test_rejects_generator_commuting_with_one_generator_of_s4(self, commutes_with):
+        # i Z1 Z2 commutes with (1 2), not with (1 2 3 4); the cyclic sum
+        # i (Z1 Z2 + Z2 Z3 + Z3 Z4 + Z4 Z1) with the 4-cycle, not with (1 2)
+        z, eye = np.diag([1.0, -1.0]), np.eye(2)
+        sites = [(0, 1)] if commutes_with == "swap" else [(0, 1), (1, 2), (2, 3), (3, 0)]
+        x = 1j * sum(kron_all([z if k in pair else eye for k in range(4)]) for pair in sites)
+        swap, cycle = cl._swap_defects(x, 2, 4)
+        assert (swap == 0.0, cycle == 0.0) == ((True, False) if commutes_with == "swap" else (False, True))
+        assert max(swap, cycle) > 1.0
+        with pytest.raises(ValueError, match="does not commute with factor permutations"):
+            cl.lie_closure(cl.GeneratorSet(2, 4, (x,), ("bad",)))
+        r = cl.lie_closure(cl.preset("qubits:n=4"))
+        member, residual = cl.membership(x, r)
+        assert not member and residual > 1e-3
+
     def test_max_dim_cap_reports_unsaturated(self):
         gens = single_site_set(1j * SX, 1j * SZ)
         r = cl.lie_closure(gens, max_dim=2)

@@ -357,9 +357,25 @@ class TestTwoBodyHamiltonian:
             g.two_body_hamiltonian(2, 4), g.symmetric_sum((2, 0, 0, 2), 2, 4)
         )
 
-    def test_rejects_other_d(self):
-        with pytest.raises(ValueError):
-            g.two_body_hamiltonian(4, 3)
+    @pytest.mark.parametrize("d,n", [(4, 2), (4, 3), (5, 3)])
+    def test_any_d(self, d, n):
+        # the pair sum of diag(1, -1, 0, ...), which is Gell-Mann element 13 at
+        # d = 4 and 21 at d = 5
+        h = g.two_body_hamiltonian(d, n)
+        assert la.is_hermitian(h)
+        for p in g.sn_generators(n):
+            u = g.permutation_operator(p, d)
+            assert np.linalg.norm(h @ u - u @ h) <= 1e-12
+        z = np.diag([1, -1] + [0] * (d - 2))
+        k = next(k for k, e in enumerate(g.gell_mann_basis(d).elements) if np.array_equal(e, z))
+        counts = [n - 2] + [0] * (d * d - 1)
+        counts[k] = 2
+        assert np.abs(h - placement_sum(counts, d, n)).max() <= 1e-12
+
+    def test_rejects_small_sizes(self):
+        for d, n in [(1, 3), (3, 1)]:
+            with pytest.raises(ValueError):
+                g.two_body_hamiltonian(d, n)
 
 
 def digit_permutation_operator(perm, d):
@@ -385,7 +401,7 @@ class TestPermutations:
     @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (3, 4)])
     def test_row_maps_of_casimir_and_closure_match(self, d, n, rng):
         # C2/C3 gather over the transpositions and 3-cycles, the closure's
-        # invariance check over the adjacent transpositions
+        # invariance check over (1 2) and the n-cycle
         perms = list(itertools.permutations(range(n)))
 
         def maps_moving(k):
@@ -397,9 +413,25 @@ class TestPermutations:
         assert sorted(tuple(m) for m in cas._transpositions(d, n)) == maps_moving(2)
         assert sorted(tuple(m) for m in cas._three_cycles(d, n)) == maps_moving(3)
         x = rng.standard_normal((d**n, d**n))
-        us = [g.permutation_operator(p, d) for p in g.adjacent_transpositions(n)]
+        us = [g.permutation_operator(p, d) for p in g.sn_generators(n)]
+        assert len(us) == 2
         want = [np.linalg.norm(u @ x @ u.conj().T - x) for u in us]
         assert np.allclose(list(cl._swap_defects(x, d, n)), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_sn_generators_generate_sn(self, n):
+        # closing {(1 2), (1 2 ... n)} under composition reaches all n! permutations
+        gens = g.sn_generators(n)
+        assert len(gens) == min(n - 1, 2)
+        group, frontier = {tuple(range(n))}, [tuple(range(n))]
+        while frontier:
+            p = frontier.pop()
+            for s in gens:
+                q = tuple(s[i] for i in p)
+                if q not in group:
+                    group.add(q)
+                    frontier.append(q)
+        assert len(group) == math.factorial(n)
 
     def test_identity(self):
         assert np.array_equal(g.permutation_operator((0, 1, 2), 2), np.eye(8))
