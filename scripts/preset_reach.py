@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Reach of the preset path: the largest presets, each closed in a fresh process.
+
+Runs ``python -m qsymlie.cli closure --preset NAME --format json`` for a
+fixed list of presets, one at a time, with one BLAS thread, and prints for
+each its exit code, ``total_dim``, verdict, wall time and that child's own
+peak resident memory.  The peak is read with ``os.wait4`` on the child;
+``RUSAGE_CHILDREN`` would keep the maximum over all children.  A preset
+that fails prints its one ``error:`` line.  Takes no flags; run it from
+anywhere, it puts the repository's ``src`` first on the child's path:
+
+    python scripts/preset_reach.py
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+PRESETS = ("qubits:n=11", "qubits:n=12", "qubits:n=13", "qutrits:n=5:H", "qutrits:n=6:H")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run(name: str):
+    """(exit code, stdout, stderr, wall seconds, peak RSS in MB) of one closure."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "qsymlie.cli", "closure", "--preset", name, "--format", "json"]
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, stdout=out, stderr=err, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        out.seek(0)
+        err.seek(0)
+        text, error = out.read().decode(), err.read().decode()
+    return proc.returncode, text, error, seconds, usage.ru_maxrss / 1024  # ru_maxrss is in KiB
+
+
+def main():
+    print(f"{'preset':<16} exit  total_dim  controllable  wall s  peak MB")
+    for name in PRESETS:
+        code, text, error, seconds, peak = run(name)
+        total, verdict = "-", "-"
+        if code == 0:
+            report = json.loads(text)
+            total, verdict = report["total_dim"], report["subspace_controllable"]
+        print(f"{name:<16} {code:>4}  {total!s:>9}  {verdict!s:>12}  {seconds:>6.2f}  {peak:>7.0f}")
+        if code != 0:
+            print(f"  {error.strip()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -5,8 +5,9 @@ The generated algebra is the direct sum of su(dim V) over the non-isomorphic
 spin blocks plus a single central direction, so its dimension is
 sum((2j+1)^2 - 1) + 1 over j = n/2, n/2-1, ...
 
-"build s" is the time to build the dense 2^n x 2^n preset and "closure s"
-the time of the closure and its verdicts.  The last two columns are the
+"build s" is the time to build the preset, whose generators are words in
+collective operators and form no 2^n x 2^n matrix, and "closure s" the time
+of the closure and its verdicts, which read the words on each block.  The last two columns are the
 closure's acceptance margins, in units of RANK_TOL, over every round of
 every closure run: the smallest accepted and the largest rejected singular
 value.

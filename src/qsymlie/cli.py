@@ -5,9 +5,9 @@ deterministic, with a fixed field order.  JSON is written on one line by the
 C encoder (python -m json.tool --indent 2 gives the indented layout);
 every payload holds integers, booleans and strings only, so a float added
 later must be rounded to 12 decimals where its payload is built.  Exit
-codes: 0 success, 1 usage/config error, 2 unsaturated closure, 3 numerical
-failure.  Only the integer layer loads at start-up: ``decompose``,
-``degeneracy`` and ``center`` above d^n = 4096 never import numpy.
+codes: 0 success, 1 usage/config error or input too large for memory, 2
+unsaturated closure, 3 numerical failure.  Only the integer layer loads at
+start-up: decompose, degeneracy and center above d^n = 4096 never import numpy.
 """
 
 from __future__ import annotations
@@ -322,8 +322,8 @@ def _exit_code(exc: Exception) -> int | None:
         return exc.code
     if isinstance(exc, ArithmeticError):  # an exact division in reptheory left a remainder
         return EXIT_NUMERICAL
-    if not isinstance(exc, (ValueError, RuntimeError)):
-        return None
+    if not isinstance(exc, (ValueError, RuntimeError)):  # MemoryError: an input too large
+        return EXIT_USAGE if isinstance(exc, MemoryError) else None
     # The numerical error types come only from modules that import numpy, so
     # they are imported here, on the failure path, and not at start-up.
     import numpy as np

@@ -10,7 +10,7 @@ identity, and a traceless part.  The trace parts span the center; the
 traceless parts of the generators generate the semisimple part, which is
 closed by bracketing and accepted one round at a time.  The system is
 subspace controllable when the traceless algebra acts as su(irrep_dim) on
-every block.
+every block.  Generators are matrices or words (see :class:`GeneratorSet`).
 
 Every floating-point decision here reads its tolerance from
 :mod:`qsymlie.tolerances`: ``RANK_TOL`` for the generator checks, the
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import sqrt
 
@@ -37,12 +37,10 @@ from .linalg import (
     real_span_dim,
 )
 from .generators import (
-    _collective_square,
     _factor_map,
+    collective_columns,
     gell_mann_basis,
-    hat_f,
     sn_generators,
-    two_body_hamiltonian,
 )
 from .casimir import WeightBlock, highest_weight_blocks
 from .reptheory import ambient_commutant_dim
@@ -74,15 +72,18 @@ def _swap_defects(x: np.ndarray, d: int, n: int):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Named skew-Hermitian generators on (C^d)^(x)n.
+    """Named skew-Hermitian generators on (C^d)^(x)n: d^n x d^n matrices or words.
 
-    Members must commute with all tensor-factor permutations; closure runs
-    check this (commuting with (1 2) and (1 2 ... n) suffices).
+    A word maps ``rho``, taking each d x d ``a`` to its collective operator
+    in some representation, to the generator there; ``word(lambda a:
+    collective(a, n))`` is its matrix.  Words commute with all factor
+    permutations; :meth:`validate` checks that matrices commute with (1 2)
+    and (1 2 ... n), which suffices.
     """
 
     d: int
     n: int
-    generators: tuple[np.ndarray, ...]
+    generators: tuple
     names: tuple[str, ...]
 
     def __post_init__(self):
@@ -92,6 +93,8 @@ class GeneratorSet:
     def validate(self) -> None:
         dim = self.d**self.n
         for g, name in zip(self.generators, self.names):
+            if callable(g):  # a word: see restrict_to_block
+                continue
             g = _as_square(g, name)
             if g.shape[0] != dim:
                 raise DimensionMismatchError(f"{name}: dimension {g.shape[0]} != {dim}")
@@ -108,10 +111,16 @@ def restrict_to_block(x, block, gate: bool = True) -> np.ndarray:
     ``block`` is a :class:`~qsymlie.casimir.WeightBlock` (one irrep copy)
     or an :class:`~qsymlie.casimir.IsotypicBlock` (the whole block).  With
     ``gate``, raises :class:`BlockLeakageError` if X maps the block outside
-    itself by more than ``RANK_TOL * max(1, ||X||_F)``.
+    itself by more than ``RANK_TOL * max(1, ||X||_F)``.  A word X is read
+    with rho(a) = P^dag (A-hat P), cannot leak, and must be skew-Hermitian.
     """
-    x = _as_square(x)
     p = block.basis
+    if callable(x):  # P spans one irrep copy, so rho is a representation
+        m = x(lambda a: p.conj().T @ collective_columns(a, p, sum(block.label)))
+        if np.linalg.norm(m + m.conj().T) > RANK_TOL * max(1.0, np.linalg.norm(m)):
+            raise NonHermitianError(f"is not skew-Hermitian on block {block.label}")
+        return m
+    x = _as_square(x)
     xp = x @ p
     if gate:
         leak = np.linalg.norm(xp - p @ (p.conj().T @ xp))
@@ -339,9 +348,15 @@ def levi_split(gens: GeneratorSet, frame: BlockFrame):
     the first ``frame.traceless_width`` columns of each generator's row, and
     the rank of the center rows scaled by 1/||X||, so that a center
     direction counts only if it carries a non-negligible fraction of its
-    generator.
+    generator.  A word that is not skew-Hermitian raises, naming it.
     """
-    rows = np.array([frame.restrict(g) for g in gens.generators])
+    rows = []
+    for g, name in zip(gens.generators, gens.names):
+        try:
+            rows.append(frame.restrict(g))
+        except NonHermitianError as exc:
+            raise NonHermitianError(f"{name} {exc}") from None
+    rows = np.array(rows)
     centers = rows[:, frame.traceless_width :]
     scale = np.maximum(np.linalg.norm(rows, axis=1), 1e-300)[:, None]
     return centers, rows[:, : frame.traceless_width], real_span_dim(centers / scale)
@@ -404,7 +419,7 @@ def _link_test(labels, s: np.ndarray, t: np.ndarray) -> LinkTest:
 
 
 def lie_closure(gens: GeneratorSet, max_dim: int | None = None) -> LieClosureResult:
-    """Compute the Lie algebra generated by a set of skew-Hermitian matrices.
+    """Compute the Lie algebra generated by skew-Hermitian matrices or words.
 
     Works in :class:`BlockFrame` coordinates.  Each generator X_i = c_i +
     s_i splits exactly into its center part c_i and traceless part s_i.
@@ -477,13 +492,11 @@ def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
         rows, run = _close(BlockFrame([b]), _unit_rows(traceless[:, cols], gen_norms),
                            max_dim - reached, b.label)
         runs.append(run)
-        pieces.append((cols, rows))
+        pieces.append((reached, cols, rows))
         reached += len(rows)
     blockwise = np.zeros((reached, frame.traceless_width))
-    top = 0
-    for cols, rows in pieces:
+    for top, cols, rows in pieces:
         blockwise[top : top + len(rows), cols] = rows
-        top += len(rows)
     if reached >= max_dim:  # the cap stopped the run
         blockwise.flags.writeable = False
         rows = np.pad(blockwise, ((0, 0), (0, len(frame.blocks))))
@@ -594,16 +607,7 @@ class ControllabilityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "blocks": [
-                {
-                    "label": list(b.label),
-                    "irrep_dim": b.irrep_dim,
-                    "multiplicity": b.multiplicity,
-                    "restricted_dim": b.restricted_dim,
-                    "ok": b.ok,
-                }
-                for b in self.per_block
-            ],
+            "blocks": [asdict(b) for b in self.per_block],
             "center_dim": self.center_component_dim,
             "total_dim": self.total_dim,
             "subspace_controllable": self.subspace_controllable,
@@ -637,18 +641,13 @@ def subspace_controllability(closure: LieClosureResult) -> ControllabilityReport
     if controllable:
         expected = frame.bound + closure.center_dim
         irrep = {b.label: b.irrep_dim for b in frame.blocks}
-        root = {}  # union-find over linked labels: each union drops one su(d)
-
-        def find(label):
-            while label in root:
-                label = root[label]
-            return label
-
+        classes = {b.label: {b.label} for b in frame.blocks}  # each union drops one su(d)
         for link in closure.links:
-            first, second = (find(label) for label in link.labels)
-            if link.linked and first != second:
-                root[second] = first
-                expected -= irrep[second] ** 2 - 1
+            first, second = (classes[label] for label in link.labels)
+            if link.linked and first is not second:
+                expected -= irrep[link.labels[1]] ** 2 - 1
+                first |= second
+                classes.update(dict.fromkeys(second, first))
         if total != expected:
             raise ClosureError(
                 f"dimension split violated: closure dim {total} != "
@@ -672,36 +671,37 @@ _LEMMA2_RE = re.compile(r"^lemma2:(\d+),(\d+),\((\d+),(\d+)\)$")
 def preset(name: str) -> GeneratorSet:
     """Named generator sets.
 
-    * ``qubits:n=K``: collective Pauli ops i*Sx, i*Sy, i*Sz plus i*Sz^2.
-    * ``qutrits:n=K:H``: the 8 local collective Gell-Mann generators plus
-      the symmetric two-body coupling i*H.
-    * ``qutrits:n=K:Sz2``: locals plus i*(collective E3)^2.
-    * ``lemma2:n1,n2,(j,m)``: a basis of block-diagonal su(n1) (+) su(n2)
-      plus the single off-diagonal matrix with i at (j, m), 1-based, with
-      1 <= j <= n1 < m <= n1+n2.
+    * ``qubits:n=K``: the words i*Sx, i*Sy, i*Sz plus i*Sz^2, S = rho(sigma).
+    * ``qutrits:n=K:H``: the 8 local words i*rho(E_k) plus the symmetric
+      two-body coupling i*H = (i/2)(rho(E3)^2 - rho(E3^2)).
+    * ``qutrits:n=K:Sz2``: locals plus i*rho(E3)^2.
+    * ``lemma2:n1,n2,(j,m)``: matrices on one site: a basis of block-diagonal
+      su(n1) (+) su(n2) plus the single off-diagonal matrix with i at (j, m),
+      1-based, with 1 <= j <= n1 < m <= n1+n2.
     """
     m = _QUBITS_RE.match(name)
     if m:
         n = int(m.group(1))
         if n < 2:
             raise ValueError("qubits preset needs n >= 2")
-        sz = gell_mann_basis(2).elements[3]
-        gens = [hat_f(k, 2, n) for k in (1, 2, 3)] + [_collective_square(sz, n)]
-        return GeneratorSet(2, n, _times_i(gens), ("i*Sx", "i*Sy", "i*Sz", "i*Sz^2"))
+        sx, sy, sz = gell_mann_basis(2).elements[1:]
+        words = (_local(sx), _local(sy), _local(sz), lambda rho: 1j * rho(sz) @ rho(sz))
+        return GeneratorSet(2, n, words, ("i*Sx", "i*Sy", "i*Sz", "i*Sz^2"))
     m = _QUTRITS_RE.match(name)
     if m:
         n, kind = int(m.group(1)), m.group(2)
         if n < 2:
             raise ValueError("qutrits preset needs n >= 2")
-        gens = [hat_f(k, 3, n) for k in range(1, 9)]
+        e3 = gell_mann_basis(3).elements[3]  # Z = diag(1, -1, 0)
+        words = [_local(a) for a in gell_mann_basis(3).elements[1:]]
         names = [f"i*E{k}_hat" for k in range(1, 9)]
-        if kind == "H":
-            gens.append(two_body_hamiltonian(3, n))
+        if kind == "H":  # sum_{i<j} Z_i Z_j = (rho(Z)^2 - rho(Z^2)) / 2
+            words.append(lambda rho: 0.5j * (rho(e3) @ rho(e3) - rho(e3 @ e3)))
             names.append("i*H2body")
         else:
-            gens.append(_collective_square(gell_mann_basis(3).elements[3], n))
+            words.append(lambda rho: 1j * rho(e3) @ rho(e3))
             names.append("i*E3_hat^2")
-        return GeneratorSet(3, n, _times_i(gens), tuple(names))
+        return GeneratorSet(3, n, tuple(words), tuple(names))
     m = _LEMMA2_RE.match(name)
     if m:
         n1, n2, j, mm = (int(m.group(i)) for i in range(1, 5))
@@ -709,11 +709,9 @@ def preset(name: str) -> GeneratorSet:
     raise ValueError(f"unknown preset {name!r}")
 
 
-def _times_i(mats) -> tuple[np.ndarray, ...]:
-    """i * each matrix, in place: a d^n x d^n generator is never copied."""
-    for m in mats:
-        m *= 1j
-    return tuple(mats)
+def _local(a):
+    """The word i rho(a)."""
+    return lambda rho: 1j * rho(a)
 
 
 def _lemma2_set(n1: int, n2: int, j: int, m: int) -> GeneratorSet:

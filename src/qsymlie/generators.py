@@ -4,11 +4,11 @@ Single-site Hermitian bases (Pauli, Gell-Mann, generalized Gell-Mann),
 structure constants, symmetrized operator-basis elements F_(j0,...),
 collective operators and permutation operators.
 
-Every symmetric operator is built by one constructor, ``_placement_sum``:
-F_(j0,...), collective lifts and their squares, the two-body coupling,
-term-list Hamiltonians and the qubit center elements of ``casimir``.  It
-adds one site at a time and keys its partial sums by the counts used so
-far, so it enumerates no placement and forms no d^n x d^n product.
+Every dense symmetric operator comes from ``_placement_sum``: F_(j0,...),
+collective lifts, the two-body coupling, term-list Hamiltonians and the
+qubit center elements of ``casimir``.  It adds one site at a time, keyed
+by the counts used so far, so it enumerates no placement and forms no
+d^n x d^n product.  Words need none: see ``collective_columns``.
 
 This module is the one home of the basis-index bookkeeping that the other
 layers share: ``_factor_map`` turns a factor permutation into the row
@@ -254,14 +254,15 @@ def collective(op, n: int) -> np.ndarray:
     return _placement_sum((np.eye(op.shape[0]), op), [(1, (n - 1, 1))], n)
 
 
-def _collective_square(op, n: int) -> np.ndarray:
-    """(collective op)^2 = collective(op^2) + 2 sum_{i<j} op_i op_j, for n >= 2.
-
-    Only the d x d product op @ op is formed.
-    """
+def collective_columns(op, x: np.ndarray, n: int) -> np.ndarray:
+    """collective(op, n) @ x for ``x`` of d^n rows, one site at a time: op acts
+    on the middle index of the rows viewed as (d^j, d, rest) for site j."""
     op = _as_square(op)
-    mats = (np.eye(op.shape[0]), op @ op, op)
-    return _placement_sum(mats, [(1, (n - 1, 1, 0)), (2, (n - 2, 0, 2))], n)
+    d = op.shape[0]
+    out = np.zeros(x.shape, dtype=complex)
+    for j in range(n):
+        out.reshape(d**j, d, -1)[...] += op @ x.reshape(d**j, d, -1)
+    return out
 
 
 def hat_f(k: int, d: int, n: int) -> np.ndarray:

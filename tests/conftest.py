@@ -28,6 +28,16 @@ def qutrit_closure_h():
     return closure.lie_closure(closure.preset("qutrits:n=3:H"))
 
 
+def dense(gens):
+    """``gens`` with each word replaced by its d^n x d^n matrix,
+    word(lambda a: collective(a, n)); matrices are kept as they are."""
+    def rho(a):
+        return generators.collective(a, gens.n)
+
+    mats = tuple(g(rho) if callable(g) else g for g in gens.generators)
+    return closure.GeneratorSet(gens.d, gens.n, mats, gens.names)
+
+
 def random_complex(rng, dim):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 

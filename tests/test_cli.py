@@ -537,6 +537,28 @@ class TestExitCodes:
         got, out, err = run(capsys, "spectrum", "--d", "2", "--n", "2")
         assert (got, out, err) == (code, "", "error: injected failure\n")
 
+    @pytest.mark.parametrize("command", ["closure", "spectrum"])
+    def test_memory_error_exits_1(self, capsys, monkeypatch, command):
+        def fail(*args, **kwargs):
+            raise MemoryError("injected failure")
+
+        monkeypatch.setattr(cl, "lie_closure", fail)
+        monkeypatch.setattr(cas, "isotypic_blocks", fail)
+        argv = ["closure", "--preset", "qubits:n=3"] if command == "closure" else [
+            "spectrum", "--d", "2", "--n", "2"]
+        got, out, err = run(capsys, *argv)
+        assert (got, out, err) == (1, "", "error: injected failure\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["closure", "--preset", "qubits:n=40"],
+        ["spectrum", "--d", "2", "--n", "40"],
+    ], ids=" ".join)
+    def test_oversized_input_exits_1_with_one_line(self, capsys, argv):
+        # numpy refuses the 2^40-state arrays before allocating them
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -15,7 +15,7 @@ from qsymlie import generators as g
 from qsymlie import linalg as la
 from qsymlie import reptheory as rt
 
-from conftest import center_coefficients, center_project, kron_all, random_skew
+from conftest import center_coefficients, center_project, dense, kron_all, random_skew
 
 SX, SY, SZ = g.pauli_matrices()
 
@@ -154,7 +154,7 @@ class TestLieClosure:
         assert base.dim == 1 and more.dim == 3
 
     def test_invariant_under_conjugation(self, rng):
-        gens = cl.preset("qubits:n=3")
+        gens = dense(cl.preset("qubits:n=3"))
         base = cl.lie_closure(gens).dim
         u = g.permutation_operator((1, 2, 0), 2)
         rotated = cl.GeneratorSet(
@@ -271,7 +271,7 @@ class TestGeneratorSchedule:
         r = cl.lie_closure(gens)
         assert r.saturated
         assert_offers(r, gens)
-        oracle = all_pairs_closure(gens, tol)
+        oracle = all_pairs_closure(dense(gens), tol)
         assert_same_block_span(r, oracle)
         # the verdicts of the dense oracle on the Casimir blocks
         ranks, center = dense_verdicts(oracle, gens.d, gens.n)
@@ -280,7 +280,7 @@ class TestGeneratorSchedule:
         assert (report.center_component_dim, report.total_dim) == (center, oracle.dim)
 
     def test_haar_conjugated_flagship_matches_oracle(self, rng):
-        rotated = conjugated(cl.preset("qutrits:n=3:H"), haar_unitary(rng, 3))
+        rotated = conjugated(dense(cl.preset("qutrits:n=3:H")), haar_unitary(rng, 3))
         r = cl.lie_closure(rotated)
         assert r.saturated and r.dim == 163 and r.path == "blocks"
         # one closure per block of the adjoint (2,1,0) and the symmetric (3,0,0)
@@ -426,7 +426,7 @@ def margin_set(name):
     if head != "flagship":
         return cl.preset(name)
     u = haar_unitary(np.random.default_rng(int(seed)), 3)
-    return conjugated(cl.preset("qutrits:n=3:H"), u)
+    return conjugated(dense(cl.preset("qutrits:n=3:H")), u)
 
 
 class TestRoundTrace:
@@ -455,7 +455,7 @@ class TestRoundTrace:
     def test_gate_residuals(self, name):
         # the generator checks and the leakage gate cut at RANK_TOL times
         # max(1, ||x||); every residual lies 1e3 below the cut
-        gens = margin_set(name)
+        gens = dense(margin_set(name))
         blocks = cl.BlockFrame.build(gens.d, gens.n).blocks
         for x in gens.generators:
             scale = max(1.0, np.linalg.norm(x))
@@ -497,7 +497,8 @@ _SCALE_CASES = ("qubits:n=3", "qubits:n=4", "qutrits:n=3:H", "lemma2:2,2,(1,3)")
 
 @lru_cache(maxsize=None)
 def cached_preset(name):
-    return cl.preset(name)
+    """The dense form of ``preset(name)``: generators for the raw-matrix path."""
+    return dense(cl.preset(name))
 
 
 def outcome(gens):
@@ -509,11 +510,18 @@ def outcome(gens):
 
 @lru_cache(maxsize=None)
 def preset_outcome(name):
-    return outcome(cached_preset(name))
+    """The outcome of the preset itself, on the word path (lemma2 is matrices)."""
+    return outcome(cl.preset(name))
 
 
 def replaced(gens, mats):
     return cl.GeneratorSet(gens.d, gens.n, tuple(mats), tuple(f"g{i}" for i in range(len(mats))))
+
+
+def preset_words(name):
+    """The preset's generators as words; a one-site matrix g is the word rho(g)."""
+    gens = cl.preset(name)
+    return [g if callable(g) else (lambda rho, g=g: rho(g)) for g in gens.generators]
 
 
 class TestCandidateScale:
@@ -560,6 +568,36 @@ class TestCandidateScale:
         mats = list(gens.generators)
         mats.insert(where, gens.generators[which])
         assert outcome(replaced(gens, mats)) == preset_outcome(name)
+
+    @pytest.mark.parametrize("name", _SCALE_CASES)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_appending_a_bracket(self, name, data):
+        # the bracket of two generators lies in the algebra they generate,
+        # appended as a word and, separately, as its dense matrix
+        gens = cached_preset(name)
+        k = len(gens.generators)
+        i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+        words = preset_words(name)
+        wi, wj = words[i], words[j]
+
+        def word(rho):
+            return wi(rho) @ wj(rho) - wj(rho) @ wi(rho)
+
+        assert outcome(replaced(gens, words + [word])) == preset_outcome(name)
+        x, y = gens.generators[i], gens.generators[j]
+        assert outcome(replaced(gens, [*gens.generators, x @ y - y @ x])) == preset_outcome(name)
+
+    @pytest.mark.parametrize("name", _SCALE_CASES)
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_collective_conjugation(self, name, seed):
+        # U^(x)n X U^(x)n^dag for a Haar-random U: the word reads rho(U a U^dag)
+        gens = cached_preset(name)
+        u = haar_unitary(np.random.default_rng(seed), gens.d)
+        words = [lambda rho, w=w: w(lambda a: rho(u @ a @ u.conj().T)) for w in preset_words(name)]
+        assert outcome(replaced(gens, words)) == preset_outcome(name)
+        assert outcome(conjugated(gens, u)) == preset_outcome(name)
 
 
 class TestBlockCoordinates:
@@ -662,7 +700,7 @@ class TestQubitPresets:
         gens = cl.preset("qubits:n=3")
         cb = cas.center_basis_from_blocks(cas.isotypic_blocks(2, 3))
         _, _, cdim = cl.levi_split(gens, cl.BlockFrame.build(2, 3))
-        traceless = [center_project(x, cb)[1] for x in gens.generators]
+        traceless = [center_project(x, cb)[1] for x in dense(gens).generators]
         tset = cl.GeneratorSet(2, 3, tuple(traceless), gens.names)
         t_dim = cl.lie_closure(tset).dim
         full_dim = cl.lie_closure(gens).dim
@@ -681,7 +719,7 @@ class TestLeviSplit:
         assert norms[3] > 1.0
         assert cdim == 1
         # the same split as the Casimir block projectors give
-        for c, t, x in zip(centers, traceless, gens.generators):
+        for c, t, x in zip(centers, traceless, dense(gens).generators):
             dense_c, dense_t = center_project(x, cb)
             assert np.allclose(frame.restrict(dense_c), np.concatenate([0 * t, c]))
             assert np.allclose(frame.restrict(dense_t), np.concatenate([t, 0 * c]))
@@ -737,7 +775,7 @@ class TestRestrictToBlock:
 
 class TestMembership:
     def test_generators_are_members(self, qutrit_closure_h):
-        gens = cl.preset("qutrits:n=3:H")
+        gens = dense(cl.preset("qutrits:n=3:H"))
         for x in gens.generators:
             member, res = cl.membership(x, qutrit_closure_h)
             assert member and res <= 1e-9
@@ -828,6 +866,40 @@ class TestSz2Preset:
         assert len(sa) == len(sb) == 162
         assert residuals(sb, sa).max() <= 1e-8
         assert residuals(sa, sb).max() <= 1e-8
+
+
+class TestWordPath:
+    """Presets are words read on each block: no d^n x d^n matrix, no
+    permutation check and no leakage gate on their path."""
+
+    @pytest.mark.parametrize("name,want", [
+        ("qubits:n=8", (161, 1, (0, 8, 24, 48, 80), "blocks")),
+        ("qutrits:n=4:H", (492, 1, (8, 35, 224, 224), "blocks")),
+        ("qutrits:n=4:Sz2", (492, 1, (8, 35, 224, 224), "blocks")),
+    ])
+    def test_no_dense_operator_is_formed(self, monkeypatch, name, want):
+        def fail(*args, **kwargs):
+            raise AssertionError("the word path formed or checked a dense operator")
+
+        monkeypatch.setattr(g, "_placement_sum", fail)
+        monkeypatch.setattr(g, "collective", fail)
+        monkeypatch.setattr(cl, "_swap_defects", fail)
+        monkeypatch.setattr(cl, "is_skew_hermitian", fail)
+        assert outcome(cl.preset(name)) == want
+
+    def test_thirteen_qubits_close(self):
+        # sum(d_lambda^2 - 1) + 1 = 554; the dense preset would hold 4.3 GB
+        report = cl.subspace_controllability(cl.lie_closure(cl.preset("qubits:n=13")))
+        formula = sum(rt.irrep_dimension(m) ** 2 - 1 for m in rt.cg_decompose(13, 2)) + 1
+        assert report.total_dim == formula == 554
+        assert report.subspace_controllable and report.center_component_dim == 1
+
+    def test_non_skew_word_raises_naming_it(self):
+        gens = cl.preset("qubits:n=3")
+        words = (*gens.generators, lambda rho: rho(SX))  # Hermitian, not skew
+        bad = cl.GeneratorSet(2, 3, words, (*gens.names, "Sx"))
+        with pytest.raises(la.NonHermitianError, match="^Sx is not skew-Hermitian on block"):
+            cl.lie_closure(bad)
 
 
 class TestPresetParsing:

@@ -284,6 +284,8 @@ class TestCollective:
         dense = g.collective(op, n)
         assert np.abs(site_collective(op, n, x) - dense @ x).max() <= 1e-12
         assert np.abs(site_collective(op, n, x[:, 0]) - dense @ x[:, 0]).max() <= 1e-12
+        assert np.abs(g.collective_columns(op, x, n) - dense @ x).max() <= 1e-12
+        assert np.abs(g.collective_columns(op, x[:, 0], n) - dense @ x[:, 0]).max() <= 1e-12
 
 
 class TestSpinOps:
@@ -577,6 +579,12 @@ def site_by_site_preset(name):
     return gens + [1j * (f3 @ f3)]
 
 
+def block_rho(block):
+    """rho(a) = P^T (A-hat P) on the irrep copy P = ``block.basis``, site by site."""
+    n = sum(block.label)
+    return lambda a: block.basis.T @ g.collective_columns(a, block.basis, n)
+
+
 class TestPresetConstruction:
     @pytest.mark.parametrize(
         "name",
@@ -584,18 +592,25 @@ class TestPresetConstruction:
         + [f"qutrits:n={n}:{v}" for n in (2, 3, 4) for v in ("H", "Sz2")],
     )
     def test_equal_to_the_site_by_site_construction(self, name):
-        # the closure's float noise follows its inputs, so equal inputs, not
-        # close ones: each entry is summed over the sites in the same order
-        got = cl.preset(name).generators
+        # each word's block rows match the oracle restricted to the blocks,
+        # and its dense form matches the oracle, both relative to its size
+        gens = cl.preset(name)
         want = site_by_site_preset(name)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        assert len(gens.generators) == len(want)
+        frame = cl.BlockFrame.build(gens.d, gens.n)
+        for word, x in zip(gens.generators, want):
+            row, oracle = frame.restrict(word), frame.restrict(x)
+            assert np.abs(row - oracle).max() <= 1e-13 * max(1.0, np.abs(oracle).max())
+            matrix = word(lambda a: g.collective(a, gens.n))
+            assert np.abs(matrix - x).max() <= 1e-12 * max(1.0, np.abs(x).max())
 
     @pytest.mark.parametrize("d,k,n", [(2, 3, 2), (2, 1, 5), (3, 3, 4), (3, 8, 3), (3, 5, 3)])
-    def test_collective_square_without_a_dense_product(self, d, k, n):
+    def test_collective_square_on_every_block(self, d, k, n):
+        # rho(A)^2 is the restriction of the dense square, on every irrep copy
         f = g.hat_f(k, d, n)
-        assert np.abs(g._collective_square(g.gell_mann_basis(d).elements[k], n) - f @ f).max() <= 1e-12
+        for block in cas.highest_weight_blocks(d, n):
+            r = block_rho(block)(g.gell_mann_basis(d).elements[k])
+            assert np.abs(r @ r - cl.restrict_to_block(f @ f, block)).max() <= 1e-12
 
 
 class TestGeneratorSpecTerms:
