@@ -76,10 +76,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_decompose(args) -> int:
-    dec = _rt.cg_decompose(args.n, args.d)
     rows = [
-        {"iweight": list(m), "dim": _rt.irrep_dimension(m), "multiplicity": k}
-        for m, k in dec.items()
+        {"iweight": list(m), "dim": dim, "multiplicity": k}
+        for m, dim, k in _rt.cg_table(args.n, args.d)
     ]
     total = sum(r["multiplicity"] * r["dim"] for r in rows)
     sq = sum(r["dim"] ** 2 for r in rows)
@@ -266,46 +265,56 @@ def cmd_degeneracy(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="qsymlie", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", parents=[], help="Clebsch-Gordan decomposition table")
-    _add_size(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("center", help="center dimension f(n,d), verified from highest weights "
-                                      "when d^n <= 4096")
-    _add_size(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_center)
-
-    p = sub.add_parser("spectrum", help="isotypic blocks from Casimir spectra")
-    _add_size(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("closure", help="Lie closure and controllability report")
+def _add_closure(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", default=None)
     p.add_argument("--spec", default=None, help="generator-spec JSON path")
     p.add_argument("--max-dim", type=_int_at_least(0), default=None,
                    help="cap on the traceless dimension "
                         "(default: the ambient bound C(n+d^2-1,d^2-1))")
-    _add_common(p)
-    p.set_defaults(func=cmd_closure)
 
-    p = sub.add_parser("degeneracy", help="all (p,q) sharing the quadratic Casimir value")
+
+def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("p0", type=_int_at_least(0))
     p.add_argument("q0", type=_int_at_least(0))
-    _add_common(p)
-    p.set_defaults(func=cmd_degeneracy)
+
+
+# name -> (help, adder of the command's own arguments, handler)
+_COMMANDS = {
+    "decompose": ("Clebsch-Gordan decomposition table", _add_size, cmd_decompose),
+    "center": ("center dimension f(n,d), verified from highest weights when d^n <= 4096",
+               _add_size, cmd_center),
+    "spectrum": ("isotypic blocks from Casimir spectra", _add_size, cmd_spectrum),
+    "closure": ("Lie closure and controllability report", _add_closure, cmd_closure),
+    "degeneracy": ("all (p,q) sharing the quadratic Casimir value", _add_seed, cmd_degeneracy),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: only ``command``'s subparser if it names one, else all five.
+
+    A subcommand's usage, help and errors do not depend on its siblings, so
+    a call builds one subparser; ``qsymlie``, ``--help`` and an unknown
+    command get all of them and list every choice.  The top-level usage,
+    which an unrecognized argument prints, still lists every command.
+    """
+    ap = _Parser(prog="qsymlie", description=__doc__)
+    single = command in _COMMANDS
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{" + ",".join(_COMMANDS) + "}" if single else None)
+    names = [command] if single else _COMMANDS
+    for name in names:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        _add_common(p)
+        p.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:

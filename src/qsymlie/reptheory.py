@@ -10,7 +10,7 @@ arithmetic; no floating point.
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial, isqrt, prod
+from math import comb, isqrt, prod
 from operator import index
 from typing import TYPE_CHECKING
 
@@ -69,6 +69,8 @@ def irrep_dimension(m) -> int:
     the big integers hold one factor per pair of unequal entries, not d^2.
     Equal entries of an i-weight are contiguous, so the inner loop starts
     past the end of m_r's run and never visits a skipped pair.
+    :func:`cg_table` gives the same numbers for the labels of a tensor power
+    without a call per label.
     """
     m = check_iweight(m)
     d = len(m)
@@ -340,54 +342,71 @@ def algorithm1_decompose(s, sprime) -> dict[IWeight, int]:
     return dict(sorted(out.items(), reverse=True))
 
 
-def _partitions_into(n: int, parts: int, cap: int | None = None):
-    """Non-increasing tuples of ``parts`` nonnegative ints summing to n.
+def cg_table(n: int, d: int) -> list[tuple[IWeight, int, int]]:
+    """Clebsch-Gordan table of the n-fold tensor power of the standard rep.
 
-    Recurses once per nonzero entry and pads the rest with zeros, so the
-    depth is at most min(n, parts) + 1.
+    One ``(i-weight, irrep dimension, multiplicity)`` per non-increasing
+    d-tuple m summing to n, in descending lexicographic order of m;
+    completeness means sum(mult * dim) = d**n.  By Schur-Weyl duality the
+    multiplicity is the number of standard Young tableaux of shape m.  With
+    j nonzero rows, counted from r = 0, the hook-length formula (Frobenius
+    form) and the Weyl dimension formula read
+
+        mult = V * n! / prod_r m_r! / Q,
+        dim  = V * prod_r C(m_r + d - 1 - r, m_r) / Q,
+
+    where V = prod_{r<s<j} (m_r - m_s + s - r) and
+    Q = prod_{r<j} (m_r + j - 1 - r)! / m_r!.
+
+    A recursion picks the nonzero rows one at a time, so its depth is at
+    most min(n, d), and carries V, the multinomial, the binomial product and
+    Q along the prefix.  Each label costs a few products of small integers
+    and two exact divisions by Q; a remainder raises ArithmeticError.
     """
-    if cap is None:
-        cap = n
-    if n == 0:
-        yield (0,) * parts
-        return
-    if parts == 1:
-        if n <= cap:
-            yield (n,)
-        return
-    for first in range(min(n, cap), (n + parts - 1) // parts - 1, -1):
-        for rest in _partitions_into(n - first, parts - 1, first):
-            yield (first,) + rest
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+    zeros = (0,) * d
+    table = [((n,) + zeros[1:], comb(n + d - 1, n), 1)]  # the symmetric power
+
+    def extend(prefix, shifted, rest, v, multinomial, binomials, q):
+        # Appends the labels prefix + (m, ...) with m < rest, in order.  The
+        # prefix holds rows 0..r-1, shifted[s] = m_s + r - s, v and binomials
+        # are its products, multinomial = n! / (prod m_s! * rest!), and q is
+        # Q of the label prefix + (rest,).
+        r = len(prefix)
+        grown = tuple([a + 1 for a in shifted])
+        top = min(rest - 1, prefix[-1]) if prefix else rest - 1
+        choose = comb(rest, top)  # C(rest, m), updated as m falls
+        for m in range(top, (rest + d - r - 1) // (d - r) - 1, -1):
+            left = rest - m
+            v_m = v * prod([a - m for a in shifted])
+            multinomial_m = multinomial * choose
+            binomials_m = binomials * comb(m + d - 1 - r, m)
+            shifted_m = grown + (m + 1,)
+            q_m = q * prod(shifted_m)
+            if left <= m:  # the label whose row r + 1 takes all that is left
+                label = prefix + (m, left) + zeros[: d - r - 2]
+                v_label = v_m * prod([a - left for a in shifted_m])
+                dim, rem = divmod(v_label * binomials_m * comb(left + d - 2 - r, left), q_m)
+                mult, rem_mult = divmod(v_label * multinomial_m, q_m)
+                if rem or rem_mult:
+                    raise ArithmeticError(f"dimension or multiplicity of {label} is not an integer")
+                table.append((label, dim, mult))
+            if min(left - 1, m) >= (left + d - r - 2) // (d - r - 1):  # row r + 1 can take less
+                extend(prefix + (m,), shifted_m, left, v_m, multinomial_m, binomials_m, q_m)
+            choose = choose * m // (left + 1)
+
+    extend((), (), n, 1, 1, 1, 1)
+    return table
 
 
 def cg_decompose(n: int, d: int) -> dict[IWeight, int]:
     """Clebsch-Gordan content of the n-fold tensor power of the standard rep.
 
-    Returns {i-weight (entry sum n): multiplicity} for every non-increasing
-    d-tuple summing to n; completeness means sum(mult * dim) = d**n.  By
-    Schur-Weyl duality the multiplicity of m is the number of standard Young
-    tableaux of shape m, given by the Frobenius form of the hook-length
-    formula over the k nonzero rows:
-
-        n! * prod_{r<s<=k} (l_r - l_s) // prod_r l_r!,   l_r = m_r + k - r,
-
-    with rows counted from r = 1.  The division is exact, and a remainder
-    raises ArithmeticError.
+    {i-weight (entry sum n): multiplicity}, the dict view of
+    :func:`cg_table`, in the same order.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    n_fact = factorial(n)
-    out = {}
-    for m in _partitions_into(n, d):
-        k = d - m.count(0)
-        ells = [m[r] + k - 1 - r for r in range(k)]
-        num = n_fact * prod(a - b for a, b in itertools.combinations(ells, 2))
-        den = prod(map(factorial, ells))
-        mult, rem = divmod(num, den)
-        if rem:
-            raise ArithmeticError(f"multiplicity of {m} is not an integer: {num}/{den}")
-        out[m] = mult
-    return out
+    return {m: mult for m, _, mult in cg_table(n, d)}
 
 
 def ambient_commutant_dim(n: int, d: int) -> int:

@@ -112,10 +112,10 @@ class TestDecompose:
         assert obj["ok"] is True
 
     def test_inexact_division_exits_3(self, capsys, monkeypatch):
-        def inexact(m):
-            raise ArithmeticError(f"Weyl dimension of {m} is not an integer")
+        def inexact(n, d):
+            raise ArithmeticError("dimension or multiplicity of (2, 1, 0) is not an integer")
 
-        monkeypatch.setattr(rt, "irrep_dimension", inexact)
+        monkeypatch.setattr(rt, "cg_table", inexact)
         code, out, err = run(capsys, "decompose", "--d", "3", "--n", "3")
         assert code == 3
         assert out == ""
@@ -669,3 +669,72 @@ class TestExitCodes:
         code, out, err = run(capsys, "closure", "--spec", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def _subparsers(ap):
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestParser:
+    COMMANDS = ("decompose", "center", "spectrum", "closure", "degeneracy")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"]], ids=" ".join)
+    def test_help_lists_every_subcommand(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        assert out.startswith("usage: qsymlie [-h] {" + ",".join(self.COMMANDS) + "} ...")
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("    ") and not line.startswith("     ")]
+        assert listed == list(self.COMMANDS)
+
+    def test_unknown_command_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bogus"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1 and out == ""
+        assert err.count("error:") == 1 and err.count("invalid choice") == 1
+        assert "qsymlie: error: argument command: invalid choice: 'bogus' (choose from " in err
+        assert all(f"'{name}'" in err for name in self.COMMANDS)
+
+    def test_missing_command_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([])
+        _, err = capsys.readouterr()
+        assert exc.value.code == 1
+        assert err.endswith("qsymlie: error: the following arguments are required: command\n")
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_one_subparser_per_command(self, name):
+        one = cli.build_parser(name)
+        assert list(_subparsers(one)) == [name]
+        every = cli.build_parser()
+        assert _subparsers(one)[name].format_help() == _subparsers(every)[name].format_help()
+        assert one.format_usage() == every.format_usage()
+
+    @pytest.mark.parametrize("command", [None, "bogus", "--help"])
+    def test_other_first_arguments_build_every_subparser(self, command):
+        assert tuple(_subparsers(cli.build_parser(command))) == self.COMMANDS
+
+    def test_main_builds_the_named_subparser_only(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def spy(command=None):
+            ap = real(command)
+            built.append(list(_subparsers(ap)))
+            return ap
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert run(capsys, "degeneracy", "5", "2")[0] == 0
+        assert built == [["degeneracy"]]
+
+    def test_unrecognized_argument_prints_the_full_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decompose", "--d", "3", "--n", "3", "extra"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1 and out == ""
+        assert err == ("usage: qsymlie [-h] {" + ",".join(self.COMMANDS) + "} ...\n"
+                       "qsymlie: error: unrecognized arguments: extra\n")

@@ -335,6 +335,90 @@ class TestCGDecompose:
         assert acc == rt.cg_decompose(4, 3)
 
 
+def descending_partitions(n, d):
+    """Partitions of n into at most d parts, zero-padded to length d, largest first."""
+    out = []
+
+    def extend(prefix, rest):
+        if rest == 0:
+            out.append(prefix + (0,) * (d - len(prefix)))
+            return
+        for first in range(min([rest, *prefix[-1:]]), 0, -1):
+            if first * (d - len(prefix)) < rest:
+                break
+            extend(prefix + (first,), rest - first)
+
+    extend((), n)
+    return out
+
+
+def hook_formulas(m, d):
+    """(dimension, multiplicity) of the label m, box by box.
+
+    Hook-content formula for the GL(d) dimension, hook-length formula for
+    the number of standard Young tableaux.
+    """
+    rows = [x for x in m if x]
+    columns = [sum(1 for row in rows if row > j) for j in range(rows[0])]
+    hooks = math.prod(row - j + columns[j] - i - 1
+                      for i, row in enumerate(rows) for j in range(row))
+    contents = math.prod(d + j - i for i, row in enumerate(rows) for j in range(row))
+    dim, rem = divmod(contents, hooks)
+    mult, rem_mult = divmod(math.factorial(sum(rows)), hooks)
+    assert rem == rem_mult == 0
+    return dim, mult
+
+
+class TestCGTable:
+    GRID = [(n, d) for d in range(1, 9) for n in range(1, 25)]
+
+    def check(self, n, d):
+        table = rt.cg_table(n, d)
+        assert [m for m, _, _ in table] == descending_partitions(n, d)
+        for m, dim, mult in table:
+            assert (dim, mult) == hook_formulas(m, d), m
+        return table
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_hook_formulas_on_the_grid(self, d):
+        for n in range(1, 25):
+            self.check(n, d)
+
+    @pytest.mark.parametrize("d,n", [(1200, 2), (2, 2000), (40, 40), (6, 24)])
+    def test_matches_hook_formulas_at_large_sizes(self, d, n):
+        table = self.check(n, d)
+        assert len(table) == rt.center_dimension(n, d)
+        assert sum(dim * mult for _, dim, mult in table) == d**n
+
+    def test_descending_order(self):
+        for n, d in self.GRID:
+            labels = [m for m, _, _ in rt.cg_table(n, d)]
+            assert labels == sorted(set(labels), reverse=True)
+            assert all(len(m) == d and sum(m) == n for m in labels)
+
+    def test_cg_decompose_is_its_dict_view(self):
+        for n, d in self.GRID:
+            table = rt.cg_table(n, d)
+            dec = rt.cg_decompose(n, d)
+            assert list(dec.items()) == [(m, mult) for m, _, mult in table]
+
+    def test_irrep_dimension_agrees_on_every_label(self):
+        # the two Weyl-formula paths: per label, and carried along the rows
+        for n, d in self.GRID:
+            for m, dim, _ in rt.cg_table(n, d):
+                assert rt.irrep_dimension(m) == dim, m
+
+    def test_small_tables(self):
+        assert rt.cg_table(3, 3) == [((3, 0, 0), 10, 1), ((2, 1, 0), 8, 2), ((1, 1, 1), 1, 1)]
+        assert rt.cg_table(1, 4) == [((1, 0, 0, 0), 4, 1)]
+        assert rt.cg_table(5, 1) == [((5,), 1, 1)]
+
+    @pytest.mark.parametrize("n,d", [(0, 3), (3, 0), (-1, 2)])
+    def test_rejects_empty_sizes(self, n, d):
+        with pytest.raises(ValueError, match="need n >= 1 and d >= 1"):
+            rt.cg_table(n, d)
+
+
 class TestCenterDimension:
     @given(st.integers(min_value=0, max_value=60))
     @settings(max_examples=40, deadline=None)
