@@ -3,11 +3,12 @@
 
 Runs ``python -m qsymlie.cli closure --preset NAME --format json`` for a
 fixed list of presets, one at a time, with one BLAS thread, and prints for
-each its exit code, ``total_dim``, verdict, wall time and that child's own
-peak resident memory.  The peak is read with ``os.wait4`` on the child;
-``RUSAGE_CHILDREN`` would keep the maximum over all children.  A preset
-that fails prints its one ``error:`` line.  Takes no flags; run it from
-anywhere, it puts the repository's ``src`` first on the child's path:
+each its exit code, ``total_dim``, verdict, the most bracket ``rounds`` of
+any closure run, wall time and that child's own peak resident memory.  The
+peak is read with ``os.wait4`` on the child; ``RUSAGE_CHILDREN`` would keep
+the maximum over all children.  A preset that fails prints its one
+``error:`` line.  Takes no flags; run it from anywhere, it puts the
+repository's ``src`` first on the child's path:
 
     python scripts/preset_reach.py
 """
@@ -42,14 +43,16 @@ def run(name: str):
 
 
 def main():
-    print(f"{'preset':<16} exit  total_dim  controllable  wall s  peak MB")
+    print(f"{'preset':<16} exit  total_dim  controllable  rounds  wall s  peak MB")
     for name in PRESETS:
         code, text, error, seconds, peak = run(name)
-        total, verdict = "-", "-"
+        total, verdict, rounds = "-", "-", "-"
         if code == 0:
             report = json.loads(text)
             total, verdict = report["total_dim"], report["subspace_controllable"]
-        print(f"{name:<16} {code:>4}  {total!s:>9}  {verdict!s:>12}  {seconds:>6.2f}  {peak:>7.0f}")
+            rounds = report["rounds"]
+        print(f"{name:<16} {code:>4}  {total!s:>9}  {verdict!s:>12}  {rounds!s:>6}"
+              f"  {seconds:>6.2f}  {peak:>7.0f}")
         if code != 0:
             print(f"  {error.strip()}")
 

@@ -54,9 +54,8 @@ from .generators import (
 )
 from .reptheory import (  # c2_eigenvalue and degeneracy_search are re-exported
     c2_eigenvalue,
-    cg_decompose,
+    cg_table,
     degeneracy_search,
-    irrep_dimension,
 )
 from .tolerances import RANK_TOL
 
@@ -277,9 +276,10 @@ def _clusters(eig: dict) -> list[dict]:
     return out
 
 
-def _block(label, ws: _WeightSpaces, vectors: dict, labels, ci: int,
-           refined: bool) -> IsotypicBlock:
-    """The block ``label`` with columns ``vectors`` (nu -> columns on nu), checked.
+def _block(label, ws: _WeightSpaces, vectors: dict, irrep_dim: int, multiplicity: int,
+           ci: int, refined: bool) -> IsotypicBlock:
+    """The block ``label`` with columns ``vectors`` (nu -> columns on nu), checked
+    against its CG ``irrep_dim`` and ``multiplicity``.
 
     Each weight space mu, in ``ws.spaces`` order, takes the columns of its
     representative nu with rows gathered by its ``local``
@@ -291,13 +291,13 @@ def _block(label, ws: _WeightSpaces, vectors: dict, labels, ci: int,
             v = vectors[nu][local]
             pieces.append(BlockPiece(ws.spaces[mu], v, np.arange(top, top + v.shape[1])))
             top += v.shape[1]
-    want = labels[label] * irrep_dimension(label)
+    want = multiplicity * irrep_dim
     if top != want:
         raise UnresolvedDegeneracyError(
             f"the block of {label} has dimension {top}, the CG decomposition needs {want}"
         )
-    return IsotypicBlock(label, tuple(pieces), ws.d**ws.n, top, irrep_dimension(label),
-                         labels[label], ci, refined)
+    return IsotypicBlock(label, tuple(pieces), ws.d**ws.n, top, irrep_dim, multiplicity,
+                         ci, refined)
 
 
 def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
@@ -325,7 +325,7 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
     when two labels share their :func:`_block_order` key, and when a cluster
     count or a block dimension disagrees with the labels.
     """
-    labels = cg_decompose(n, d)
+    labels = {m: (dim, k) for m, dim, k in cg_table(n, d)}
     keys = {m: _block_order(m) for m in labels}
     order = sorted(labels, key=keys.get)
     for a, b in zip(order, order[1:]):
@@ -349,7 +349,7 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
     blocks: list[IsotypicBlock] = []
     for ci, (members, vectors) in enumerate(zip(groups, clusters)):
         if len(members) == 1:
-            blocks.append(_block(members[0], ws, vectors, labels, ci, False))
+            blocks.append(_block(members[0], ws, vectors, *labels[members[0]], ci, False))
             continue
         # C2-degenerate: split the cluster along the C3 spectrum.
         c3, classes = _c3_coefficients(d, n), (swaps, _three_cycles(d, n))
@@ -364,7 +364,7 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
                 f"C3 splits cluster {ci} into {len(parts)} parts, expected {len(members)}"
             )
         for m, part in zip(members, parts):
-            blocks.append(_block(m, ws, part, labels, ci, True))
+            blocks.append(_block(m, ws, part, *labels[m], ci, True))
     return blocks
 
 
@@ -400,7 +400,7 @@ def highest_weight_counts(d: int, n: int) -> dict[tuple[int, ...], int]:
     space at a time and forms no d^n x d^n matrix.
     """
     ws = _WeightSpaces(d, n)
-    return {m: _highest_weight_space(ws, m).shape[1] for m in cg_decompose(n, d)}
+    return {m: _highest_weight_space(ws, m).shape[1] for m, _, _ in cg_table(n, d)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,8 +421,9 @@ class WeightBlock:
     multiplicity: int
 
 
-def _lowered_span(ws: _WeightSpaces, label, top: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (d^n rows) of the span of all lowerings of ``top``.
+def _lowered_span(ws: _WeightSpaces, label, irrep_dim: int, top: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (d^n rows) of the span of all lowerings of ``top``,
+    checked to have ``irrep_dim`` columns.
 
     Each lowering E_{i+1,i} moves one box from row i to row i+1, so it raises
     sum_k k*mu_k by one; weights are visited one such level at a time, and
@@ -447,10 +448,10 @@ def _lowered_span(ws: _WeightSpaces, label, top: np.ndarray) -> np.ndarray:
             if keep.any():
                 level[mu] = u[:, keep]
     dim = sum(vecs.shape[1] for _, vecs in parts)
-    if dim != irrep_dimension(label):
+    if dim != irrep_dim:
         raise HighestWeightError(
             f"lowerings of the highest weight {label} span {dim} dimensions, "
-            f"irrep dimension is {irrep_dimension(label)}"
+            f"irrep dimension is {irrep_dim}"
         )
     out = np.zeros((ws.d**ws.n, dim))
     col = 0
@@ -465,25 +466,24 @@ def highest_weight_blocks(d: int, n: int) -> list[WeightBlock]:
 
     For each label lambda, the highest-weight vectors of weight lambda (see
     :func:`highest_weight_counts`) must number exactly the CG multiplicity,
-    and the lowerings of one of them must span exactly ``irrep_dimension``
-    columns; either mismatch raises :class:`HighestWeightError`.  No
-    Casimir is needed: the vectors of weight lambda that every raising
+    and the lowerings of one of them must span exactly the irrep dimension
+    (both read once from :func:`~qsymlie.reptheory.cg_table`); either
+    mismatch raises :class:`HighestWeightError`.  No Casimir is needed: the vectors of weight lambda that every raising
     operator kills are exactly the highest-weight vectors of the copies of
     irrep lambda, whatever other labels share its C2 value.  Blocks come in
     :func:`_block_order`, the order of :func:`isotypic_blocks`.
     """
     ws = _WeightSpaces(d, n)
-    labels = cg_decompose(n, d)
     blocks = []
-    for m in sorted(labels, key=_block_order):
+    for m, dim, k in sorted(cg_table(n, d), key=lambda row: _block_order(row[0])):
         top = _highest_weight_space(ws, m)
-        if top.shape[1] != labels[m]:
+        if top.shape[1] != k:
             raise HighestWeightError(
                 f"weight {m} holds {top.shape[1]} highest-weight vectors, "
-                f"CG multiplicity is {labels[m]}"
+                f"CG multiplicity is {k}"
             )
-        basis = _lowered_span(ws, m, top[:, 0])
-        blocks.append(WeightBlock(m, basis, basis.shape[1], labels[m]))
+        basis = _lowered_span(ws, m, dim, top[:, 0])
+        blocks.append(WeightBlock(m, basis, basis.shape[1], k))
     return blocks
 
 

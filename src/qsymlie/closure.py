@@ -33,7 +33,6 @@ from .linalg import (
     DimensionMismatchError,
     NonHermitianError,
     _as_square,
-    is_skew_hermitian,
     real_span_dim,
 )
 from .generators import (
@@ -63,11 +62,12 @@ def _swap_defects(x: np.ndarray, d: int, n: int):
     """||U X U^dag - X||_F for U the factor permutations (1 2) and (1 2 ... n).
 
     U permutes basis states, so U X U^dag is X with rows and columns
-    permuted: no d^n x d^n product is formed.
+    permuted: no d^n x d^n product is formed.  ``x`` may be a (k, d^n, d^n)
+    stack, which gives k defects per permutation.
     """
     for perm in sn_generators(n):
         p = _factor_map(perm, d)
-        yield float(np.linalg.norm(x[np.ix_(p, p)] - x))
+        yield np.linalg.norm(x[..., p[:, None], p] - x, axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -91,18 +91,48 @@ class GeneratorSet:
             raise ValueError("generators and names must be parallel")
 
     def validate(self) -> None:
+        """Check each matrix: d^n x d^n, skew-Hermitian, and commuting with
+        (1 2) and (1 2 ... n), each at ``RANK_TOL * max(1, ||X||_F)``.
+
+        The matrices are checked as one stack.  Of several failures, the
+        first generator's first check raises, in the order listed.
+        """
         dim = self.d**self.n
+        mats, names, misfit = [], [], None
         for g, name in zip(self.generators, self.names):
             if callable(g):  # a word: see restrict_to_block
                 continue
-            g = _as_square(g, name)
-            if g.shape[0] != dim:
-                raise DimensionMismatchError(f"{name}: dimension {g.shape[0]} != {dim}")
-            if not is_skew_hermitian(g):
-                raise NonHermitianError(f"{name} is not skew-Hermitian")
-            scale = max(1.0, float(np.linalg.norm(g)))
-            if any(defect > RANK_TOL * scale for defect in _swap_defects(g, self.d, self.n)):
-                raise ValueError(f"{name} does not commute with factor permutations")
+            try:
+                g = _as_square(g, name)
+                if g.shape[0] != dim:
+                    raise DimensionMismatchError(f"{name}: dimension {g.shape[0]} != {dim}")
+            except DimensionMismatchError as exc:
+                misfit = exc  # raised once the generators before it are checked
+                break
+            mats.append(g)
+            names.append(name)
+        if mats:
+            stack = np.array(mats)
+            cut = RANK_TOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+            skew = np.linalg.norm(stack + stack.conj().swapaxes(1, 2), axis=(1, 2)) > cut
+            moved = np.zeros(len(mats), dtype=bool)
+            for defects in _swap_defects(stack, self.d, self.n):
+                moved |= defects > cut
+            bad = np.flatnonzero(skew | moved)
+            if len(bad):
+                i = bad[0]
+                if skew[i]:
+                    raise NonHermitianError(f"{names[i]} is not skew-Hermitian")
+                raise ValueError(f"{names[i]} does not commute with factor permutations")
+        if misfit is not None:
+            raise misfit
+
+
+def _restrict_stack(xs: np.ndarray, p: np.ndarray):
+    """(P^dag X P, ||XP - P P^dag X P||_F) for each X of the (k, D, D) stack ``xs``."""
+    xp = xs @ p
+    parts = p.conj().T @ xp
+    return parts, np.linalg.norm(xp - p @ parts, axis=(1, 2))
 
 
 def restrict_to_block(x, block, gate: bool = True) -> np.ndarray:
@@ -121,14 +151,20 @@ def restrict_to_block(x, block, gate: bool = True) -> np.ndarray:
             raise NonHermitianError(f"is not skew-Hermitian on block {block.label}")
         return m
     x = _as_square(x)
-    xp = x @ p
+    (m,), leak = _restrict_stack(x[None], p)
     if gate:
-        leak = np.linalg.norm(xp - p @ (p.conj().T @ xp))
-        if leak > RANK_TOL * max(1.0, np.linalg.norm(x)):
-            raise BlockLeakageError(
-                f"leakage {leak:.3e} out of block {block.label} exceeds tolerance"
-            )
-    return p.conj().T @ xp
+        _leakage_gate([block], leak, np.linalg.norm(x))
+    return m
+
+
+def _leakage_gate(blocks, leaks, norm: float) -> None:
+    """Raise :class:`BlockLeakageError` for the first of ``blocks`` whose
+    leakage exceeds ``RANK_TOL * max(1, norm)``."""
+    over = np.flatnonzero(np.asarray(leaks) > RANK_TOL * max(1.0, norm))
+    if len(over):
+        raise BlockLeakageError(
+            f"leakage {leaks[over[0]]:.3e} out of block {blocks[over[0]].label} exceeds tolerance"
+        )
 
 
 class BlockFrame:
@@ -187,16 +223,39 @@ class BlockFrame:
         x[..., dim : dim + half] = entries.real
         x[..., dim + half :] = entries.imag
 
+    def _rows(self, parts) -> np.ndarray:
+        """The rows of k operators from ``parts``, their (k, d_i, d_i) matrices on each block i."""
+        rows = np.zeros((len(parts[0]), self.width))
+        for i, (b, m) in enumerate(zip(self.blocks, parts)):
+            c = np.trace(m, axis1=1, axis2=2) / b.irrep_dim
+            self._store(rows, i, m - c[:, None, None] * np.eye(b.irrep_dim))
+            rows[:, self.traceless_width + i] = sqrt(b.irrep_dim) * c.imag
+        return rows
+
+    def restrict_matrices(self, xs: np.ndarray):
+        """The rows of the (k, d^n, d^n) stack ``xs``, one product per block,
+        and the (k, blocks) table of each matrix's leakage out of each block
+        (see :func:`restrict_to_block`); nothing is gated here."""
+        parts, leaks = zip(*(_restrict_stack(xs, b.basis) for b in self.blocks))
+        return self._rows(parts), np.array(leaks).T
+
     def restrict(self, x, gate: bool = True) -> np.ndarray:
         """The row of X; with ``gate``, raises :class:`BlockLeakageError` (see
         :func:`restrict_to_block`)."""
-        row = np.zeros((1, self.width))
-        for i, b in enumerate(self.blocks):
-            m = restrict_to_block(x, b, gate)
-            c = np.trace(m) / b.irrep_dim
-            self._store(row, i, (m - c * np.eye(b.irrep_dim))[None])
-            row[0, self.traceless_width + i] = sqrt(b.irrep_dim) * c.imag
-        return row[0]
+        if callable(x):
+            return self._rows([restrict_to_block(x, b)[None] for b in self.blocks])[0]
+        x = _as_square(x)
+        rows, leaks = self.restrict_matrices(x[None])
+        if gate:
+            _leakage_gate(self.blocks, leaks[0], np.linalg.norm(x))
+        return rows[0]
+
+    def trace_part(self, rows: np.ndarray) -> float:
+        """||rows T||_F for the traceless-width ``rows``, T the blocks' unit
+        trace directions: on block i, 1/sqrt(d_i) at each Im A_jj column."""
+        sums = [rows[:, o : o + b.irrep_dim].sum(axis=1) / sqrt(b.irrep_dim)
+                for o, b in zip(self.offsets, self.blocks)]
+        return float(np.linalg.norm(sums))
 
     def brackets(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Traceless rows of [a, b] for every row a of ``left`` and b of ``right``, a-major.
@@ -276,7 +335,10 @@ class ClosureRun:
     ``dim`` is the traceless dimension reached, ``rounds`` the bracket
     rounds after the seeds, ``offered`` the candidate rows (the k' partners
     as seeds, then every bracket) and ``trace`` one entry for the seeds and
-    one per round.
+    one per round.  ``trace_part`` is ||basis T||_F for a run that stopped
+    at its bound (see :meth:`BlockFrame.trace_part`), whose distance below
+    ``RANK_TOL`` is the margin of that stop, and None for a run that ended
+    on an empty batch or at a cap below its bound.
     """
 
     label: tuple[int, ...] | None
@@ -284,6 +346,7 @@ class ClosureRun:
     rounds: int
     offered: int
     trace: tuple[RoundTrace, ...]
+    trace_part: float | None
 
 
 @dataclass(frozen=True)
@@ -348,15 +411,26 @@ def levi_split(gens: GeneratorSet, frame: BlockFrame):
     the first ``frame.traceless_width`` columns of each generator's row, and
     the rank of the center rows scaled by 1/||X||, so that a center
     direction counts only if it carries a non-negligible fraction of its
-    generator.  A word that is not skew-Hermitian raises, naming it.
+    generator.  A word that is not skew-Hermitian raises, naming it.  The
+    matrices are restricted as one stack; a matrix that leaks out of a
+    block raises :class:`BlockLeakageError`, the first one in generator
+    order, at its first leaky block.
     """
-    rows = []
-    for g, name in zip(gens.generators, gens.names):
+    gs = gens.generators
+    mats = [j for j, g in enumerate(gs) if not callable(g)]
+    rows = np.zeros((len(gs), frame.width))
+    if mats:  # one stack: one product per block and one leakage table
+        stack = np.array([gs[j] for j in mats], dtype=complex)
+        rows[mats], leaks = frame.restrict_matrices(stack)
+        gates = dict(zip(mats, zip(leaks, np.linalg.norm(stack, axis=(1, 2)))))
+    for j, (g, name) in enumerate(zip(gs, gens.names)):
+        if not callable(g):
+            _leakage_gate(frame.blocks, *gates[j])
+            continue
         try:
-            rows.append(frame.restrict(g))
+            rows[j] = frame.restrict(g)
         except NonHermitianError as exc:
             raise NonHermitianError(f"{name} {exc}") from None
-    rows = np.array(rows)
     centers = rows[:, frame.traceless_width :]
     scale = np.maximum(np.linalg.norm(rows, axis=1), 1e-300)[:, None]
     return centers, rows[:, : frame.traceless_width], real_span_dim(centers / scale)
@@ -379,12 +453,19 @@ def _close(frame: BlockFrame, partners: np.ndarray, max_dim: int,
     brackets the rows the previous batch added with every partner and
     accepts the whole round as one batch (see :func:`_accept`).  Stops when
     a batch adds nothing, after k'(1 + D) candidates for k' partners and
-    dimension D, or when the dimension reaches ``max_dim``; a dimension
-    above ``frame.bound`` raises :class:`ClosureError`.
+    dimension D; when the dimension reaches ``frame.bound``, after
+    k'(1 + D - a) candidates for a last batch of a rows; or when it reaches
+    ``max_dim``.  A dimension above ``frame.bound`` raises
+    :class:`ClosureError`, and so does a run at the bound whose rows carry a
+    trace part above ``RANK_TOL``: the rows then miss a traceless direction,
+    and the round the stop skips could have added it.  Otherwise that round
+    adds nothing, since the rows span every traceless direction and a
+    bracket has no trace part.
     """
     basis = np.zeros((0, frame.traceless_width))
     trace = []
-    offered, rounds = 0, 0
+    offered, rounds, trace_part = 0, 0, None
+    where = "" if label is None else f" on block {label}"
     cand = partners.copy()
     while True:
         start = time.perf_counter()
@@ -394,16 +475,23 @@ def _close(frame: BlockFrame, partners: np.ndarray, max_dim: int,
         trace.append(RoundTrace(len(basis), len(cand), len(new), smallest, largest,
                                 time.perf_counter() - start))
         if len(basis) > frame.bound:
-            where = "" if label is None else f" on block {label}"
             raise ClosureError(
                 f"closure dimension {len(basis)}{where} exceeds the traceless bound "
                 f"sum(irrep_dim^2 - 1) = {frame.bound}: noise was accepted"
             )
+        if len(basis) == frame.bound:
+            trace_part = frame.trace_part(basis)
+            if trace_part > RANK_TOL:
+                raise ClosureError(
+                    f"closure rows{where} at the traceless bound {frame.bound} carry a "
+                    f"trace part {trace_part:.3e} above {RANK_TOL:g}: noise was accepted"
+                )
+            break
         if len(basis) >= max_dim or not len(new):
             break
         rounds += 1
         cand = frame.brackets(new, partners)
-    return basis, ClosureRun(label, len(basis), rounds, offered, tuple(trace))
+    return basis, ClosureRun(label, len(basis), rounds, offered, tuple(trace), trace_part)
 
 
 def _link_test(labels, s: np.ndarray, t: np.ndarray) -> LinkTest:
@@ -436,11 +524,15 @@ def lie_closure(gens: GeneratorSet, max_dim: int | None = None) -> LieClosureRes
 
     Brackets with the generators suffice.  The final span W lies in the
     algebra, contains the generators, and satisfies [s, W] within W for
-    every generator s.  By the Jacobi identity the x with [x, W] within W
+    every generator s: a run stops when a round adds nothing, or at the
+    bound, where W is the whole traceless space (its trace part is gated,
+    see :func:`_close`).  By the Jacobi identity the x with [x, W] within W
     form a Lie subalgebra; it contains the generators, hence the whole
     algebra, so W is all of it.  A run that stops because a round added
     nothing at dimension D offers k'(1 + D) candidates: its k' partners as
-    seeds, and one bracket per basis element and partner.
+    seeds, and one bracket per basis element and partner.  A run that
+    stops at its bound offers k'(1 + D - a), since the a rows of its last
+    batch are not bracketed.
 
     When every block is full, L' is semisimple and, by Goursat's lemma, the
     sum of one diagonal su(d) per class of linked blocks: blocks of equal
@@ -465,7 +557,8 @@ def lie_closure(gens: GeneratorSet, max_dim: int | None = None) -> LieClosureRes
     cap, so ``dim`` never exceeds ``max_dim``, and blocks after the cap are
     not closed.  A dimension above a block's bound irrep_dim^2 - 1, or
     above the frame's bound in the joint run, is noise taken for new
-    directions and raises :class:`ClosureError`.
+    directions and raises :class:`ClosureError`; so is a trace part above
+    ``RANK_TOL`` in the rows of a run at its bound.
     """
     if not gens.generators:
         raise ValueError("need a non-empty generator set")

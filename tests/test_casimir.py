@@ -420,9 +420,9 @@ class TestIsotypicBlocks:
         def altered(n, d):
             labels = dict(rt.cg_decompose(n, d))
             change(labels)
-            return labels
+            return [(m, rt.irrep_dimension(m), k) for m, k in labels.items()]
 
-        monkeypatch.setattr(cas, "cg_decompose", altered)
+        monkeypatch.setattr(cas, "cg_table", altered)
         with pytest.raises(cas.UnresolvedDegeneracyError, match=match):
             cas.isotypic_blocks(3, 6)
 
@@ -430,8 +430,8 @@ class TestIsotypicBlocks:
         # (4,1,0) and (4,2,0) have contents with equal sums and equal sums of
         # squares, so C2 and C3 take equal values on both
         assert cas._block_order((4, 1, 0)) == cas._block_order((4, 2, 0))
-        real = cas.cg_decompose
-        monkeypatch.setattr(cas, "cg_decompose", lambda n, d: {**real(n, d), (4, 1, 0): 1})
+        real = cas.cg_table
+        monkeypatch.setattr(cas, "cg_table", lambda n, d: [*real(n, d), ((4, 1, 0), 24, 1)])
         calls = []
         monkeypatch.setattr(cas, "hermitian_eig", lambda h: calls.append(h))
         with pytest.raises(cas.UnresolvedDegeneracyError,
@@ -625,16 +625,18 @@ class TestHighestWeightBlocks:
                 assert leak <= 1e-9 * max(1.0, np.linalg.norm(fq))
 
     def test_count_gate(self, monkeypatch):
-        real = cas.cg_decompose
+        real = cas.cg_table
         monkeypatch.setattr(
-            cas, "cg_decompose", lambda n, d: {m: k + 1 for m, k in real(n, d).items()}
+            cas, "cg_table", lambda n, d: [(m, dim, k + 1) for m, dim, k in real(n, d)]
         )
         with pytest.raises(cas.HighestWeightError, match="CG multiplicity"):
             cas.highest_weight_blocks(2, 3)
 
     def test_dimension_gate(self, monkeypatch):
-        real = cas.irrep_dimension
-        monkeypatch.setattr(cas, "irrep_dimension", lambda m: real(m) + 1)
+        real = cas.cg_table
+        monkeypatch.setattr(
+            cas, "cg_table", lambda n, d: [(m, dim + 1, k) for m, dim, k in real(n, d)]
+        )
         with pytest.raises(cas.HighestWeightError, match="irrep dimension"):
             cas.highest_weight_blocks(3, 2)
 

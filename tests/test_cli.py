@@ -279,7 +279,8 @@ class TestClosure:
     def test_highest_weight_gate_exits_3(self, capsys, monkeypatch):
         from qsymlie import casimir
 
-        monkeypatch.setattr(casimir, "irrep_dimension", lambda m: rt.irrep_dimension(m) + 1)
+        monkeypatch.setattr(casimir, "cg_table",
+                            lambda n, d: [(m, dim + 1, k) for m, dim, k in rt.cg_table(n, d)])
         code, _, err = run(capsys, "closure", "--preset", "qubits:n=3")
         assert code == 3
         assert "irrep dimension" in err

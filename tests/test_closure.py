@@ -1,5 +1,6 @@
 
 import json
+import re
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -91,15 +92,19 @@ def dense_verdicts(span, d, n):
 
 
 def assert_offers(result, gens):
-    """Each run that stops because a round added nothing offers its nonzero
-    partners as seeds, then one bracket per (basis element, partner)."""
+    """Each run offers its nonzero partners as seeds, then one bracket per
+    (basis element, partner), less the a rows of its last batch: a = 0 for a
+    run that stops because a round added nothing, and a run that stops at
+    its bound brackets none of its last batch."""
     _, traceless, _ = cl.levi_split(gens, result.frame)
     cols = {b.label: slice(result.frame.offsets[i], result.frame.offsets[i + 1])
             for i, b in enumerate(result.frame.blocks)}
     for run in result.runs:
         part = traceless if run.label is None else traceless[:, cols[run.label]]
         partners = int(np.sum(np.linalg.norm(part, axis=1) > 1e-6))
-        assert run.offered == partners * (1 + run.dim), run.label
+        last = run.trace[-1].accepted
+        assert (last == 0) == (run.trace_part is None), run.label
+        assert run.offered == partners * (1 + run.dim - last), run.label
 
 
 def joint_closure(gens):
@@ -109,7 +114,7 @@ def joint_closure(gens):
     centers, traceless, cdim = cl.levi_split(gens, frame)
     partners = cl._unit_rows(traceless, np.linalg.norm(np.hstack([traceless, centers]), axis=1))
     basis, run = cl._close(frame, partners, frame.bound + 1, None)
-    assert run.trace[-1].accepted == 0  # saturated
+    assert run.trace[-1].accepted == 0 or run.dim == frame.bound  # saturated
     return frame, basis, cl._rows_of_l(frame, basis, traceless, centers, partners), cdim
 
 
@@ -284,7 +289,8 @@ class TestGeneratorSchedule:
         r = cl.lie_closure(rotated)
         assert r.saturated and r.dim == 163 and r.path == "blocks"
         # one closure per block of the adjoint (2,1,0) and the symmetric (3,0,0)
-        assert r.offered == 9 * (1 + 63) + 9 * (1 + 99)
+        # each stops at its bound, with last batches of 1 and 37 rows
+        assert r.offered == 9 * (1 + 63 - 1) + 9 * (1 + 99 - 37)
         assert_offers(r, rotated)
         assert_same_block_span(r, all_pairs_closure(rotated))
         report = cl.subspace_controllability(r)
@@ -299,9 +305,9 @@ class TestGeneratorSchedule:
 
     def test_flagship_rounds_and_offers(self, qutrit_closure_h):
         r = qutrit_closure_h
-        assert (r.dim, r.path, r.rounds, r.offered) == (163, "blocks", 5, 1476)
+        assert (r.dim, r.path, r.rounds, r.offered) == (163, "blocks", 4, 1134)
         assert [(run.label, run.dim, run.rounds, run.offered) for run in r.runs] == [
-            ((2, 1, 0), 63, 5, 576), ((3, 0, 0), 99, 5, 900),
+            ((2, 1, 0), 63, 4, 567), ((3, 0, 0), 99, 4, 567),
         ]
 
 
@@ -444,9 +450,15 @@ class TestRoundTrace:
         for run in r.runs:
             assert len(run.trace) == run.rounds + 1
             assert [t.dim for t in run.trace] == list(np.cumsum([t.accepted for t in run.trace]))
-            assert run.trace[-1].dim == run.dim and run.trace[-1].accepted == 0
+            # a run stops on an empty batch, or at its bound with a trace
+            # part far below the cut
+            last = run.trace[-1].accepted
+            assert run.trace[-1].dim == run.dim
+            assert (last == 0) == (run.trace_part is None)
+            if run.trace_part is not None:
+                assert run.trace_part <= 1e-3 * la.RANK_TOL
             assert sum(t.offered for t in run.trace) == run.offered
-            assert run.offered == run.trace[0].offered * (1 + run.dim)
+            assert run.offered == run.trace[0].offered * (1 + run.dim - last)
         assert sum(run.dim for run in r.runs) == len(r.traceless)
         assert sum(run.offered for run in r.runs) == r.offered
         assert max(run.rounds for run in r.runs) == r.rounds
@@ -464,6 +476,29 @@ class TestRoundTrace:
             leaks = [np.linalg.norm(x @ b.basis - b.basis @ (b.basis.T @ x @ b.basis))
                      for b in blocks]
             assert max(skew, swaps, *leaks) <= 1e-3 * la.RANK_TOL * scale
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_noise_below_the_cut(self, seed):
+        # complex noise of norm RANK_TOL / 100 times max(1, ||x||) on each
+        # Haar-conjugated flagship matrix moves no decision: every batch
+        # accepts as many rows, and no margin crosses the cut
+        rng = np.random.default_rng(seed)
+        gens = conjugated(dense(cl.preset("qutrits:n=3:H")), haar_unitary(rng, 3))
+        noisy = []
+        for x in gens.generators:
+            e = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+            noisy.append(x + e * (1e-2 * la.RANK_TOL * max(1.0, np.linalg.norm(x))
+                                  / np.linalg.norm(e)))
+        clean, r = cl.lie_closure(gens), cl.lie_closure(replaced(gens, noisy))
+        report, want = cl.subspace_controllability(r), cl.subspace_controllability(clean)
+        assert report == want and (r.dim, r.path, r.rounds) == (163, "blocks", 4)
+        for run, base in zip(r.runs, clean.runs, strict=True):
+            batches = [(t.dim, t.offered, t.accepted) for t in run.trace]
+            assert batches == [(t.dim, t.offered, t.accepted) for t in base.trace]
+            assert run.trace_part <= 1e-3 * la.RANK_TOL
+            assert min(t.smallest_accepted for t in run.trace) >= 1e6 * la.RANK_TOL
+            assert max(t.largest_rejected or 0.0 for t in run.trace) <= la.RANK_TOL / 5
 
     def test_seconds_take_no_part_in_comparisons(self):
         first = cl.lie_closure(cl.preset("qubits:n=3")).runs
@@ -655,6 +690,35 @@ class TestBlockCoordinates:
         with pytest.raises(cl.ClosureError, match="on block .* exceeds the traceless bound"):
             cl.lie_closure(cl.preset("qubits:n=3"))
 
+    @staticmethod
+    def two_level_run(*mats):
+        """``_close`` on a one-block frame of dimension 2, bound 3, with the
+        unit rows of ``mats`` as partners and no cap below the bound."""
+        frame = cl.BlockFrame([SimpleNamespace(label=("A",), irrep_dim=2, multiplicity=1)])
+        rows = np.zeros((len(mats), frame.traceless_width))
+        frame._store(rows, 0, np.array(mats))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        return cl._close(frame, rows, frame.bound + 1, ("A",))
+
+    def test_run_stops_at_its_bound(self):
+        # seeds iSx, iSz; round 1 adds iSy and reaches the bound 3, so the
+        # round after it is skipped: 2 seeds + 4 brackets = k'(1 + D - a)
+        _, run = self.two_level_run(1j * SX, 1j * SZ)
+        assert (run.dim, run.rounds, run.offered) == (3, 1, 2 * (1 + 3 - 1))
+        assert [t.accepted for t in run.trace] == [2, 1]
+        assert run.trace_part <= 1e-15
+        # a run that ends on an empty batch below its bound has no trace part
+        _, run = self.two_level_run(1j * SZ)
+        assert (run.dim, run.rounds, run.trace[-1].accepted, run.trace_part) == (1, 1, 0, None)
+
+    def test_trace_part_at_the_bound_is_an_error(self):
+        # a partner with a trace part of 1e-6 spans, with its brackets, three
+        # directions that miss one traceless direction by 1e-6: the round
+        # skipped at the bound would accept it (dimension 4 > 3), so the
+        # trace part must raise in its place
+        with pytest.raises(cl.ClosureError, match="on block .*noise was accepted"):
+            self.two_level_run(1j * SX + 1e-6j * np.eye(2), 1j * SZ)
+
     def test_membership_sees_other_copies(self, qutrit_closure_h, qutrit_blocks):
         # the projector onto the other copy of the adjoint irrep restricts to
         # zero on the closure's copy, but it is not invariant
@@ -666,6 +730,60 @@ class TestBlockCoordinates:
         assert np.abs(cl.restrict_to_block(x, block)).max() <= 1e-12
         member, res = cl.membership(x, qutrit_closure_h)
         assert not member and res > 0.1
+
+    @pytest.mark.parametrize("order,error,match", [
+        (("good", "moved", "hermitian"), ValueError, "moved does not commute"),
+        (("good", "hermitian", "moved"), la.NonHermitianError, "hermitian is not skew-Hermitian"),
+        (("good", "small", "hermitian"), la.DimensionMismatchError, "small: dimension 2 != 4"),
+        (("hermitian", "small"), la.NonHermitianError, "hermitian is not skew-Hermitian"),
+    ])
+    def test_first_failing_generator_raises(self, order, error, match):
+        # the matrices are checked as one stack; the first generator that
+        # fails raises, with its first failing check
+        z = np.diag([1.0, -1.0])
+        moved = np.zeros((4, 4), dtype=complex)
+        moved[0, 1], moved[1, 0] = 1.0, -1.0  # skew-Hermitian, not invariant
+        mats = {"good": 1j * g.collective(z, 2), "moved": moved,
+                "hermitian": g.collective(z, 2), "small": 1j * z}
+        gens = cl.GeneratorSet(2, 2, tuple(mats[name] for name in order), order)
+        with pytest.raises(error, match=match) as info:
+            gens.validate()
+        if error is ValueError:
+            assert not isinstance(info.value, la.NonHermitianError)
+
+    @pytest.mark.parametrize("first", ["sym-adj", "anti-sym"])
+    def test_leakage_gate_names_the_first_generator(self, qutrit_blocks, first):
+        # sym-adj leaks out of (2,1,0) and (3,0,0), anti-sym out of (1,1,1)
+        # and (3,0,0); the first leaky generator raises, at its first block
+        frame = cl.BlockFrame.build(3, 3)
+        vec = {b.label: b.basis[:, 0] for b in qutrit_blocks}
+        sym, adj, anti = vec[(3, 0, 0)], vec[(2, 1, 0)], vec[(1, 1, 1)]
+        leaky = {"sym-adj": 1j * (np.outer(sym, adj) + np.outer(adj, sym)),
+                 "anti-sym": 1j * (np.outer(anti, sym) + np.outer(sym, anti))}
+        order = [first, *(name for name in leaky if name != first)]
+        good = dense(cl.preset("qutrits:n=3:H")).generators[0]
+        gens = cl.GeneratorSet(3, 3, (good, *(leaky[name] for name in order)), ("good", *order))
+        label = (2, 1, 0) if first == "sym-adj" else (1, 1, 1)
+        with pytest.raises(cl.BlockLeakageError, match=rf"out of block {re.escape(str(label))}"):
+            cl.levi_split(gens, frame)
+        with pytest.raises(cl.BlockLeakageError, match=rf"out of block {re.escape(str(label))}"):
+            frame.restrict(leaky[first])
+
+    def test_stacked_rows_match_each_block_product(self):
+        # levi_split restricts the matrices as one stack: each row equals
+        # P^T X P on every block, split into its traceless and trace parts
+        gens = dense(margin_set("flagship:seed=1"))
+        frame = cl.BlockFrame.build(3, 3)
+        centers, traceless, _ = cl.levi_split(gens, frame)
+        want = np.zeros((len(gens.generators), frame.width))
+        for k, x in enumerate(gens.generators):
+            for i, b in enumerate(frame.blocks):
+                m = b.basis.T @ x @ b.basis
+                c = np.trace(m) / b.irrep_dim
+                frame._store(want[k : k + 1], i, (m - c * np.eye(b.irrep_dim))[None])
+                want[k, frame.traceless_width + i] = np.sqrt(b.irrep_dim) * c.imag
+        got = np.hstack([traceless, centers])
+        assert np.abs(got - want).max() <= 1e-13
 
     def test_leaky_operator_raises(self, qutrit_blocks):
         frame = cl.BlockFrame.build(3, 3)
@@ -884,7 +1002,7 @@ class TestWordPath:
         monkeypatch.setattr(g, "_placement_sum", fail)
         monkeypatch.setattr(g, "collective", fail)
         monkeypatch.setattr(cl, "_swap_defects", fail)
-        monkeypatch.setattr(cl, "is_skew_hermitian", fail)
+        monkeypatch.setattr(cl, "_restrict_stack", fail)
         assert outcome(cl.preset(name)) == want
 
     def test_thirteen_qubits_close(self):
