@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Reach of the preset path: the largest presets, each closed in a fresh process.
+"""Reach of the preset and spectrum paths: the largest sizes, each run in a fresh process.
 
 Runs ``python -m qsymlie.cli closure --preset NAME --format json`` for a
-fixed list of presets, one at a time, with one BLAS thread, and prints for
-each its exit code, ``total_dim``, verdict, the most bracket ``rounds`` of
-any closure run, wall time and that child's own peak resident memory.  The
-peak is read with ``os.wait4`` on the child; ``RUSAGE_CHILDREN`` would keep
-the maximum over all children.  A preset that fails prints its one
-``error:`` line.  Takes no flags; run it from anywhere, it puts the
-repository's ``src`` first on the child's path:
+fixed list of presets, then ``python -m qsymlie.cli spectrum --d D --n N
+--format json`` for a fixed list of sizes, one at a time, with one BLAS
+thread.  It prints for each preset its exit code, ``total_dim``, verdict,
+the most bracket ``rounds`` of any closure run, wall time and that child's
+own peak resident memory, and for each size its exit code, number of
+isotypic blocks, wall time and peak memory.  The peak is read with
+``os.wait4`` on the child; ``RUSAGE_CHILDREN`` would keep the maximum over
+all children.  A run that fails prints its one ``error:`` line.  Takes no
+flags; run it from anywhere, it puts the repository's ``src`` first on the
+child's path:
 
     python scripts/preset_reach.py
 """
@@ -22,14 +25,15 @@ import time
 from pathlib import Path
 
 PRESETS = ("qubits:n=11", "qubits:n=12", "qubits:n=13", "qutrits:n=5:H", "qutrits:n=6:H")
+SPECTRA = ((3, 8), (4, 8), (4, 10))
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run(name: str):
-    """(exit code, stdout, stderr, wall seconds, peak RSS in MB) of one closure."""
+def run(*command: str):
+    """(exit code, stdout, stderr, wall seconds, peak RSS in MB) of one CLI call."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "qsymlie.cli", "closure", "--preset", name, "--format", "json"]
+    argv = [sys.executable, "-m", "qsymlie.cli", *command, "--format", "json"]
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         proc = subprocess.Popen(argv, stdout=out, stderr=err, env=env)
@@ -45,7 +49,7 @@ def run(name: str):
 def main():
     print(f"{'preset':<16} exit  total_dim  controllable  rounds  wall s  peak MB")
     for name in PRESETS:
-        code, text, error, seconds, peak = run(name)
+        code, text, error, seconds, peak = run("closure", "--preset", name)
         total, verdict, rounds = "-", "-", "-"
         if code == 0:
             report = json.loads(text)
@@ -53,6 +57,13 @@ def main():
             rounds = report["rounds"]
         print(f"{name:<16} {code:>4}  {total!s:>9}  {verdict!s:>12}  {rounds!s:>6}"
               f"  {seconds:>6.2f}  {peak:>7.0f}")
+        if code != 0:
+            print(f"  {error.strip()}")
+    print(f"\n{'spectrum':<16} exit  blocks  wall s  peak MB")
+    for d, n in SPECTRA:
+        code, text, error, seconds, peak = run("spectrum", "--d", str(d), "--n", str(n))
+        blocks = len(json.loads(text)["blocks"]) if code == 0 else "-"
+        print(f"{f'd={d} n={n}':<16} {code:>4}  {blocks!s:>6}  {seconds:>6.2f}  {peak:>7.0f}")
         if code != 0:
             print(f"  {error.strip()}")
 

@@ -15,38 +15,43 @@ block lambda as sum c and sum c^2 - n(n-1)/2 over its box contents c
 weight space (the basis states with one set of occupation numbers), and
 each class sum there is a small count matrix, so :func:`_casimir_on_space`
 is the one constructor of C2 and C3: their matrix on one weight space.  A
-permutation of the d levels, applied on every site, commutes with every
-factor permutation and maps each weight space onto another, so the
-matrices of a level-permutation orbit of weight spaces are one matrix with
-relabeled rows (``_WeightSpaces.orbits``): each is built, and diagonalized,
-once per orbit, on its representative.
-:func:`isotypic_blocks` diagonalizes C2 per orbit and clusters the
-representatives' eigenvalues only, each once; it refines a C2-degenerate
-cluster by C3 per orbit, on the cluster's eigenvectors there.  Clusters
-and C3 sub-clusters are attached to labels in ascending
-:func:`_block_order`, the one exact order of the blocks (sum c, then
-sum c^2), which :func:`highest_weight_blocks` follows too.  A block keeps
-its basis as weight-space pieces, its columns in weight-space order, and
-assembles the dense d^n-row basis only when it is read.  ``apply_C2`` and
-``apply_C3`` apply each orbit's matrix, relabeled, to the rows of each of
-its weight spaces; both are real, so real input stays real.  ``build_C2``
-and ``build_C3`` are the actions applied to the identity.
+class is held as the images of its permutations, and its count matrix is
+read off the space's own states with their digits permuted
+(:func:`_class_sum`), so no d^n-long row map is formed.  A permutation of
+the d levels, applied on every site, commutes with every factor
+permutation and maps each weight space onto another, so the matrices of a
+level-permutation orbit of weight spaces are one matrix with relabeled
+rows (``_WeightSpaces.orbits``): each is built, and diagonalized, once per
+orbit, on its representative, the space with non-increasing occupations.
+:func:`isotypic_blocks` visits the representatives only: it diagonalizes
+C2 on each and clusters their eigenvalues, each once; it refines a
+C2-degenerate cluster by C3 on each, on the cluster's eigenvectors there,
+and checks each block's dimension from the orbit sizes.  Clusters and C3
+sub-clusters are attached to labels in ascending :func:`_block_order`, the
+one exact order of the blocks (sum c, then sum c^2), which
+:func:`highest_weight_blocks` follows too.  A block keeps its columns on
+the representatives; it gathers its weight-space pieces, its columns in
+weight-space order, and assembles the dense d^n-row basis only when they
+are read.  Sizes whose digit table or largest matrix would pass
+``ARRAY_BUDGET`` are refused before any array is allocated.  ``apply_C2``
+and ``apply_C3`` apply each orbit's matrix, relabeled, to the rows of each
+of its weight spaces; both are real, so real input stays real.
+``build_C2`` and ``build_C3`` are the actions applied to the identity.
 Every floating-point decision here reads its tolerance from
 :mod:`qsymlie.tolerances`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, groupby
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
 from .linalg import _real_or_complex, cluster_eigenvalues, hermitian_eig
 from .generators import (
-    _factor_map,
     _placement_sum,
     _WeightSpaces,
     gell_mann_basis,
@@ -59,25 +64,28 @@ from .reptheory import (  # c2_eigenvalue and degeneracy_search are re-exported
 )
 from .tolerances import RANK_TOL
 
+ARRAY_BUDGET = 1 << 30
+"""Bytes: the most :func:`isotypic_blocks` may ask of one array, checked before it allocates any."""
+
 
 class UnresolvedDegeneracyError(RuntimeError):
     """Isotypic blocks could not be separated by the available Casimirs."""
 
 
-def _transpositions(d: int, n: int) -> np.ndarray:
-    """Row maps of the factor transpositions P_ij, i < j, stacked: (P_ij x)[r] = x[map[r]]."""
-    maps = [_factor_map(perm_from_cycles(n, pair), d) for pair in combinations(range(1, n + 1), 2)]
-    return np.array(maps, dtype=np.intp).reshape(-1, d**n)
+def _transpositions(n: int) -> np.ndarray:
+    """Images of the factor transpositions P_ij, i < j, one permutation per row."""
+    pairs = [perm_from_cycles(n, pair) for pair in combinations(range(1, n + 1), 2)]
+    return np.array(pairs, dtype=np.intp).reshape(-1, n)
 
 
-def _three_cycles(d: int, n: int) -> np.ndarray:
-    """Row maps of the factor 3-cycles, both directions on every triple i < j < k, stacked."""
-    maps = [
-        _factor_map(perm_from_cycles(n, cycle), d)
+def _three_cycles(n: int) -> np.ndarray:
+    """Images of the factor 3-cycles, both directions on every triple i < j < k, one per row."""
+    cycles = [
+        perm_from_cycles(n, cycle)
         for i, j, k in combinations(range(1, n + 1), 3)
         for cycle in ((i, k, j), (i, j, k))
     ]
-    return np.array(maps, dtype=np.intp).reshape(-1, d**n)
+    return np.array(cycles, dtype=np.intp).reshape(-1, n)
 
 
 def _c2_coefficients(d: int, n: int) -> tuple[float, int]:
@@ -129,30 +137,34 @@ def _c3_coefficients(d: int, n: int) -> tuple[float, float, int]:
     return alpha / d2, (24 * (d2 - 4) - 48 * (n - 2)) / d, 24
 
 
-def _class_sum(maps: np.ndarray, states: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """The sum of the factor permutations with row maps ``maps`` on one weight space.
+def _class_sum(perms: np.ndarray, ws: _WeightSpaces, states: np.ndarray) -> np.ndarray:
+    """The sum of the factor permutations ``perms`` (images, one per row) on one weight space.
 
-    Each permutation maps the weight space ``states`` onto itself, and
-    ``pos`` gives each state's place in its space, so the sum there is a
-    count matrix: entry (r, c) counts the maps that send local row r to c.
+    The operator of a permutation p gathers row r from the state whose
+    digit on site i is r's digit on site p(i), so it sends the weight space
+    ``states`` onto itself, and with ``ws.pos`` the sum there is a count
+    matrix: entry (r, c) counts the permutations that send local row r to c.
     """
     k = len(states)
-    local = pos[maps[:, states]] + k * np.arange(k)
+    rows = ws.place[np.argsort(perms, axis=1)] @ ws.digits[:, states]
+    local = ws.pos[rows] + k * np.arange(k)
     return np.bincount(local.ravel(), minlength=k * k).reshape(k, k)
 
 
-def _casimir_on_space(coefficients, classes, states: np.ndarray, pos: np.ndarray) -> np.ndarray:
+def _casimir_on_space(coefficients, classes, ws: _WeightSpaces, states: np.ndarray) -> np.ndarray:
     """c0 1 + sum_k c_k (class sum k) on the weight space ``states``, as a real matrix.
 
-    ``coefficients`` is (c0, c1, ...) and ``classes`` holds the stacked row
-    maps of each class, in the order of c1, ...: C2 is
+    ``coefficients`` is (c0, c1, ...) and ``classes`` holds the stacked
+    permutation images of each class, in the order of c1, ...: C2 is
     (:func:`_c2_coefficients`, transpositions) and C3 is
     (:func:`_c3_coefficients`, transpositions and 3-cycles).
     """
     c0, *rest = coefficients
-    out = c0 * np.eye(len(states))
-    for c, maps in zip(rest, classes):
-        out = out + c * _class_sum(maps, states, pos)
+    k = len(states)
+    out = np.zeros((k, k))
+    out.flat[:: k + 1] = c0
+    for c, perms in zip(rest, classes):
+        out += c * _class_sum(perms, ws, states)
     return out
 
 
@@ -170,7 +182,7 @@ def _apply(x, d: int, n: int, coefficients, classes) -> np.ndarray:
     out = np.zeros_like(x)
     by_orbit = sorted(ws.orbits.items(), key=lambda item: item[1][0])
     for nu, members in groupby(by_orbit, key=lambda item: item[1][0]):
-        on_rep = _casimir_on_space(coefficients, classes, ws.spaces[nu], ws.pos)
+        on_rep = _casimir_on_space(coefficients, classes, ws, ws.spaces[nu])
         for mu, (_, local) in members:
             states = ws.spaces[mu]
             out[states] = on_rep[np.ix_(local, local)] @ x[states]
@@ -179,12 +191,12 @@ def _apply(x, d: int, n: int, coefficients, classes) -> np.ndarray:
 
 def apply_C2(x, d: int, n: int) -> np.ndarray:
     """C2 @ x for x of shape (d^n, m) (or (d^n,)), one weight-space orbit at a time."""
-    return _apply(x, d, n, _c2_coefficients(d, n), (_transpositions(d, n),))
+    return _apply(x, d, n, _c2_coefficients(d, n), (_transpositions(n),))
 
 
 def apply_C3(x, d: int, n: int) -> np.ndarray:
     """C3 @ x for x of shape (d^n, m) (or (d^n,)), one weight-space orbit at a time."""
-    return _apply(x, d, n, _c3_coefficients(d, n), (_transpositions(d, n), _three_cycles(d, n)))
+    return _apply(x, d, n, _c3_coefficients(d, n), (_transpositions(n), _three_cycles(n)))
 
 
 def build_C2(d: int, n: int) -> np.ndarray:
@@ -219,20 +231,42 @@ class BlockPiece:
 class IsotypicBlock:
     """One isotypic component: all copies of one irrep, with an orthonormal basis.
 
-    The basis is kept as weight-space ``pieces``; ``basis`` assembles it,
-    shape (ambient_dim = d^n, block_dim), with orthonormal columns spanning
-    the block, on first read.  ``block_dim = irrep_dim * multiplicity``.
-    Blocks compare by identity, since their arrays have no truth value.
+    The block is held as its real columns on the level-permutation orbit
+    representatives it meets: ``on_representatives`` maps each such nu to
+    its columns on weight space nu of ``weight_spaces``.  ``pieces`` gathers
+    them onto every weight space of each orbit, and ``basis`` assembles the
+    pieces, shape (ambient_dim = d^n, block_dim), with orthonormal columns
+    spanning the block; each is built on first read.
+    ``block_dim = irrep_dim * multiplicity``.  Blocks compare by identity,
+    since their arrays have no truth value.
     """
 
     label: tuple[int, ...]
-    pieces: tuple[BlockPiece, ...]
-    ambient_dim: int
     block_dim: int
     irrep_dim: int
     multiplicity: int
     c2_cluster_index: int
-    c3_refined: bool = False
+    c3_refined: bool
+    weight_spaces: _WeightSpaces = field(repr=False)
+    on_representatives: dict = field(repr=False)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.weight_spaces.d ** self.weight_spaces.n
+
+    @cached_property
+    def pieces(self) -> tuple[BlockPiece, ...]:
+        """One piece per weight space mu the block meets, in ``weight_spaces`` order:
+        its representative's columns with rows gathered by mu's ``local``
+        (``_WeightSpaces.orbits``), taking the block's next columns."""
+        out, top = [], 0
+        for mu, (nu, local) in self.weight_spaces.orbits.items():
+            if nu in self.on_representatives:
+                v = self.on_representatives[nu][local]
+                out.append(BlockPiece(self.weight_spaces.spaces[mu], v,
+                                      np.arange(top, top + v.shape[1])))
+                top += v.shape[1]
+        return tuple(out)
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -261,43 +295,53 @@ def _clusters(eig: dict) -> list[dict]:
     ``eig`` maps each representative nu to (ascending eigenvalues,
     eigenvectors) there.  Each cluster, in ascending order, maps every nu
     it meets to its eigenvectors whose values lie between the cluster's
-    first and last value, the same floats.  Orbit-mates hold bitwise equal
-    values, so leaving them out changes no gap and neither end.
+    first and last value, the same floats; one ``searchsorted`` per nu
+    cuts all clusters at once.  Orbit-mates hold bitwise equal values, so
+    leaving them out changes no gap and neither end.
     """
     clustering = cluster_eigenvalues(np.concatenate([w for w, _ in eig.values()]))
     clustering.check()
-    ev = clustering.eigenvalues
-    out = []
-    for idx in clustering.clusters:
-        lo, hi = ev[idx[0]], ev[idx[-1]]
-        cuts = {nu: (np.searchsorted(w, lo), np.searchsorted(w, hi, "right"))
-                for nu, (w, _) in eig.items()}
-        out.append({nu: eig[nu][1][:, a:b] for nu, (a, b) in cuts.items() if b > a})
-    return out
+    ev = np.array(clustering.eigenvalues)
+    lo = ev[[idx[0] for idx in clustering.clusters]]
+    hi = ev[[idx[-1] for idx in clustering.clusters]]
+    cuts = {nu: (np.searchsorted(w, lo), np.searchsorted(w, hi, "right"))
+            for nu, (w, _) in eig.items()}
+    return [
+        {nu: eig[nu][1][:, a[c]:b[c]] for nu, (a, b) in cuts.items() if b[c] > a[c]}
+        for c in range(len(lo))
+    ]
+
+
+def _orbit_size(nu) -> int:
+    """The number of weight spaces in the orbit of nu: d!/prod_v (#{i: nu_i = v})!."""
+    return factorial(len(nu)) // prod(factorial(len(list(run))) for _, run in groupby(nu))
 
 
 def _block(label, ws: _WeightSpaces, vectors: dict, irrep_dim: int, multiplicity: int,
            ci: int, refined: bool) -> IsotypicBlock:
-    """The block ``label`` with columns ``vectors`` (nu -> columns on nu), checked
-    against its CG ``irrep_dim`` and ``multiplicity``.
-
-    Each weight space mu, in ``ws.spaces`` order, takes the columns of its
-    representative nu with rows gathered by its ``local``
-    (``_WeightSpaces.orbits``) as one piece; the block's columns follow.
+    """The block ``label`` with columns ``vectors`` (nu -> columns on representative
+    nu), checked against its CG ``irrep_dim`` and ``multiplicity``: each
+    representative's columns count once per weight space of its orbit.
     """
-    pieces, top = [], 0
-    for mu, (nu, local) in ws.orbits.items():
-        if nu in vectors:
-            v = vectors[nu][local]
-            pieces.append(BlockPiece(ws.spaces[mu], v, np.arange(top, top + v.shape[1])))
-            top += v.shape[1]
+    dim = sum(v.shape[1] * _orbit_size(nu) for nu, v in vectors.items())
     want = multiplicity * irrep_dim
-    if top != want:
+    if dim != want:
         raise UnresolvedDegeneracyError(
-            f"the block of {label} has dimension {top}, the CG decomposition needs {want}"
+            f"the block of {label} has dimension {dim}, the CG decomposition needs {want}"
         )
-    return IsotypicBlock(label, tuple(pieces), ws.d**ws.n, top, irrep_dim, multiplicity,
-                         ci, refined)
+    return IsotypicBlock(label, dim, irrep_dim, multiplicity, ci, refined, ws, vectors)
+
+
+def _largest_arrays(d: int, n: int) -> tuple[int, int]:
+    """Bytes of the n x d^n digit table and of the largest representative's C2 matrix.
+
+    The largest weight space holds the most balanced occupations: with
+    n = qd + r, r levels hold q + 1 sites and the rest q, so it has
+    k = n!/((q+1)!^r q!^(d-r)) states, and its matrix k^2 float64 entries.
+    """
+    q, r = divmod(n, d)
+    k = factorial(n) // (factorial(q + 1) ** r * factorial(q) ** (d - r))
+    return 8 * n * d**n, 8 * k * k
 
 
 def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
@@ -306,24 +350,29 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
     On each weight space, C2 = c0 + c1 S2 with S2 the count matrix of the
     transpositions, and each eigenvector lies in one weight space.  C2 is
     diagonalized once per level-permutation orbit of weight spaces, on its
-    representative nu; each space of the orbit takes the same eigenvalues
-    and the eigenvectors with rows gathered by its ``local``
-    (``_WeightSpaces.orbits``).  Only the representatives' eigenvalues are
-    clustered (:func:`_clusters`).  A cluster shared by labels of one
-    content sum is split by C3, which keeps every weight space too: per
-    representative, V_nu^T (alpha + beta S2 + gamma S3) V_nu on the
-    cluster's eigenvectors V_nu is diagonalized, and its eigenvalues are
-    clustered.  Clusters, and the sub-clusters of each, are attached to the
-    labels in ascending :func:`_block_order`, which is the blocks' order;
-    each block's dimension must be its CG multiplicity times its irrep
-    dimension.  Every eigendecomposition checks Hermiticity at
-    ``RANK_TOL``, and both clusterings split at ``CLUSTER_TOL``.  A block
-    holds its basis as weight-space pieces, its columns in weight-space
-    order; the d^n-row ``basis`` is built only when read.
+    representative nu, the space whose occupations are non-increasing;
+    every other space of the orbit holds the same eigenvalues and the
+    eigenvectors with rows relabeled (``_WeightSpaces.orbits``), and is
+    never visited.  Only the representatives' eigenvalues are clustered
+    (:func:`_clusters`).  A cluster shared by labels of one content sum is
+    split by C3, which keeps every weight space too: per representative,
+    V_nu^T (alpha + beta S2 + gamma S3) V_nu on the cluster's eigenvectors
+    V_nu is diagonalized, and its eigenvalues are clustered.  Clusters, and
+    the sub-clusters of each, are attached to the labels in ascending
+    :func:`_block_order`, which is the blocks' order; each block's
+    dimension, its columns on each representative times the orbit's size,
+    must be its CG multiplicity times its irrep dimension.  Every
+    eigendecomposition checks Hermiticity at ``RANK_TOL``, and both
+    clusterings split at ``CLUSTER_TOL``.  A block holds its columns on the
+    representatives; its weight-space ``pieces`` and d^n-row ``basis`` are
+    built only when read.
 
-    Raises :class:`UnresolvedDegeneracyError` before any eigendecomposition
-    when two labels share their :func:`_block_order` key, and when a cluster
-    count or a block dimension disagrees with the labels.
+    Raises :class:`UnresolvedDegeneracyError` before any array is allocated
+    when two labels share their :func:`_block_order` key, then
+    ``ValueError`` when the n x d^n digit table or the largest
+    representative's matrix would take more than ``ARRAY_BUDGET`` bytes
+    (:func:`_largest_arrays`); later, :class:`UnresolvedDegeneracyError`
+    when a cluster count or a block dimension disagrees with the labels.
     """
     labels = {m: (dim, k) for m, dim, k in cg_table(n, d)}
     keys = {m: _block_order(m) for m in labels}
@@ -331,15 +380,23 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
     for a, b in zip(order, order[1:]):
         if keys[a] == keys[b]:
             raise UnresolvedDegeneracyError(f"labels {a} and {b} share their C2 and C3 values")
+    table, matrix = _largest_arrays(d, n)
+    if max(table, matrix) > ARRAY_BUDGET:
+        raise ValueError(
+            f"d={d}, n={n} is too large: the digit table takes {table / 2**30:.3g} GiB and the "
+            f"largest weight space's matrix {matrix / 2**30:.3g} GiB, over the "
+            f"{ARRAY_BUDGET / 2**30:g} GiB budget"
+        )
     groups = [list(g) for _, g in groupby(order, key=lambda m: keys[m][0])]
 
-    swaps = _transpositions(d, n)
+    swaps = _transpositions(n)
     ws = _WeightSpaces(d, n)
     c2 = _c2_coefficients(d, n)
-    eig = {}  # orbit representative -> (eigenvalues, eigenvectors) there
-    for nu, _ in ws.orbits.values():
-        if nu not in eig:
-            eig[nu] = hermitian_eig(_casimir_on_space(c2, (swaps,), ws.spaces[nu], ws.pos))
+    eig = {  # orbit representative -> (eigenvalues, eigenvectors) there
+        nu: hermitian_eig(_casimir_on_space(c2, (swaps,), ws, states))
+        for nu, states in ws.spaces.items()
+        if list(nu) == sorted(nu, reverse=True)
+    }
     clusters = _clusters(eig)
     if len(clusters) != len(groups):
         raise UnresolvedDegeneracyError(
@@ -352,10 +409,10 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
             blocks.append(_block(members[0], ws, vectors, *labels[members[0]], ci, False))
             continue
         # C2-degenerate: split the cluster along the C3 spectrum.
-        c3, classes = _c3_coefficients(d, n), (swaps, _three_cycles(d, n))
+        c3, classes = _c3_coefficients(d, n), (swaps, _three_cycles(n))
         refined = {}  # orbit representative -> C3 eigenvalues, cluster vectors rotated
         for nu, v in vectors.items():
-            on_space = _casimir_on_space(c3, classes, ws.spaces[nu], ws.pos)
+            on_space = _casimir_on_space(c3, classes, ws, ws.spaces[nu])
             w3, u3 = hermitian_eig(v.T @ on_space @ v)
             refined[nu] = w3, v @ u3
         parts = _clusters(refined)

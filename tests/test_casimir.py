@@ -158,15 +158,21 @@ class TestCasimirAction:
     def test_orbit_relabeling_carries_the_count_matrices(self, d, n):
         # a level permutation on every site commutes with the factor
         # permutations, so each weight space's count matrices are its
-        # representative's with rows and columns gathered by local
+        # representative's with rows and columns gathered by local; each is
+        # also the sum of the permutation operators, restricted to the space,
+        # on every space, representative or not
         ws = g._WeightSpaces(d, n)
-        classes = (cas._transpositions(d, n), cas._three_cycles(d, n))
+        classes = (cas._transpositions(n), cas._three_cycles(n))
+        dense = [sum(g.permutation_operator(p, d).real for p in perms) for perms in classes]
         for mu, (nu, local) in ws.orbits.items():
             assert list(nu) == sorted(mu, reverse=True)
             assert sorted(local) == list(range(len(ws.spaces[mu])))
-            for maps in classes:
-                on_mu = cas._class_sum(maps, ws.spaces[mu], ws.pos)
-                on_nu = cas._class_sum(maps, ws.spaces[nu], ws.pos)
+            states = ws.spaces[mu]
+            for perms, want in zip(classes, dense):
+                on_mu = cas._class_sum(perms, ws, states)
+                on_nu = cas._class_sum(perms, ws, ws.spaces[nu])
+                assert on_mu.dtype.kind == "i"
+                assert np.array_equal(on_mu, want[np.ix_(states, states)])
                 assert np.array_equal(on_mu, on_nu[np.ix_(local, local)])
 
     def test_apply_c2_rejects_wrong_row_count(self):
@@ -453,6 +459,40 @@ class TestIsotypicBlocks:
         with pytest.raises(cas.UnresolvedDegeneracyError, match="share their C2 and C3 values"):
             cas.isotypic_blocks(d, n)
 
+    @pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 7) for n in range(1, 13)])
+    def test_largest_arrays_count_the_largest_weight_space(self, d, n):
+        k = max(
+            math.factorial(n) // math.prod(math.factorial(c) for c in occ)
+            for occ in g.occupation_vectors(d, n)
+        )
+        assert cas._largest_arrays(d, n) == (8 * n * d**n, 8 * k * k)
+
+    @pytest.mark.parametrize("d,n,k", [(4, 10, 25200), (2, 16, 12870), (2, 40, 137846528820)])
+    def test_refuses_sizes_over_the_budget_before_any_array(self, d, n, k, monkeypatch):
+        def fail(*args):
+            raise AssertionError("built the weight spaces")
+
+        monkeypatch.setattr(cas, "_WeightSpaces", fail)
+        assert cas._largest_arrays(d, n)[1] == 8 * k * k > cas.ARRAY_BUDGET == 2**30
+        with pytest.raises(ValueError, match=f"d={d}, n={n} is too large"):
+            cas.isotypic_blocks(d, n)
+
+    @pytest.mark.parametrize("d,n", [(4, 8), (4, 9), (3, 11), (3, 8), (2, 15), (5, 6)])
+    def test_budget_admits_the_sizes_that_run(self, d, n):
+        assert max(cas._largest_arrays(d, n)) <= cas.ARRAY_BUDGET
+
+    @pytest.mark.parametrize("d,n,table,matrix", [
+        (3, 4, 8 * 4 * 81, 8 * 12**2),  # the digit table is the larger
+        (2, 8, 8 * 8 * 256, 8 * 70**2),  # the matrix of weight space (4, 4) is
+    ])
+    def test_budget_bounds_both_arrays(self, d, n, table, matrix, monkeypatch):
+        assert cas._largest_arrays(d, n) == (table, matrix)
+        monkeypatch.setattr(cas, "ARRAY_BUDGET", max(table, matrix))
+        assert sum(b.block_dim for b in cas.isotypic_blocks(d, n)) == d**n
+        monkeypatch.setattr(cas, "ARRAY_BUDGET", max(table, matrix) - 1)
+        with pytest.raises(ValueError, match="over the"):
+            cas.isotypic_blocks(d, n)
+
     @pytest.mark.parametrize("d,n", [(4, 6), (5, 6)])
     def test_c3_refines_past_three_levels(self, d, n, monkeypatch):
         # the first sizes with content-sum ties at d = 4 and 5: two tied pairs
@@ -514,6 +554,31 @@ class TestIsotypicBlocks:
             assert sorted(columns) == list(range(b.block_dim))
             assert b.basis.shape == (d**n, b.block_dim)
         assert sum(len(piece.columns) for b in blocks for piece in b.pieces) == d**n
+
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (3, 6), (4, 3)])
+    def test_pieces_and_basis_match_an_eager_gather(self, d, n):
+        # a block holds its representatives' columns; pieces and basis, read
+        # afterwards, are those columns gathered onto every weight space of
+        # each orbit, space by space, as an eager build would have stored them
+        ws = g._WeightSpaces(d, n)
+        for b in cas.isotypic_blocks(d, n):
+            assert "pieces" not in vars(b) and "basis" not in vars(b)
+            assert all(list(nu) == sorted(nu, reverse=True) for nu in b.on_representatives)
+            want, top = [], 0
+            for mu, (nu, local) in ws.orbits.items():
+                if nu in b.on_representatives:
+                    v = b.on_representatives[nu][local]
+                    want.append((ws.spaces[mu], v, np.arange(top, top + v.shape[1])))
+                    top += v.shape[1]
+            basis = np.zeros((d**n, top))
+            for states, v, columns in want:
+                basis[states[:, None], columns] = v
+            assert len(b.pieces) == len(want)
+            for piece, (states, v, columns) in zip(b.pieces, want):
+                assert np.array_equal(piece.states, states)
+                assert np.array_equal(piece.vectors, v) and piece.vectors.dtype == v.dtype
+                assert np.array_equal(piece.columns, columns)
+            assert np.array_equal(b.basis, basis) and b.block_dim == top
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_per_space_c3_split_matches_dense_c3(self, n, six_qutrit_blocks):

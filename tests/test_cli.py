@@ -231,7 +231,8 @@ class TestSpectrum:
         assert sum(refined for *_, refined in got.values()) == 4
 
     def test_never_assembles_a_block_basis(self, capsys, monkeypatch):
-        # the blocks keep weight-space pieces; spectrum prints labels and sizes only
+        # the blocks keep their representatives' columns; spectrum prints
+        # labels and sizes only, so it gathers no piece and builds no basis
         seen = []
         real = cas.isotypic_blocks
 
@@ -242,9 +243,9 @@ class TestSpectrum:
         monkeypatch.setattr(cas, "isotypic_blocks", recording)
         code, _, _ = run(capsys, "spectrum", "--d", "3", "--n", "6", "--format", "json")
         assert code == 0 and any(b.c3_refined for b in seen)
-        assert not any("basis" in vars(b) for b in seen)
+        assert not any("basis" in vars(b) or "pieces" in vars(b) for b in seen)
         assert seen[0].basis.shape == (729, seen[0].block_dim)
-        assert "basis" in vars(seen[0])  # where a read leaves it
+        assert "basis" in vars(seen[0]) and "pieces" in vars(seen[0])  # where a read leaves them
 
     def test_three_qutrits_text(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--d", "3", "--n", "3")
@@ -555,10 +556,20 @@ class TestExitCodes:
         ["spectrum", "--d", "2", "--n", "40"],
     ], ids=" ".join)
     def test_oversized_input_exits_1_with_one_line(self, capsys, argv):
-        # numpy refuses the 2^40-state arrays before allocating them
+        # numpy refuses the 2^40-state arrays of closure before allocating
+        # them, and the size guard refuses spectrum's
         got, out, err = run(capsys, *argv)
         assert (got, out) == (1, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("d,n", [(4, 10), (2, 16), (2, 40)])
+    def test_spectrum_too_large_exits_1_at_once(self, capsys, d, n):
+        # the size guard refuses from (d, n) alone, before any array
+        start = time.perf_counter()
+        got, out, err = run(capsys, "spectrum", "--d", str(d), "--n", str(n))
+        assert time.perf_counter() - start < 1.0
+        assert (got, out) == (1, "")
+        assert err.startswith(f"error: d={d}, n={n} is too large") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "argv",

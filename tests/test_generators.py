@@ -402,18 +402,17 @@ class TestPermutations:
 
     @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (3, 4)])
     def test_row_maps_of_casimir_and_closure_match(self, d, n, rng):
-        # C2/C3 gather over the transpositions and 3-cycles, the closure's
+        # C2/C3 sum over the transpositions and 3-cycles, the closure's
         # invariance check over (1 2) and the n-cycle
         perms = list(itertools.permutations(range(n)))
 
-        def maps_moving(k):
-            return sorted(
-                tuple(np.argmax(g.permutation_operator(p, d).real, axis=1))
-                for p in perms if sum(p[i] != i for i in range(n)) == k
-            )
+        def moving(k):
+            return sorted(p for p in perms if sum(p[i] != i for i in range(n)) == k)
 
-        assert sorted(tuple(m) for m in cas._transpositions(d, n)) == maps_moving(2)
-        assert sorted(tuple(m) for m in cas._three_cycles(d, n)) == maps_moving(3)
+        assert sorted(tuple(p) for p in cas._transpositions(n)) == moving(2)
+        assert sorted(tuple(p) for p in cas._three_cycles(n)) == moving(3)
+        assert cas._transpositions(n).shape == (len(moving(2)), n)
+        assert cas._three_cycles(n).shape == (len(moving(3)), n)
         x = rng.standard_normal((d**n, d**n))
         us = [g.permutation_operator(p, d) for p in g.sn_generators(n)]
         assert len(us) == 2
