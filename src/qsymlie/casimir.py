@@ -30,10 +30,10 @@ and checks each block's dimension from the orbit sizes.  Clusters and C3
 sub-clusters are attached to labels in ascending :func:`_block_order`, the
 one exact order of the blocks (sum c, then sum c^2), which
 :func:`highest_weight_blocks` follows too.  A block keeps its columns on
-the representatives; it gathers its weight-space pieces, its columns in
-weight-space order, and assembles the dense d^n-row basis only when they
-are read.  Sizes whose digit table or largest matrix would pass
-``ARRAY_BUDGET`` are refused before any array is allocated.  ``apply_C2``
+the representatives and gathers them into its dense d^n-row basis, in
+weight-space order, only when that is read.  Both block builders refuse
+sizes whose digit table or largest matrix would pass ``ARRAY_BUDGET``
+before any array is allocated (:func:`_check_size`).  ``apply_C2``
 and ``apply_C3`` apply each orbit's matrix, relabeled, to the rows of each
 of its weight spaces; both are real, so real input stays real.
 ``build_C2`` and ``build_C3`` are the actions applied to the identity.
@@ -65,7 +65,7 @@ from .reptheory import (  # c2_eigenvalue and degeneracy_search are re-exported
 from .tolerances import RANK_TOL
 
 ARRAY_BUDGET = 1 << 30
-"""Bytes: the most :func:`isotypic_blocks` may ask of one array, checked before it allocates any."""
+"""Bytes: the most either block builder may ask of one array, checked before it allocates any."""
 
 
 class UnresolvedDegeneracyError(RuntimeError):
@@ -214,31 +214,16 @@ def build_C3(d: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class BlockPiece:
-    """The basis columns of an isotypic block that lie in one weight space.
-
-    ``vectors`` (real, len(states) x k) holds the entries on the basis
-    states ``states`` of the block's basis columns ``columns``; the other
-    entries of those columns are zero.  Pieces compare by identity.
-    """
-
-    states: np.ndarray
-    vectors: np.ndarray
-    columns: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class IsotypicBlock:
     """One isotypic component: all copies of one irrep, with an orthonormal basis.
 
     The block is held as its real columns on the level-permutation orbit
     representatives it meets: ``on_representatives`` maps each such nu to
-    its columns on weight space nu of ``weight_spaces``.  ``pieces`` gathers
-    them onto every weight space of each orbit, and ``basis`` assembles the
-    pieces, shape (ambient_dim = d^n, block_dim), with orthonormal columns
-    spanning the block; each is built on first read.
-    ``block_dim = irrep_dim * multiplicity``.  Blocks compare by identity,
-    since their arrays have no truth value.
+    its columns on weight space nu of ``weight_spaces``.  ``basis``, shape
+    (ambient_dim = d^n, block_dim), holds orthonormal columns spanning the
+    block; it is built on first read.  ``block_dim = irrep_dim *
+    multiplicity``.  Blocks compare by identity, since their arrays have no
+    truth value.
     """
 
     label: tuple[int, ...]
@@ -255,24 +240,17 @@ class IsotypicBlock:
         return self.weight_spaces.d ** self.weight_spaces.n
 
     @cached_property
-    def pieces(self) -> tuple[BlockPiece, ...]:
-        """One piece per weight space mu the block meets, in ``weight_spaces`` order:
-        its representative's columns with rows gathered by mu's ``local``
-        (``_WeightSpaces.orbits``), taking the block's next columns."""
-        out, top = [], 0
-        for mu, (nu, local) in self.weight_spaces.orbits.items():
-            if nu in self.on_representatives:
-                v = self.on_representatives[nu][local]
-                out.append(BlockPiece(self.weight_spaces.spaces[mu], v,
-                                      np.arange(top, top + v.shape[1])))
-                top += v.shape[1]
-        return tuple(out)
-
-    @cached_property
     def basis(self) -> np.ndarray:
+        """Each weight space mu the block meets, in ``weight_spaces`` order, takes
+        the block's next columns: its representative's, rows relabeled by mu's
+        ``local`` (``_WeightSpaces.orbits``)."""
         out = np.zeros((self.ambient_dim, self.block_dim))
-        for piece in self.pieces:
-            out[piece.states[:, None], piece.columns] = piece.vectors
+        top = 0
+        for mu, (nu, local) in self.weight_spaces.orbits.items():
+            v = self.on_representatives.get(nu)
+            if v is not None:
+                out[self.weight_spaces.spaces[mu], top : top + v.shape[1]] = v[local]
+                top += v.shape[1]
         return out
 
     def projector(self) -> np.ndarray:
@@ -333,15 +311,27 @@ def _block(label, ws: _WeightSpaces, vectors: dict, irrep_dim: int, multiplicity
 
 
 def _largest_arrays(d: int, n: int) -> tuple[int, int]:
-    """Bytes of the n x d^n digit table and of the largest representative's C2 matrix.
+    """Bytes of the n x d^n digit table and of a float matrix on the largest weight space.
 
     The largest weight space holds the most balanced occupations: with
     n = qd + r, r levels hold q + 1 sites and the rest q, so it has
-    k = n!/((q+1)!^r q!^(d-r)) states, and its matrix k^2 float64 entries.
+    k = n!/((q+1)!^r q!^(d-r)) states, and its matrix (C2 there, or the
+    highest-weight kernel's) k^2 float64 entries.
     """
     q, r = divmod(n, d)
     k = factorial(n) // (factorial(q + 1) ** r * factorial(q) ** (d - r))
     return 8 * n * d**n, 8 * k * k
+
+
+def _check_size(d: int, n: int) -> None:
+    """Raise ``ValueError`` when an array of :func:`_largest_arrays` would pass ``ARRAY_BUDGET``."""
+    table, matrix = _largest_arrays(d, n)
+    if max(table, matrix) > ARRAY_BUDGET:
+        raise ValueError(
+            f"d={d}, n={n} is too large: the digit table takes {table / 2**30:.3g} GiB and the "
+            f"largest weight space's matrix {matrix / 2**30:.3g} GiB, over the "
+            f"{ARRAY_BUDGET / 2**30:g} GiB budget"
+        )
 
 
 def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
@@ -364,14 +354,13 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
     must be its CG multiplicity times its irrep dimension.  Every
     eigendecomposition checks Hermiticity at ``RANK_TOL``, and both
     clusterings split at ``CLUSTER_TOL``.  A block holds its columns on the
-    representatives; its weight-space ``pieces`` and d^n-row ``basis`` are
-    built only when read.
+    representatives; its d^n-row ``basis`` is built only when read.
 
     Raises :class:`UnresolvedDegeneracyError` before any array is allocated
     when two labels share their :func:`_block_order` key, then
     ``ValueError`` when the n x d^n digit table or the largest
     representative's matrix would take more than ``ARRAY_BUDGET`` bytes
-    (:func:`_largest_arrays`); later, :class:`UnresolvedDegeneracyError`
+    (:func:`_check_size`); later, :class:`UnresolvedDegeneracyError`
     when a cluster count or a block dimension disagrees with the labels.
     """
     labels = {m: (dim, k) for m, dim, k in cg_table(n, d)}
@@ -380,13 +369,7 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
     for a, b in zip(order, order[1:]):
         if keys[a] == keys[b]:
             raise UnresolvedDegeneracyError(f"labels {a} and {b} share their C2 and C3 values")
-    table, matrix = _largest_arrays(d, n)
-    if max(table, matrix) > ARRAY_BUDGET:
-        raise ValueError(
-            f"d={d}, n={n} is too large: the digit table takes {table / 2**30:.3g} GiB and the "
-            f"largest weight space's matrix {matrix / 2**30:.3g} GiB, over the "
-            f"{ARRAY_BUDGET / 2**30:g} GiB budget"
-        )
+    _check_size(d, n)
     groups = [list(g) for _, g in groupby(order, key=lambda m: keys[m][0])]
 
     swaps = _transpositions(n)
@@ -528,8 +511,12 @@ def highest_weight_blocks(d: int, n: int) -> list[WeightBlock]:
     mismatch raises :class:`HighestWeightError`.  No Casimir is needed: the vectors of weight lambda that every raising
     operator kills are exactly the highest-weight vectors of the copies of
     irrep lambda, whatever other labels share its C2 value.  Blocks come in
-    :func:`_block_order`, the order of :func:`isotypic_blocks`.
+    :func:`_block_order`, the order of :func:`isotypic_blocks`.  Raises
+    ``ValueError`` first, before any array is allocated, when the digit
+    table or the kernel matrix of the largest weight space would pass
+    ``ARRAY_BUDGET`` (:func:`_check_size`).
     """
+    _check_size(d, n)
     ws = _WeightSpaces(d, n)
     blocks = []
     for m, dim, k in sorted(cg_table(n, d), key=lambda row: _block_order(row[0])):

@@ -223,7 +223,7 @@ def cmd_closure(args) -> int:
         gens = _load_generator_spec(args.spec)
     try:
         result = _closure.lie_closure(gens, args.max_dim)
-    except ValueError as exc:  # lie_closure validates the set before any bracket
+    except ValueError as exc:  # lie_closure validates and sizes the set before any bracket
         raise CliError(f"invalid generator set: {exc}") from exc
     if not result.saturated:
         payload = {

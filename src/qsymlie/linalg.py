@@ -116,11 +116,6 @@ class EigenClustering:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.clusters)
 
-    def representatives(self) -> tuple[float, ...]:
-        """Mean value of each cluster, in ascending order."""
-        ev = np.asarray(self.eigenvalues)
-        return tuple(float(np.mean(ev[list(c)])) for c in self.clusters)
-
     @property
     def bound(self) -> float:
         """The clustering threshold, ``CLUSTER_TOL * max(1, spectral radius)``."""

@@ -511,21 +511,17 @@ class TestIsotypicBlocks:
         assert sum(b.block_dim for b in blocks) == d**n
         for cl in seen:
             assert cl.relative_gap > 1e6 and cl.relative_spread < 1e-5
-        for b in blocks:  # C3 on one weight-space piece of each refined block
+        for b in blocks:  # C3 on the columns of one weight space of each refined block
             if b.c3_refined:
-                piece = b.pieces[0]
-                x = np.zeros((d**n, len(piece.columns)))
-                x[piece.states] = piece.vectors
+                nu, v = next(iter(b.on_representatives.items()))
+                x = np.zeros((d**n, v.shape[1]))
+                x[b.weight_spaces.spaces[nu]] = v
                 want = float(c3_on_label(b.label, d))
                 assert np.abs(cas.apply_C3(x, d, n) - want * x).max() <= 1e-9 * max(1.0, abs(want))
 
     def test_blocks_compare_by_identity(self):
         # value equality would compare arrays, which have no truth value
-        for build in (
-            cas.isotypic_blocks,
-            cas.highest_weight_blocks,
-            lambda d, n: cas.isotypic_blocks(d, n)[0].pieces,
-        ):
+        for build in (cas.isotypic_blocks, cas.highest_weight_blocks):
             first, again = build(2, 3)[0], build(2, 3)[0]
             assert (first == first) is True and (first == again) is False
             assert len({first, again, first}) == 2
@@ -539,46 +535,45 @@ class TestIsotypicBlocks:
 
     @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (3, 6), (4, 3)])
     def test_pieces_lie_in_one_weight_space_each(self, d, n, six_qutrit_blocks):
+        # a block's basis comes in pieces, one per weight space it meets: each
+        # column is supported on one weight space, and the spaces, in
+        # weight-space order, take the columns 0..block_dim-1 in turn
         blocks = six_qutrit_blocks if (d, n) == (3, 6) else cas.isotypic_blocks(d, n)
+        ws = g._WeightSpaces(d, n)
+        for states in ws.spaces.values():
+            digits = np.array(np.unravel_index(states, (d,) * n))
+            occupations = np.stack([(digits == a).sum(axis=0) for a in range(d)])
+            assert (occupations == occupations[:, :1]).all()
         for b in blocks:
+            assert b.basis.dtype == float and b.basis.shape == (d**n, b.block_dim)
             columns = []
-            for piece in b.pieces:
-                digits = np.array(np.unravel_index(piece.states, (d,) * n))
-                occupations = np.stack([(digits == a).sum(axis=0) for a in range(d)])
-                assert (occupations == occupations[:, :1]).all()
-                assert piece.vectors.dtype == float
-                assert piece.vectors.shape == (len(piece.states), len(piece.columns))
-                assert np.array_equal(b.basis[np.ix_(piece.states, piece.columns)], piece.vectors)
-                columns += list(piece.columns)
-            assert sum(len(piece.columns) for piece in b.pieces) == b.block_dim
-            assert sorted(columns) == list(range(b.block_dim))
-            assert b.basis.shape == (d**n, b.block_dim)
-        assert sum(len(piece.columns) for b in blocks for piece in b.pieces) == d**n
+            for states in ws.spaces.values():
+                inside = np.zeros(d**n, dtype=bool)
+                inside[states] = True
+                cols = np.flatnonzero(b.basis[inside].any(axis=0))
+                assert not b.basis[~inside][:, cols].any()
+                columns += list(cols)
+            assert columns == list(range(b.block_dim))
+        assert sum(b.block_dim for b in blocks) == d**n
 
     @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (3, 6), (4, 3)])
     def test_pieces_and_basis_match_an_eager_gather(self, d, n):
-        # a block holds its representatives' columns; pieces and basis, read
-        # afterwards, are those columns gathered onto every weight space of
-        # each orbit, space by space, as an eager build would have stored them
+        # a block holds its representatives' columns; basis, read afterwards,
+        # is those columns gathered onto every weight space of each orbit,
+        # piece by piece, as an eager build would have stored them
         ws = g._WeightSpaces(d, n)
         for b in cas.isotypic_blocks(d, n):
-            assert "pieces" not in vars(b) and "basis" not in vars(b)
+            assert "basis" not in vars(b)
             assert all(list(nu) == sorted(nu, reverse=True) for nu in b.on_representatives)
-            want, top = [], 0
+            assert all(v.dtype == float for v in b.on_representatives.values())
+            basis, top = np.zeros((d**n, b.block_dim)), 0
             for mu, (nu, local) in ws.orbits.items():
                 if nu in b.on_representatives:
                     v = b.on_representatives[nu][local]
-                    want.append((ws.spaces[mu], v, np.arange(top, top + v.shape[1])))
+                    basis[ws.spaces[mu][:, None], np.arange(top, top + v.shape[1])] = v
                     top += v.shape[1]
-            basis = np.zeros((d**n, top))
-            for states, v, columns in want:
-                basis[states[:, None], columns] = v
-            assert len(b.pieces) == len(want)
-            for piece, (states, v, columns) in zip(b.pieces, want):
-                assert np.array_equal(piece.states, states)
-                assert np.array_equal(piece.vectors, v) and piece.vectors.dtype == v.dtype
-                assert np.array_equal(piece.columns, columns)
             assert np.array_equal(b.basis, basis) and b.block_dim == top
+            assert "basis" in vars(b)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_per_space_c3_split_matches_dense_c3(self, n, six_qutrit_blocks):
@@ -657,6 +652,20 @@ class TestIsotypicBlocks:
 
 
 class TestHighestWeightBlocks:
+    def test_refuses_sizes_over_the_budget_before_any_array(self, monkeypatch):
+        # the guard of isotypic_blocks, first: (2, 16)'s 12,870-state weight
+        # space would need a 1.23 GiB kernel matrix; (2, 15)'s 6,435 states
+        # need 0.31 GiB and are admitted
+        def fail(*args):
+            raise AssertionError("started building the blocks")
+
+        monkeypatch.setattr(cas, "_WeightSpaces", fail)
+        monkeypatch.setattr(cas, "cg_table", fail)
+        assert cas._largest_arrays(2, 16)[1] == 8 * 12870**2 > cas.ARRAY_BUDGET
+        with pytest.raises(ValueError, match="d=2, n=16 is too large"):
+            cas.highest_weight_blocks(2, 16)
+        assert cas._check_size(2, 15) is None
+
     @pytest.mark.parametrize("d,n", [(2, 12), (3, 7), (4, 6), (8, 4), (5, 3)])
     def test_counts_match_cg_multiplicities(self, d, n):
         assert cas.highest_weight_counts(d, n) == rt.cg_decompose(n, d)

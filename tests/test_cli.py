@@ -232,7 +232,7 @@ class TestSpectrum:
 
     def test_never_assembles_a_block_basis(self, capsys, monkeypatch):
         # the blocks keep their representatives' columns; spectrum prints
-        # labels and sizes only, so it gathers no piece and builds no basis
+        # labels and sizes only, so it builds no basis
         seen = []
         real = cas.isotypic_blocks
 
@@ -243,9 +243,9 @@ class TestSpectrum:
         monkeypatch.setattr(cas, "isotypic_blocks", recording)
         code, _, _ = run(capsys, "spectrum", "--d", "3", "--n", "6", "--format", "json")
         assert code == 0 and any(b.c3_refined for b in seen)
-        assert not any("basis" in vars(b) or "pieces" in vars(b) for b in seen)
+        assert not any("basis" in vars(b) for b in seen)
         assert seen[0].basis.shape == (729, seen[0].block_dim)
-        assert "basis" in vars(seen[0]) and "pieces" in vars(seen[0])  # where a read leaves them
+        assert "basis" in vars(seen[0])  # where a read leaves it
 
     def test_three_qutrits_text(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--d", "3", "--n", "3")
@@ -394,6 +394,25 @@ class TestClosure:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot read generator spec {path}: ")
         assert err.count("\n") == 1
+
+    def test_spec_file_keeps_skew_hermitian_matrices(self, capsys, tmp_path):
+        # a skew-Hermitian matrix is the generator itself; the same set given
+        # as Hermitian H becomes iH, which closes to the same output
+        sx, sy, sz = g.pauli_matrices()
+        hermitian = [g.collective(sx, 2), g.collective(sy, 2), g.collective(sz, 2),
+                     np.kron(sz, sz)]
+        skew = [1j * h for h in hermitian]
+        outputs = []
+        for name, mats in (("skew", skew), ("hermitian", hermitian)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(
+                {"d": 2, "n": 2, "hamiltonians": [matrix_to_json(m) for m in mats]}))
+            code, out, err = run(capsys, "closure", "--spec", str(path), "--format", "json")
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        gens = cli._load_generator_spec(str(tmp_path / "skew.json"))
+        assert all(np.array_equal(a, m) for a, m in zip(gens.generators, skew, strict=True))
+        assert outputs[0] == outputs[1] and json.loads(outputs[0])["total_dim"] == 9
 
     def test_spec_file_rejects_non_hermitian(self, capsys, tmp_path):
         bad = np.zeros((2, 2), dtype=complex)
@@ -556,8 +575,7 @@ class TestExitCodes:
         ["spectrum", "--d", "2", "--n", "40"],
     ], ids=" ".join)
     def test_oversized_input_exits_1_with_one_line(self, capsys, argv):
-        # numpy refuses the 2^40-state arrays of closure before allocating
-        # them, and the size guard refuses spectrum's
+        # the size guard refuses both, before any 2^40-state array
         got, out, err = run(capsys, *argv)
         assert (got, out) == (1, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -570,6 +588,16 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert (got, out) == (1, "")
         assert err.startswith(f"error: d={d}, n={n} is too large") and len(err.splitlines()) == 1
+
+    def test_closure_too_large_exits_1_at_once(self, capsys):
+        # highest_weight_blocks runs the size guard first: qubits:n=16's
+        # 12,870-state weight space would need a 1.23 GiB kernel matrix
+        start = time.perf_counter()
+        got, out, err = run(capsys, "closure", "--preset", "qubits:n=16")
+        assert time.perf_counter() - start < 2.0
+        assert (got, out) == (1, "")
+        assert "d=2, n=16 is too large" in err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -668,11 +696,18 @@ class TestExitCodes:
              "generator 0: malformed (TypeError: expected an integer, got True)"),
             ({"d": 2, "n": 1, "hamiltonians": [{"dim": True, "re": [1], "im": [0]}]},
              "generator 0: malformed (TypeError: expected an integer, got True)"),
+            ({"d": 2, "n": 2, "hamiltonians": [
+                [{"multi_index": [1, 1, 0, 0], "coeff_re": 1.0}],
+                {"dim": 2, "re": [1, 0, 0, -1], "im": [0] * 4}]},
+             "generator 1: matrix dim 2 != d^n = 4"),
+            ({"d": 2, "n": 2, "hamiltonians": [[{"multi_index": [1, 1, 0, 0], "coeff_re": 1.0}], 5]},
+             "generator 1: expected a term list or a matrix object"),
         ],
         ids=["term-without-multi_index", "non-dict-term", "matrix-without-im",
              "hamiltonians-not-a-list", "float-d", "string-d", "float-n", "float-matrix-dim",
              "float-multi_index", "string-coefficient", "bool-coefficient", "bool-d", "bool-n",
-             "bool-multi_index", "bool-matrix-dim"],
+             "bool-multi_index", "bool-matrix-dim", "matrix-dim-not-d^n",
+             "neither-terms-nor-matrix"],
     )
     def test_malformed_spec_exits_1(self, capsys, tmp_path, spec, message):
         # one "error:" line, no traceback, whatever part of the spec is malformed
