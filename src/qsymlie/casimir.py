@@ -72,6 +72,10 @@ class UnresolvedDegeneracyError(RuntimeError):
     """Isotypic blocks could not be separated by the available Casimirs."""
 
 
+class _TooLargeError(ValueError):
+    """An input whose arrays would pass ``ARRAY_BUDGET`` (:func:`_check_size`)."""
+
+
 def _transpositions(n: int) -> np.ndarray:
     """Images of the factor transpositions P_ij, i < j, one permutation per row."""
     pairs = [perm_from_cycles(n, pair) for pair in combinations(range(1, n + 1), 2)]
@@ -324,10 +328,11 @@ def _largest_arrays(d: int, n: int) -> tuple[int, int]:
 
 
 def _check_size(d: int, n: int) -> None:
-    """Raise ``ValueError`` when an array of :func:`_largest_arrays` would pass ``ARRAY_BUDGET``."""
+    """Raise :class:`_TooLargeError`, a ``ValueError``, when an array of
+    :func:`_largest_arrays` would pass ``ARRAY_BUDGET``."""
     table, matrix = _largest_arrays(d, n)
     if max(table, matrix) > ARRAY_BUDGET:
-        raise ValueError(
+        raise _TooLargeError(
             f"d={d}, n={n} is too large: the digit table takes {table / 2**30:.3g} GiB and the "
             f"largest weight space's matrix {matrix / 2**30:.3g} GiB, over the "
             f"{ARRAY_BUDGET / 2**30:g} GiB budget"

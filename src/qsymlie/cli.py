@@ -210,7 +210,10 @@ def _load_generator_spec(path: str):
 
 
 def cmd_closure(args) -> int:
+    import numpy as np
+
     from . import closure as _closure
+    from .casimir import _TooLargeError
 
     if (args.preset is None) == (args.spec is None):
         raise CliError("exactly one of --preset / --spec is required")
@@ -223,7 +226,9 @@ def cmd_closure(args) -> int:
         gens = _load_generator_spec(args.spec)
     try:
         result = _closure.lie_closure(gens, args.max_dim)
-    except ValueError as exc:  # lie_closure validates and sizes the set before any bracket
+    except (_TooLargeError, np.linalg.LinAlgError):  # a size refusal or a numerical failure
+        raise
+    except ValueError as exc:  # lie_closure validates the set before any bracket
         raise CliError(f"invalid generator set: {exc}") from exc
     if not result.saturated:
         payload = {

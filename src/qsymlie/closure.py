@@ -10,7 +10,8 @@ identity, and a traceless part.  The trace parts span the center; the
 traceless parts of the generators generate the semisimple part, which is
 closed by bracketing and accepted one round at a time.  The system is
 subspace controllable when the traceless algebra acts as su(irrep_dim) on
-every block.  Generators are matrices or words (see :class:`GeneratorSet`).
+every block.  A generator set is all matrices or all words (see
+:class:`GeneratorSet`).
 
 Every floating-point decision here reads its tolerance from
 :mod:`qsymlie.tolerances`: ``RANK_TOL`` for the generator checks, the
@@ -72,13 +73,15 @@ def _swap_defects(x: np.ndarray, d: int, n: int):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Named skew-Hermitian generators on (C^d)^(x)n: d^n x d^n matrices or words.
+    """Named skew-Hermitian generators on (C^d)^(x)n: all d^n x d^n matrices
+    or all words.
 
     A word maps ``rho``, taking each d x d ``a`` to its collective operator
     in some representation, to the generator there; ``word(lambda a:
     collective(a, n))`` is its matrix.  Words commute with all factor
     permutations; :meth:`validate` checks that matrices commute with (1 2)
-    and (1 2 ... n), which suffices.
+    and (1 2 ... n), which suffices.  A set that mixes the two kinds raises
+    ``ValueError``.
     """
 
     d: int
@@ -89,19 +92,24 @@ class GeneratorSet:
     def __post_init__(self):
         if len(self.generators) != len(self.names):
             raise ValueError("generators and names must be parallel")
+        kinds = {callable(g) for g in self.generators}
+        if len(kinds) > 1:
+            raise ValueError("a generator set holds only words or only matrices, not both")
+        object.__setattr__(self, "_words", kinds == {True})
 
     def validate(self) -> None:
         """Check each matrix: d^n x d^n, skew-Hermitian, and commuting with
         (1 2) and (1 2 ... n), each at ``RANK_TOL * max(1, ||X||_F)``.
+        Words pass unchecked: :func:`levi_split` reads them.
 
         The matrices are checked as one stack.  Of several failures, the
         first generator's first check raises, in the order listed.
         """
+        if self._words:
+            return
         dim = self.d**self.n
         mats, names, misfit = [], [], None
         for g, name in zip(self.generators, self.names):
-            if callable(g):  # a word: see restrict_to_block
-                continue
             try:
                 g = _as_square(g, name)
                 if g.shape[0] != dim:
@@ -135,13 +143,13 @@ def _restrict_stack(xs: np.ndarray, p: np.ndarray):
     return parts, np.linalg.norm(xp - p @ parts, axis=(1, 2))
 
 
-def restrict_to_block(x, block, gate: bool = True) -> np.ndarray:
+def restrict_to_block(x, block) -> np.ndarray:
     """P^dag X P in the block's orthonormal basis P = ``block.basis``.
 
     ``block`` is a :class:`~qsymlie.casimir.WeightBlock` (one irrep copy)
-    or an :class:`~qsymlie.casimir.IsotypicBlock` (the whole block).  With
-    ``gate``, raises :class:`BlockLeakageError` if X maps the block outside
-    itself by more than ``RANK_TOL * max(1, ||X||_F)``.  A word X is read
+    or an :class:`~qsymlie.casimir.IsotypicBlock` (the whole block).  A
+    matrix X that maps the block outside itself by more than ``RANK_TOL *
+    max(1, ||X||_F)`` raises :class:`BlockLeakageError`.  A word X is read
     with rho(a) = P^dag (A-hat P), cannot leak, and must be skew-Hermitian.
     """
     p = block.basis
@@ -152,8 +160,7 @@ def restrict_to_block(x, block, gate: bool = True) -> np.ndarray:
         return m
     x = _as_square(x)
     (m,), leak = _restrict_stack(x[None], p)
-    if gate:
-        _leakage_gate([block], leak, np.linalg.norm(x))
+    _leakage_gate([block], leak, np.linalg.norm(x))
     return m
 
 
@@ -231,24 +238,6 @@ class BlockFrame:
             self._store(rows, i, m - c[:, None, None] * np.eye(b.irrep_dim))
             rows[:, self.traceless_width + i] = sqrt(b.irrep_dim) * c.imag
         return rows
-
-    def restrict_matrices(self, xs: np.ndarray):
-        """The rows of the (k, d^n, d^n) stack ``xs``, one product per block,
-        and the (k, blocks) table of each matrix's leakage out of each block
-        (see :func:`restrict_to_block`); nothing is gated here."""
-        parts, leaks = zip(*(_restrict_stack(xs, b.basis) for b in self.blocks))
-        return self._rows(parts), np.array(leaks).T
-
-    def restrict(self, x, gate: bool = True) -> np.ndarray:
-        """The row of X; with ``gate``, raises :class:`BlockLeakageError` (see
-        :func:`restrict_to_block`)."""
-        if callable(x):
-            return self._rows([restrict_to_block(x, b)[None] for b in self.blocks])[0]
-        x = _as_square(x)
-        rows, leaks = self.restrict_matrices(x[None])
-        if gate:
-            _leakage_gate(self.blocks, leaks[0], np.linalg.norm(x))
-        return rows[0]
 
     def trace_part(self, rows: np.ndarray) -> float:
         """||rows T||_F for the traceless-width ``rows``, T the blocks' unit
@@ -411,26 +400,28 @@ def levi_split(gens: GeneratorSet, frame: BlockFrame):
     the first ``frame.traceless_width`` columns of each generator's row, and
     the rank of the center rows scaled by 1/||X||, so that a center
     direction counts only if it carries a non-negligible fraction of its
-    generator.  A word that is not skew-Hermitian raises, naming it.  The
-    matrices are restricted as one stack; a matrix that leaks out of a
-    block raises :class:`BlockLeakageError`, the first one in generator
-    order, at its first leaky block.
+    generator.  Words are read on each block by :func:`restrict_to_block`,
+    in generator order; the first that is not skew-Hermitian raises,
+    naming it.  Matrices are restricted as one stack, one product per
+    block; the first in generator order that leaks out of a block raises
+    :class:`BlockLeakageError`, at its first leaky block.
     """
-    gs = gens.generators
-    mats = [j for j, g in enumerate(gs) if not callable(g)]
-    rows = np.zeros((len(gs), frame.width))
-    if mats:  # one stack: one product per block and one leakage table
-        stack = np.array([gs[j] for j in mats], dtype=complex)
-        rows[mats], leaks = frame.restrict_matrices(stack)
-        gates = dict(zip(mats, zip(leaks, np.linalg.norm(stack, axis=(1, 2)))))
-    for j, (g, name) in enumerate(zip(gs, gens.names)):
-        if not callable(g):
-            _leakage_gate(frame.blocks, *gates[j])
-            continue
-        try:
-            rows[j] = frame.restrict(g)
-        except NonHermitianError as exc:
-            raise NonHermitianError(f"{name} {exc}") from None
+    if gens._words:
+        parts = [[] for _ in frame.blocks]
+        for g, name in zip(gens.generators, gens.names):
+            try:
+                for part, b in zip(parts, frame.blocks):
+                    part.append(restrict_to_block(g, b))
+            except NonHermitianError as exc:
+                raise NonHermitianError(f"{name} {exc}") from None
+        rows = frame._rows([np.array(part) for part in parts])
+    else:
+        dim = gens.d**gens.n  # an empty set still makes a (0, dim, dim) stack
+        stack = np.array(gens.generators, dtype=complex).reshape(len(gens.generators), dim, dim)
+        parts, leaks = zip(*(_restrict_stack(stack, b.basis) for b in frame.blocks))
+        rows = frame._rows(parts)
+        for leak, norm in zip(np.array(leaks).T, np.linalg.norm(stack, axis=(1, 2))):
+            _leakage_gate(frame.blocks, leak, norm)
     centers = rows[:, frame.traceless_width :]
     scale = np.maximum(np.linalg.norm(rows, axis=1), 1e-300)[:, None]
     return centers, rows[:, : frame.traceless_width], real_span_dim(centers / scale)
@@ -556,9 +547,10 @@ def lie_closure(gens: GeneratorSet, max_dim: int | None = None) -> LieClosureRes
     invariant algebra dimension C(n+d^2-1, d^2-1)); a batch is cut at the
     cap, so ``dim`` never exceeds ``max_dim``, and blocks after the cap are
     not closed.  A dimension above a block's bound irrep_dim^2 - 1, or
-    above the frame's bound in the joint run, is noise taken for new
-    directions and raises :class:`ClosureError`; so is a trace part above
-    ``RANK_TOL`` in the rows of a run at its bound.
+    above the frame's bound or the sum of the blocks' run dimensions in the
+    joint run, is noise taken for new directions and raises
+    :class:`ClosureError`; so is a trace part above ``RANK_TOL`` in the
+    rows of a run at its bound.
     """
     if not gens.generators:
         raise ValueError("need a non-empty generator set")
@@ -611,6 +603,11 @@ def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
         path = "joint"
         if len(runs) > 1:
             basis, run = _close(frame, unit, max_dim, None)
+            if run.dim > reached:  # L' lies in the sum of the blocks' algebras
+                raise ClosureError(
+                    f"joint closure dimension {run.dim} exceeds the sum {reached} of its "
+                    f"blocks' dimensions: noise was accepted"
+                )
             runs.append(run)
     basis.flags.writeable = False
     rows = _rows_of_l(frame, basis, traceless, centers, unit)
@@ -659,7 +656,8 @@ def membership(x, closure: LieClosureResult) -> tuple[bool, float]:
     """
     x = _as_square(x)
     defect = max([np.linalg.norm(x + x.conj().T) / 2, *_swap_defects(x, closure.d, closure.n)])
-    row = closure.frame.restrict(x, gate=False)
+    frame = closure.frame
+    row = frame._rows([_restrict_stack(x[None], b.basis)[0] for b in frame.blocks])[0]
     nrm = max(1.0, float(np.linalg.norm(row)))
     rows = closure.basis
     for _ in range(2):

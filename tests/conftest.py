@@ -28,6 +28,27 @@ def qutrit_closure_h():
     return closure.lie_closure(closure.preset("qutrits:n=3:H"))
 
 
+@pytest.fixture
+def total_within_blocks(monkeypatch):
+    """Check every report ``closure.subspace_controllability`` makes during a
+    test: total_dim <= sum of restricted_dim + center_dim.  L' lies in the sum
+    of its projections on the blocks, so its dimension is at most the sum of
+    the blocks' run dimensions, and L adds at most center_dim to it.  Yields
+    the reports checked."""
+    report_of = closure.subspace_controllability
+    checked = []
+
+    def checking(result):
+        report = report_of(result)
+        blocks = sum(v.restricted_dim for v in report.per_block)
+        assert report.total_dim <= blocks + report.center_component_dim, report
+        checked.append(report)
+        return report
+
+    monkeypatch.setattr(closure, "subspace_controllability", checking)
+    yield checked
+
+
 def dense(gens):
     """``gens`` with each word replaced by its d^n x d^n matrix,
     word(lambda a: collective(a, n)); matrices are kept as they are."""
@@ -36,6 +57,14 @@ def dense(gens):
 
     mats = tuple(g(rho) if callable(g) else g for g in gens.generators)
     return closure.GeneratorSet(gens.d, gens.n, mats, gens.names)
+
+
+def frame_rows(frame, d, n, xs):
+    """The rows in ``frame`` of the matrices or words ``xs`` on (C^d)^(x)n,
+    read by ``levi_split``: matrices that leak out of a block raise."""
+    gens = closure.GeneratorSet(d, n, tuple(xs), tuple(f"x{k}" for k in range(len(xs))))
+    centers, traceless, _ = closure.levi_split(gens, frame)
+    return np.hstack([traceless, centers])
 
 
 def random_complex(rng, dim):

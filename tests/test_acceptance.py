@@ -8,6 +8,7 @@ import time
 from math import sqrt
 
 import numpy as np
+import pytest
 
 from qsymlie import casimir as cas
 from qsymlie import closure as cl
@@ -16,6 +17,9 @@ from qsymlie import linalg as la
 from qsymlie import reptheory as rt
 
 from conftest import young_projector_21
+
+# every closure report made here keeps total_dim <= sum restricted_dim + center_dim
+pytestmark = pytest.mark.usefixtures("total_within_blocks")
 
 
 def _report(num, desc, body):

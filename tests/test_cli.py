@@ -19,6 +19,9 @@ from qsymlie import generators as g
 from qsymlie import reptheory as rt
 from qsymlie.linalg import matrix_to_json
 
+# every closure report made here keeps total_dim <= sum restricted_dim + center_dim
+pytestmark = pytest.mark.usefixtures("total_within_blocks")
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -596,8 +599,38 @@ class TestExitCodes:
         got, out, err = run(capsys, "closure", "--preset", "qubits:n=16")
         assert time.perf_counter() - start < 2.0
         assert (got, out) == (1, "")
-        assert "d=2, n=16 is too large" in err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        # the size guard's own ValueError passes the wrap of invalid sets
+        assert err.startswith("error: d=2, n=16 is too large: ") and len(err.splitlines()) == 1
+
+    def test_closure_linalg_error_exits_3(self, capsys, monkeypatch):
+        # LinAlgError is a ValueError; it is a numerical failure, not an invalid set
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        got, out, err = run(capsys, "closure", "--preset", "qubits:n=3")
+        assert (got, out, err) == (3, "", "error: SVD did not converge\n")
+
+    @pytest.mark.parametrize("n,total", [(8, 77), (9, None), (10, None)])
+    def test_flip_symmetric_term_spec(self, capsys, tmp_path, n, total):
+        # {i sum X_i, i sum Z_i Z_j} is not controllable; from n = 9 its
+        # float closure accepts noise and exits 3 instead of printing a total
+        spec = {"d": 2, "n": n, "hamiltonians": [
+            [{"multi_index": [n - 1, 1, 0, 0], "coeff_re": 1.0}],
+            [{"multi_index": [n - 2, 0, 0, 2], "coeff_re": 1.0}]]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        got, out, err = run(capsys, "closure", "--spec", str(path), "--format", "json")
+        if total is None:
+            assert (got, out) == (3, "")
+            assert err.startswith("error: ") and err.endswith("noise was accepted\n")
+            if n == 9:
+                assert "joint closure dimension" in err and "sum 105" in err
+        else:
+            assert (got, err) == (0, "")
+            obj = json.loads(out)
+            assert obj["total_dim"] == total and obj["path"] == "joint"
+            assert obj["subspace_controllable"] is False
 
     @pytest.mark.parametrize(
         "argv",

@@ -16,9 +16,19 @@ from qsymlie import generators as g
 from qsymlie import linalg as la
 from qsymlie import reptheory as rt
 
-from conftest import center_coefficients, center_project, dense, kron_all, random_skew
+from conftest import (
+    center_coefficients,
+    center_project,
+    dense,
+    frame_rows,
+    kron_all,
+    random_skew,
+)
 
 SX, SY, SZ = g.pauli_matrices()
+
+# every closure report made here keeps total_dim <= sum restricted_dim + center_dim
+pytestmark = pytest.mark.usefixtures("total_within_blocks")
 
 
 def single_site_set(*mats, names=None):
@@ -69,7 +79,7 @@ def orthonormal_rows(rows, tol=1e-8):
 
 def assert_same_block_span(result, span, tol=1e-8):
     """The closure equals the dense span, restricted to the closure's blocks."""
-    restricted = np.array([result.frame.restrict(x) for x in span.basis])
+    restricted = frame_rows(result.frame, result.d, result.n, span.basis)
     assert result.dim == span.dim == len(orthonormal_rows(restricted))
     assert residuals(restricted, result.basis).max() <= tol
     assert residuals(result.basis, orthonormal_rows(restricted)).max() <= tol
@@ -668,9 +678,9 @@ class TestBlockCoordinates:
         calls = []
         restrict = cl.restrict_to_block
 
-        def counting(x, block, gate=True):
+        def counting(x, block):
             calls.append(block.label)
-            return restrict(x, block, gate)
+            return restrict(x, block)
 
         monkeypatch.setattr(cl, "restrict_to_block", counting)
         r = cl.lie_closure(cl.preset("qutrits:n=3:H"))
@@ -767,7 +777,7 @@ class TestBlockCoordinates:
         with pytest.raises(cl.BlockLeakageError, match=rf"out of block {re.escape(str(label))}"):
             cl.levi_split(gens, frame)
         with pytest.raises(cl.BlockLeakageError, match=rf"out of block {re.escape(str(label))}"):
-            frame.restrict(leaky[first])
+            frame_rows(frame, 3, 3, [leaky[first]])
 
     def test_stacked_rows_match_each_block_product(self):
         # levi_split restricts the matrices as one stack: each row equals
@@ -791,7 +801,11 @@ class TestBlockCoordinates:
         adj = next(b for b in qutrit_blocks if b.label == (2, 1, 0)).basis[:, 0]
         leaky = 1j * (np.outer(sym, adj.conj()) + np.outer(adj, sym.conj()))
         with pytest.raises(cl.BlockLeakageError):
-            frame.restrict(leaky)
+            frame_rows(frame, 3, 3, [leaky])
+        # the symmetric block holds one copy, which contains sym
+        symmetric = next(b for b in frame.blocks if b.label == (3, 0, 0))
+        with pytest.raises(cl.BlockLeakageError, match=r"out of block \(3, 0, 0\)"):
+            cl.restrict_to_block(leaky, symmetric)
 
 
 class TestQubitPresets:
@@ -837,10 +851,11 @@ class TestLeviSplit:
         assert norms[3] > 1.0
         assert cdim == 1
         # the same split as the Casimir block projectors give
-        for c, t, x in zip(centers, traceless, dense(gens).generators):
-            dense_c, dense_t = center_project(x, cb)
-            assert np.allclose(frame.restrict(dense_c), np.concatenate([0 * t, c]))
-            assert np.allclose(frame.restrict(dense_t), np.concatenate([t, 0 * c]))
+        split = [center_project(x, cb) for x in dense(gens).generators]
+        rows_c = frame_rows(frame, 2, 3, [c for c, _ in split])
+        rows_t = frame_rows(frame, 2, 3, [t for _, t in split])
+        assert np.allclose(rows_c, np.hstack([0 * traceless, centers]))
+        assert np.allclose(rows_t, np.hstack([traceless, 0 * centers]))
 
     def test_all_central_set(self):
         cb = cas.center_basis_from_blocks(cas.isotypic_blocks(2, 2))
@@ -851,6 +866,12 @@ class TestLeviSplit:
         assert cdim == 2
         for t in traceless:
             assert np.linalg.norm(t) <= 1e-9
+
+    def test_empty_set_gives_empty_rows(self):
+        frame = cl.BlockFrame.build(2, 2)
+        centers, traceless, cdim = cl.levi_split(cl.GeneratorSet(2, 2, (), ()), frame)
+        assert centers.shape == (0, len(frame.blocks))
+        assert traceless.shape == (0, frame.traceless_width) and cdim == 0
 
     def test_traceless_set_has_zero_center_dim(self):
         gens = cl.preset("lemma2:2,2,(1,3)")
@@ -1018,6 +1039,65 @@ class TestWordPath:
         bad = cl.GeneratorSet(2, 3, words, (*gens.names, "Sx"))
         with pytest.raises(la.NonHermitianError, match="^Sx is not skew-Hermitian on block"):
             cl.lie_closure(bad)
+
+    def test_a_set_holds_one_kind(self):
+        word, matrix = (lambda rho: 1j * rho(SZ)), 1j * g.collective(SZ, 2)
+        for gens in [(word, matrix), (matrix, word)]:
+            with pytest.raises(ValueError, match="only words or only matrices"):
+                cl.GeneratorSet(2, 2, gens, ("a", "b"))
+        for gens in [(word, word), (matrix, matrix), ()]:
+            cl.GeneratorSet(2, 2, gens, tuple("ab"[: len(gens)]))
+
+
+def flip_symmetric_words(n):
+    """{i sum X_i, i sum_{i<j} Z_i Z_j} on n qubits, as words.  The global
+    flip prod X_i commutes with both, so each spin block of dimension
+    d_lambda reaches only s(u(a) + u(b)), a = ceil(d_lambda/2), b =
+    floor(d_lambda/2), and the set is not controllable."""
+    sx, _, sz = g.gell_mann_basis(2).elements[1:]
+    words = (lambda rho: 1j * rho(sx), lambda rho: 0.5j * (rho(sz) @ rho(sz) - rho(sz @ sz)))
+    return cl.GeneratorSet(2, n, words, ("i*X", "i*ZZ"))
+
+
+def flip_symmetric_terms(n):
+    """The same set from the term list of its Hamiltonians, as matrices."""
+    terms = [[n - 1, 1, 0, 0], [n - 2, 0, 0, 2]]
+    mats = [1j * g.hamiltonian_from_terms([{"multi_index": t, "coeff_re": 1.0}], 2, n)
+            for t in terms]
+    return cl.GeneratorSet(2, n, tuple(mats), ("H0", "H1"))
+
+
+class TestJointGate:
+    """A joint run cannot pass the sum of its blocks' runs: L' lies in the
+    sum of its projections on the blocks.  Beyond it, noise was accepted."""
+
+    TOTALS = {2: 4, 3: 8, 4: 15, 5: 24, 6: 38, 7: 54, 8: 77}
+
+    @pytest.mark.parametrize("n", sorted(TOTALS))
+    @pytest.mark.parametrize("build", [flip_symmetric_words, flip_symmetric_terms],
+                             ids=["words", "terms"])
+    def test_totals_up_to_eight_qubits(self, total_within_blocks, build, n):
+        r = cl.lie_closure(build(n))
+        report = cl.subspace_controllability(r)
+        assert report.total_dim == self.TOTALS[n] and r.path == "joint"
+        assert not report.subspace_controllable and report.center_component_dim == 1
+        for v in report.per_block:
+            a, b = (v.irrep_dim + 1) // 2, v.irrep_dim // 2
+            assert v.restricted_dim == a * a + b * b - 1, v.label
+        # n = 2 has one block of irrep_dim >= 2, whose run is reused
+        joint = [run.dim for run in r.runs if run.label is None]
+        assert joint == ([] if n == 2 else [len(r.traceless)])
+        assert len(r.traceless) <= sum(run.dim for run in r.runs if run.label is not None)
+        assert total_within_blocks == [report]
+
+    @pytest.mark.parametrize("build", [flip_symmetric_words, flip_symmetric_terms],
+                             ids=["words", "terms"])
+    def test_nine_qubits_refuse_the_noise(self, build):
+        # the blocks reach 1, 7, 17, 31 and 49: 105 in all, where the joint
+        # run, on the whole frame, grew on noise past 200
+        with pytest.raises(cl.ClosureError, match=r"^joint closure dimension \d+ exceeds the "
+                                                  r"sum 105 of its blocks' dimensions: noise"):
+            cl.lie_closure(build(9))
 
 
 class TestPresetParsing:

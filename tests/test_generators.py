@@ -17,6 +17,7 @@ from qsymlie import reptheory as rt
 from conftest import (
     dicke_basis,
     dicke_state,
+    frame_rows,
     kron_all,
     multiset_permutations,
     placement_sum,
@@ -597,8 +598,9 @@ class TestPresetConstruction:
         want = site_by_site_preset(name)
         assert len(gens.generators) == len(want)
         frame = cl.BlockFrame.build(gens.d, gens.n)
-        for word, x in zip(gens.generators, want):
-            row, oracle = frame.restrict(word), frame.restrict(x)
+        rows = frame_rows(frame, gens.d, gens.n, gens.generators)
+        oracles = frame_rows(frame, gens.d, gens.n, want)
+        for word, x, row, oracle in zip(gens.generators, want, rows, oracles):
             assert np.abs(row - oracle).max() <= 1e-13 * max(1.0, np.abs(oracle).max())
             matrix = word(lambda a: g.collective(a, gens.n))
             assert np.abs(matrix - x).max() <= 1e-12 * max(1.0, np.abs(x).max())
