@@ -34,8 +34,8 @@ the representatives and gathers them into its dense d^n-row basis, in
 weight-space order, only when that is read.  Both block builders refuse
 sizes whose digit table or largest matrix would pass ``ARRAY_BUDGET``
 before any array is allocated (:func:`_check_size`).  ``apply_C2``
-and ``apply_C3`` apply each orbit's matrix, relabeled, to the rows of each
-of its weight spaces; both are real, so real input stays real.
+and ``apply_C3`` build each weight space's matrix once and apply it to
+that space's rows; both are real, so real input stays real.
 ``build_C2`` and ``build_C3`` are the actions applied to the identity.
 Every floating-point decision here reads its tolerance from
 :mod:`qsymlie.tolerances`.
@@ -70,10 +70,6 @@ ARRAY_BUDGET = 1 << 30
 
 class UnresolvedDegeneracyError(RuntimeError):
     """Isotypic blocks could not be separated by the available Casimirs."""
-
-
-class _TooLargeError(ValueError):
-    """An input whose arrays would pass ``ARRAY_BUDGET`` (:func:`_check_size`)."""
 
 
 def _transpositions(n: int) -> np.ndarray:
@@ -173,33 +169,24 @@ def _casimir_on_space(coefficients, classes, ws: _WeightSpaces, states: np.ndarr
 
 
 def _apply(x, d: int, n: int, coefficients, classes) -> np.ndarray:
-    """The class-sum combination applied to x, one weight space of rows at a time.
-
-    The matrix is built once per level-permutation orbit, on its
-    representative nu, and each weight space mu of the orbit takes it with
-    rows and columns relabeled by ``local`` (see ``_WeightSpaces.orbits``).
-    """
+    """The class-sum combination applied to x, one weight space of rows at a time."""
     x = np.asarray(x, dtype=_real_or_complex(x))
     if x.shape[0] != d**n:
         raise ValueError(f"operand has {x.shape[0]} rows, need d^n = {d**n}")
     ws = _WeightSpaces(d, n)
     out = np.zeros_like(x)
-    by_orbit = sorted(ws.orbits.items(), key=lambda item: item[1][0])
-    for nu, members in groupby(by_orbit, key=lambda item: item[1][0]):
-        on_rep = _casimir_on_space(coefficients, classes, ws, ws.spaces[nu])
-        for mu, (_, local) in members:
-            states = ws.spaces[mu]
-            out[states] = on_rep[np.ix_(local, local)] @ x[states]
+    for states in ws.spaces.values():
+        out[states] = _casimir_on_space(coefficients, classes, ws, states) @ x[states]
     return out
 
 
 def apply_C2(x, d: int, n: int) -> np.ndarray:
-    """C2 @ x for x of shape (d^n, m) (or (d^n,)), one weight-space orbit at a time."""
+    """C2 @ x for x of shape (d^n, m) (or (d^n,)), one weight space at a time."""
     return _apply(x, d, n, _c2_coefficients(d, n), (_transpositions(n),))
 
 
 def apply_C3(x, d: int, n: int) -> np.ndarray:
-    """C3 @ x for x of shape (d^n, m) (or (d^n,)), one weight-space orbit at a time."""
+    """C3 @ x for x of shape (d^n, m) (or (d^n,)), one weight space at a time."""
     return _apply(x, d, n, _c3_coefficients(d, n), (_transpositions(n), _three_cycles(n)))
 
 
@@ -328,11 +315,11 @@ def _largest_arrays(d: int, n: int) -> tuple[int, int]:
 
 
 def _check_size(d: int, n: int) -> None:
-    """Raise :class:`_TooLargeError`, a ``ValueError``, when an array of
-    :func:`_largest_arrays` would pass ``ARRAY_BUDGET``."""
+    """Raise ``ValueError`` when an array of :func:`_largest_arrays` would
+    pass ``ARRAY_BUDGET``."""
     table, matrix = _largest_arrays(d, n)
     if max(table, matrix) > ARRAY_BUDGET:
-        raise _TooLargeError(
+        raise ValueError(
             f"d={d}, n={n} is too large: the digit table takes {table / 2**30:.3g} GiB and the "
             f"largest weight space's matrix {matrix / 2**30:.3g} GiB, over the "
             f"{ARRAY_BUDGET / 2**30:g} GiB budget"

@@ -24,12 +24,6 @@ EXIT_UNSATURATED = 2
 EXIT_NUMERICAL = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the CLI contract wants 1.
     def error(self, message):
@@ -168,8 +162,10 @@ def _load_generator_spec(path: str):
     symmetric basis elements) or a raw matrix {"dim", "re", "im"}.
     Hermitian inputs H become generators iH; skew-Hermitian inputs are used
     as given.  ``d``, ``n``, multi-index counts and matrix ``dim`` refuse
-    floats, strings and bools (``linalg._json_int``); a missing key or a
-    wrong type raises :class:`CliError`.  Returns a ``GeneratorSet``.
+    floats, strings and bools (``linalg._json_int``), and ``d`` must be at
+    least 2 and ``n`` at least 1, as for ``--d`` and ``--n``.  An unreadable
+    file, a missing key, a wrong type or an out-of-range size raises
+    ``ValueError`` (exit 1).  Returns a ``GeneratorSet``.
     """
     from .closure import GeneratorSet
     from .generators import hamiltonian_from_terms
@@ -179,12 +175,15 @@ def _load_generator_spec(path: str):
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read generator spec {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read generator spec {path}: {exc.strerror}") from exc
     try:
         d, n = _json_int(obj["d"]), _json_int(obj["n"])
         ham_specs = list(obj["hamiltonians"])
     except (KeyError, TypeError) as exc:
-        raise CliError(f"malformed generator spec {path}: {exc}") from exc
+        raise ValueError(f"malformed generator spec {path}: {exc}") from exc
+    if d < 2 or n < 1:
+        raise ValueError(f"malformed generator spec {path}: need d >= 2 and n >= 1, "
+                         f"got d={d}, n={n}")
     gens = []
     names = []
     for idx, spec in enumerate(ham_specs):
@@ -194,42 +193,31 @@ def _load_generator_spec(path: str):
             elif isinstance(spec, list):
                 h = hamiltonian_from_terms(spec, d, n)
             else:
-                raise CliError(f"generator {idx}: expected a term list or a matrix object")
+                raise ValueError(f"generator {idx}: expected a term list or a matrix object")
         except (KeyError, TypeError, AttributeError) as exc:
-            raise CliError(f"generator {idx}: malformed ({type(exc).__name__}: {exc})") from exc
+            raise ValueError(f"generator {idx}: malformed ({type(exc).__name__}: {exc})") from exc
         if h.shape[0] != d**n:
-            raise CliError(f"generator {idx}: matrix dim {h.shape[0]} != d^n = {d ** n}")
+            raise ValueError(f"generator {idx}: matrix dim {h.shape[0]} != d^n = {d ** n}")
         if is_skew_hermitian(h):
             gens.append(h)
         elif is_hermitian(h):
             gens.append(1j * h)
         else:
-            raise CliError(f"generator {idx} is neither Hermitian nor skew-Hermitian")
+            raise ValueError(f"generator {idx} is neither Hermitian nor skew-Hermitian")
         names.append(f"H{idx}")
     return GeneratorSet(d, n, tuple(gens), tuple(names))
 
 
 def cmd_closure(args) -> int:
-    import numpy as np
-
     from . import closure as _closure
-    from .casimir import _TooLargeError
 
     if (args.preset is None) == (args.spec is None):
-        raise CliError("exactly one of --preset / --spec is required")
+        raise ValueError("exactly one of --preset / --spec is required")
     if args.preset is not None:
-        try:
-            gens = _closure.preset(args.preset)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        gens = _closure.preset(args.preset)
     else:
         gens = _load_generator_spec(args.spec)
-    try:
-        result = _closure.lie_closure(gens, args.max_dim)
-    except (_TooLargeError, np.linalg.LinAlgError):  # a size refusal or a numerical failure
-        raise
-    except ValueError as exc:  # lie_closure validates the set before any bracket
-        raise CliError(f"invalid generator set: {exc}") from exc
+    result = _closure.lie_closure(gens, args.max_dim)
     if not result.saturated:
         payload = {
             "saturated": False,
@@ -331,9 +319,10 @@ def main(argv=None) -> int:
 
 
 def _exit_code(exc: Exception) -> int | None:
-    """The exit code of a failed command, or None if the error should propagate."""
-    if isinstance(exc, CliError):
-        return exc.code
+    """The exit code of a failed command, or None if the error should propagate.
+
+    The exception's type alone picks the code; no command rewraps a failure.
+    """
     if isinstance(exc, ArithmeticError):  # an exact division in reptheory left a remainder
         return EXIT_NUMERICAL
     if not isinstance(exc, (ValueError, RuntimeError)):  # MemoryError: an input too large

@@ -34,6 +34,7 @@ from .linalg import (
     DimensionMismatchError,
     NonHermitianError,
     _as_square,
+    is_skew_hermitian,
     real_span_dim,
 )
 from .generators import (
@@ -155,7 +156,7 @@ def restrict_to_block(x, block) -> np.ndarray:
     p = block.basis
     if callable(x):  # P spans one irrep copy, so rho is a representation
         m = x(lambda a: p.conj().T @ collective_columns(a, p, sum(block.label)))
-        if np.linalg.norm(m + m.conj().T) > RANK_TOL * max(1.0, np.linalg.norm(m)):
+        if not is_skew_hermitian(m):
             raise NonHermitianError(f"is not skew-Hermitian on block {block.label}")
         return m
     x = _as_square(x)

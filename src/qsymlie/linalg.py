@@ -2,14 +2,15 @@
 
 Everything in this package lives on the real vector space of complex square
 matrices equipped with the real part of the Frobenius inner product
-Re<A,B> = Re Tr(A B^dag).  Spans of skew-Hermitian matrices (real Lie
-algebras) are handled by :class:`OrthonormalSpan`, whose only "mutation" is
-the fresh span returned by :func:`orthonormal_extend`.
+Re<A,B> = Re Tr(A B^dag).  The closure holds its spans as rows of
+:class:`qsymlie.closure.BlockFrame` coordinates; :class:`OrthonormalSpan`,
+grown by :func:`orthonormal_extend` into a fresh span, is the dense
+reference span that checks the closure.
 
 The Hermiticity checks, :func:`hermitian_eig`, :func:`cluster_eigenvalues`
 and :func:`real_span_dim` read their cuts from :mod:`qsymlie.tolerances`
-and take no tolerance argument.  Only :class:`OrthonormalSpan`, a reference
-implementation for checking the closure, carries its own ``tol``.
+and take no tolerance argument.  Only :class:`OrthonormalSpan` carries its
+own ``tol``.
 """
 
 from __future__ import annotations
@@ -230,11 +231,6 @@ class OrthonormalSpan:
             raise NonFiniteError("candidate has non-finite entries")
         return x
 
-    def coefficients(self, x) -> np.ndarray:
-        """Real projection coefficients of ``x`` onto the basis."""
-        x = self._validate(x)
-        return self._rows @ _realvec(x)
-
     def project(self, x) -> np.ndarray:
         """Orthogonal projection of ``x`` onto the span."""
         x = self._validate(x)
@@ -254,8 +250,8 @@ class OrthonormalSpan:
             v = v - rows.T @ (rows @ v)
         return float(np.linalg.norm(v) / max(1.0, nrm))
 
-    def contains(self, x, tol: float | None = None) -> bool:
-        return self.residual(x) <= (self.tol if tol is None else tol)
+    def contains(self, x) -> bool:
+        return self.residual(x) <= self.tol
 
     def check(self) -> None:
         """Validate pairwise orthonormality at the span's tolerance."""

@@ -385,9 +385,14 @@ class TestClosure:
         spec = {"d": 2, "n": 2, "hamiltonians": [matrix_to_json(bad)]}
         path = tmp_path / "gens.json"
         path.write_text(json.dumps(spec))
-        code, _, err = run(capsys, "closure", "--spec", str(path))
-        assert code == 1
-        assert "commute" in err
+        code, out, err = run(capsys, "closure", "--spec", str(path))
+        assert (code, out, err) == (1, "", "error: H0 does not commute with factor permutations\n")
+
+    def test_spec_file_rejects_empty_set(self, capsys, tmp_path):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps({"d": 2, "n": 2, "hamiltonians": []}))
+        code, out, err = run(capsys, "closure", "--spec", str(path))
+        assert (code, out, err) == (1, "", "error: need a non-empty generator set\n")
 
     @pytest.mark.parametrize("name", ["missing.json", "."])
     def test_unreadable_spec_file(self, capsys, tmp_path, name):
@@ -554,12 +559,17 @@ class TestExitCodes:
         ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
     )
     def test_failure_maps_to_exit_code(self, capsys, monkeypatch, error, code):
+        # raised inside isotypic_blocks, or inside lie_closure after the set
+        # is validated; the failure's type alone picks the code, and no
+        # command rewrites its text
         def fail(*args, **kwargs):
             raise error("injected failure")
 
         monkeypatch.setattr(cas, "isotypic_blocks", fail)
-        got, out, err = run(capsys, "spectrum", "--d", "2", "--n", "2")
-        assert (got, out, err) == (code, "", "error: injected failure\n")
+        monkeypatch.setattr(cl, "highest_weight_blocks", fail)
+        for argv in (["spectrum", "--d", "2", "--n", "2"], ["closure", "--preset", "qubits:n=3"]):
+            got, out, err = run(capsys, *argv)
+            assert (got, out, err) == (code, "", "error: injected failure\n"), argv
 
     @pytest.mark.parametrize("command", ["closure", "spectrum"])
     def test_memory_error_exits_1(self, capsys, monkeypatch, command):
@@ -599,11 +609,11 @@ class TestExitCodes:
         got, out, err = run(capsys, "closure", "--preset", "qubits:n=16")
         assert time.perf_counter() - start < 2.0
         assert (got, out) == (1, "")
-        # the size guard's own ValueError passes the wrap of invalid sets
+        # the size guard's ValueError reaches the exit-code map with its own text
         assert err.startswith("error: d=2, n=16 is too large: ") and len(err.splitlines()) == 1
 
     def test_closure_linalg_error_exits_3(self, capsys, monkeypatch):
-        # LinAlgError is a ValueError; it is a numerical failure, not an invalid set
+        # LinAlgError is a ValueError, but the exit-code map reads it as a numerical failure
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
@@ -735,12 +745,20 @@ class TestExitCodes:
              "generator 1: matrix dim 2 != d^n = 4"),
             ({"d": 2, "n": 2, "hamiltonians": [[{"multi_index": [1, 1, 0, 0], "coeff_re": 1.0}], 5]},
              "generator 1: expected a term list or a matrix object"),
+            ({"d": 1, "n": 1, "hamiltonians": [{"dim": 1, "re": [1], "im": [0]}]},
+             "need d >= 2 and n >= 1, got d=1, n=1"),
+            ({"d": 2, "n": -1, "hamiltonians": [{"dim": 1, "re": [1], "im": [0]}]},
+             "need d >= 2 and n >= 1, got d=2, n=-1"),
+            ({"d": 2, "n": 0, "hamiltonians": [[{"multi_index": [0, 0, 0, 0]}]]},
+             "need d >= 2 and n >= 1, got d=2, n=0"),
+            ({"d": 0, "n": 2, "hamiltonians": [[{"multi_index": [2]}]]},
+             "need d >= 2 and n >= 1, got d=0, n=2"),
         ],
         ids=["term-without-multi_index", "non-dict-term", "matrix-without-im",
              "hamiltonians-not-a-list", "float-d", "string-d", "float-n", "float-matrix-dim",
              "float-multi_index", "string-coefficient", "bool-coefficient", "bool-d", "bool-n",
              "bool-multi_index", "bool-matrix-dim", "matrix-dim-not-d^n",
-             "neither-terms-nor-matrix"],
+             "neither-terms-nor-matrix", "d-1", "negative-n", "zero-n", "zero-d"],
     )
     def test_malformed_spec_exits_1(self, capsys, tmp_path, spec, message):
         # one "error:" line, no traceback, whatever part of the spec is malformed
