@@ -223,8 +223,7 @@ def cmd_closure(args) -> int:
             "saturated": False,
             "rounds": result.rounds,
             "dim_reached": result.dim,
-            "max_dim": (_rt.ambient_commutant_dim(gens.n, gens.d) if args.max_dim is None
-                        else args.max_dim),
+            "max_dim": args.max_dim,  # explicit: the default cap lies above every run's bound
             "error": "closure not saturated",
         }
         lines = [f"closure NOT saturated: dim reached {result.dim} after {result.rounds} rounds"]
@@ -325,8 +324,9 @@ def _exit_code(exc: Exception) -> int | None:
     """
     if isinstance(exc, ArithmeticError):  # an exact division in reptheory left a remainder
         return EXIT_NUMERICAL
-    if not isinstance(exc, (ValueError, RuntimeError)):  # MemoryError: an input too large
-        return EXIT_USAGE if isinstance(exc, MemoryError) else None
+    if not isinstance(exc, (ValueError, RuntimeError)):
+        # MemoryError: an input too large; OSError: an --out path that cannot be written
+        return EXIT_USAGE if isinstance(exc, (MemoryError, OSError)) else None
     # The numerical error types come only from modules that import numpy, so
     # they are imported here, on the failure path, and not at start-up.
     import numpy as np

@@ -32,6 +32,7 @@ import numpy as np
 
 from .linalg import (
     DimensionMismatchError,
+    NonFiniteError,
     NonHermitianError,
     _as_square,
     is_skew_hermitian,
@@ -99,8 +100,8 @@ class GeneratorSet:
         object.__setattr__(self, "_words", kinds == {True})
 
     def validate(self) -> None:
-        """Check each matrix: d^n x d^n, skew-Hermitian, and commuting with
-        (1 2) and (1 2 ... n), each at ``RANK_TOL * max(1, ||X||_F)``.
+        """Check each matrix: d^n x d^n, finite, skew-Hermitian, and commuting
+        with (1 2) and (1 2 ... n), the last two at ``RANK_TOL * max(1, ||X||_F)``.
         Words pass unchecked: :func:`levi_split` reads them.
 
         The matrices are checked as one stack.  Of several failures, the
@@ -115,7 +116,9 @@ class GeneratorSet:
                 g = _as_square(g, name)
                 if g.shape[0] != dim:
                     raise DimensionMismatchError(f"{name}: dimension {g.shape[0]} != {dim}")
-            except DimensionMismatchError as exc:
+                if not np.isfinite(g).all():
+                    raise NonFiniteError(f"{name} has non-finite entries")
+            except (DimensionMismatchError, NonFiniteError) as exc:
                 misfit = exc  # raised once the generators before it are checked
                 break
             mats.append(g)
@@ -437,45 +440,47 @@ def _unit_rows(rows: np.ndarray, gen_norms: np.ndarray) -> np.ndarray:
 
 
 def _close(frame: BlockFrame, partners: np.ndarray, max_dim: int,
-           label) -> tuple[np.ndarray, ClosureRun]:
+           label, span: np.ndarray | None = None) -> tuple[np.ndarray, ClosureRun]:
     """The round loop: orthonormal rows of the algebra the unit rows
     ``partners`` generate, and its :class:`ClosureRun`.
 
     The partners are the seeds, accepted as one batch; then each round
     brackets the rows the previous batch added with every partner and
-    accepts the whole round as one batch (see :func:`_accept`).  Stops when
-    a batch adds nothing, after k'(1 + D) candidates for k' partners and
-    dimension D; when the dimension reaches ``frame.bound``, after
-    k'(1 + D - a) candidates for a last batch of a rows; or when it reaches
-    ``max_dim``.  A dimension above ``frame.bound`` raises
+    accepts the whole round as one batch (see :func:`_accept`), projected
+    first onto the orthonormal rows ``span``, if given, that contain the
+    algebra.  The bound is ``frame.bound``, or the count of ``span``.  Stops
+    when a batch adds nothing, after k'(1 + D) candidates for k' partners
+    and dimension D; at the bound, after k'(1 + D - a) candidates for a last
+    batch of a rows; or at ``max_dim``.  A dimension above the bound raises
     :class:`ClosureError`, and so does a run at the bound whose rows carry a
-    trace part above ``RANK_TOL``: the rows then miss a traceless direction,
-    and the round the stop skips could have added it.  Otherwise that round
-    adds nothing, since the rows span every traceless direction and a
-    bracket has no trace part.
+    trace part above ``RANK_TOL``: the rows then miss a direction of the
+    bound's space, and the round the stop skips could have added it.
+    Otherwise that round adds nothing: a bracket has no trace part.
     """
     basis = np.zeros((0, frame.traceless_width))
     trace = []
     offered, rounds, trace_part = 0, 0, None
+    bound = frame.bound if span is None else len(span)
     where = "" if label is None else f" on block {label}"
     cand = partners.copy()
     while True:
         start = time.perf_counter()
         offered += len(cand)
+        cand = cand if span is None else (cand @ span.T) @ span
         new, smallest, largest = _accept(basis, cand, max(0, max_dim - len(basis)))
         basis = np.vstack([basis, new])
         trace.append(RoundTrace(len(basis), len(cand), len(new), smallest, largest,
                                 time.perf_counter() - start))
-        if len(basis) > frame.bound:
+        if len(basis) > bound:
             raise ClosureError(
                 f"closure dimension {len(basis)}{where} exceeds the traceless bound "
-                f"sum(irrep_dim^2 - 1) = {frame.bound}: noise was accepted"
+                f"sum(irrep_dim^2 - 1) = {bound}: noise was accepted"
             )
-        if len(basis) == frame.bound:
+        if len(basis) == bound:
             trace_part = frame.trace_part(basis)
             if trace_part > RANK_TOL:
                 raise ClosureError(
-                    f"closure rows{where} at the traceless bound {frame.bound} carry a "
+                    f"closure rows{where} at the traceless bound {bound} carry a "
                     f"trace part {trace_part:.3e} above {RANK_TOL:g}: noise was accepted"
                 )
             break
@@ -517,8 +522,8 @@ def lie_closure(gens: GeneratorSet, max_dim: int | None = None) -> LieClosureRes
     Brackets with the generators suffice.  The final span W lies in the
     algebra, contains the generators, and satisfies [s, W] within W for
     every generator s: a run stops when a round adds nothing, or at the
-    bound, where W is the whole traceless space (its trace part is gated,
-    see :func:`_close`).  By the Jacobi identity the x with [x, W] within W
+    bound, where W is the whole space the run closes in (its trace part is
+    gated, see :func:`_close`).  By the Jacobi identity the x with [x, W] within W
     form a Lie subalgebra; it contains the generators, hence the whole
     algebra, so W is all of it.  A run that stops because a round added
     nothing at dimension D offers k'(1 + D) candidates: its k' partners as
@@ -532,10 +537,11 @@ def lie_closure(gens: GeneratorSet, max_dim: int | None = None) -> LieClosureRes
     takes every s_i^lambda to s_i^mu (see :class:`LinkTest`).  With no
     linked pair, L' is all of sum su(irrep_dim) and no joint closure runs:
     ``path`` is ``"blocks"`` and ``traceless`` holds the blocks' rows side
-    by side.  Otherwise (``path`` is ``"joint"``) the same loop closes the
-    whole frame once, with the nonzero s_j scaled to unit norm as partners,
-    for the total dimension; a frame with one block of irrep_dim >= 2
-    reuses that block's run.
+    by side.  Otherwise (``path`` is ``"joint"``) the same loop closes L'
+    once for the total dimension, with the nonzero s_j scaled to unit norm
+    as partners, inside the span of the blocks' rows: L' lies in the sum of
+    its projections on the blocks, and that sum's dimension is the run's
+    bound.  A frame with one block of irrep_dim >= 2 reuses that block's run.
 
     Then dim L = dim D + rank{c_i + z_i}, where D = [L', L'] and z_i is the
     component of s_i in the center of L' (orthogonal to D).  D is spanned
@@ -547,9 +553,8 @@ def lie_closure(gens: GeneratorSet, max_dim: int | None = None) -> LieClosureRes
     total traceless dimension reaches ``max_dim`` (default: the ambient
     invariant algebra dimension C(n+d^2-1, d^2-1)); a batch is cut at the
     cap, so ``dim`` never exceeds ``max_dim``, and blocks after the cap are
-    not closed.  A dimension above a block's bound irrep_dim^2 - 1, or
-    above the frame's bound or the sum of the blocks' run dimensions in the
-    joint run, is noise taken for new directions and raises
+    not closed.  A dimension above a run's bound, irrep_dim^2 - 1 on a
+    block, is noise taken for new directions and raises
     :class:`ClosureError`; so is a trace part above ``RANK_TOL`` in the
     rows of a run at its bound.
     """
@@ -603,12 +608,7 @@ def _closure_of_split(d: int, n: int, frame: BlockFrame, centers: np.ndarray,
     if len(full) < len(runs) or any(link.linked for link in links):
         path = "joint"
         if len(runs) > 1:
-            basis, run = _close(frame, unit, max_dim, None)
-            if run.dim > reached:  # L' lies in the sum of the blocks' algebras
-                raise ClosureError(
-                    f"joint closure dimension {run.dim} exceeds the sum {reached} of its "
-                    f"blocks' dimensions: noise was accepted"
-                )
+            basis, run = _close(frame, unit, max_dim, None, blockwise)
             runs.append(run)
     basis.flags.writeable = False
     rows = _rows_of_l(frame, basis, traceless, centers, unit)

@@ -67,21 +67,13 @@ def irrep_dimension(m) -> int:
     Weyl dimension formula makes the division exact, and a remainder raises.
     A pair with m_r = m_s contributes (s - r)/(s - r) = 1 and is skipped, so
     the big integers hold one factor per pair of unequal entries, not d^2.
-    Equal entries of an i-weight are contiguous, so the inner loop starts
-    past the end of m_r's run and never visits a skipped pair.
     :func:`cg_table` gives the same numbers for the labels of a tensor power
     without a call per label.
     """
     m = check_iweight(m)
-    d = len(m)
     num = den = 1
-    end = 0  # the first s with m[s] != m[r]
-    for r in range(d):
-        if r == end:
-            end = r + 1
-            while end < d and m[end] == m[r]:
-                end += 1
-        for s in range(end, d):
+    for r, s in itertools.combinations(range(len(m)), 2):
+        if m[r] != m[s]:
             num *= s - r + m[r] - m[s]
             den *= s - r
     dim, rem = divmod(num, den)
