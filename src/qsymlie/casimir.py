@@ -28,12 +28,14 @@ C2 on each and clusters their eigenvalues, each once; it refines a
 C2-degenerate cluster by C3 on each, on the cluster's eigenvectors there,
 and checks each block's dimension from the orbit sizes.  Clusters and C3
 sub-clusters are attached to labels in ascending :func:`_block_order`, the
-one exact order of the blocks (sum c, then sum c^2), which
-:func:`highest_weight_blocks` follows too.  A block keeps its columns on
-the representatives and gathers them into its dense d^n-row basis, in
-weight-space order, only when that is read.  Both block builders refuse
-sizes whose digit table or largest matrix would pass ``ARRAY_BUDGET``
-before any array is allocated (:func:`_check_size`).  ``apply_C2``
+one exact order of the blocks (sum c, then sum c^2).  A block keeps its
+columns on the representatives and gathers them into its dense d^n-row
+basis, in weight-space order, only when that is read.  These blocks are
+the one isotypic decomposition: :func:`highest_weight_blocks` and
+:func:`highest_weight_counts` read their columns on weight space lambda,
+the highest-weight vectors.  :func:`isotypic_blocks` refuses sizes whose
+digit table or largest matrix would pass ``ARRAY_BUDGET`` before any array
+is allocated (:func:`_check_size`).  ``apply_C2``
 and ``apply_C3`` build each weight space's matrix once and apply it to
 that space's rows; both are real, so real input stays real.
 ``build_C2`` and ``build_C3`` are the actions applied to the identity.
@@ -65,7 +67,7 @@ from .reptheory import (  # c2_eigenvalue and degeneracy_search are re-exported
 from .tolerances import RANK_TOL
 
 ARRAY_BUDGET = 1 << 30
-"""Bytes: the most either block builder may ask of one array, checked before it allocates any."""
+"""Bytes: the most :func:`isotypic_blocks` may ask of one array, checked before it allocates any."""
 
 
 class UnresolvedDegeneracyError(RuntimeError):
@@ -306,8 +308,8 @@ def _largest_arrays(d: int, n: int) -> tuple[int, int]:
 
     The largest weight space holds the most balanced occupations: with
     n = qd + r, r levels hold q + 1 sites and the rest q, so it has
-    k = n!/((q+1)!^r q!^(d-r)) states, and its matrix (C2 there, or the
-    highest-weight kernel's) k^2 float64 entries.
+    k = n!/((q+1)!^r q!^(d-r)) states, and its C2 matrix k^2 float64
+    entries.
     """
     q, r = divmod(n, d)
     k = factorial(n) // (factorial(q + 1) ** r * factorial(q) ** (d - r))
@@ -401,38 +403,23 @@ def isotypic_blocks(d: int, n: int) -> list[IsotypicBlock]:
 
 
 # ---------------------------------------------------------------------------
-# Highest-weight bases: one copy of each irrep, with no Casimir
+# Highest-weight bases: one copy of each irrep, read off the isotypic blocks
 # ---------------------------------------------------------------------------
 
 class HighestWeightError(RuntimeError):
     """A highest-weight count or a lowered span disagrees with the exact counts."""
 
 
-def _highest_weight_space(ws: _WeightSpaces, label) -> np.ndarray:
-    """Orthonormal real columns spanning the kernel on weight space ``label`` of every E_{i,i+1}.
-
-    The kernel is the eigenvectors of sum_i E_{i,i+1}^T E_{i,i+1} with
-    eigenvalue at most ``RANK_TOL * max(1, largest eigenvalue)``.
-    """
-    steps = filter(None, (ws.ladder(label, i, i + 1) for i in range(ws.d - 1)))
-    maps = [m for _, m in steps]
-    if not maps:  # no raising map reaches a weight: the whole space is highest
-        return np.eye(len(ws.spaces[label]))
-    w, v = hermitian_eig(sum(m.T @ m for m in maps))
-    return v[:, w <= RANK_TOL * max(1.0, w[-1])]
-
-
 def highest_weight_counts(d: int, n: int) -> dict[tuple[int, ...], int]:
     """Number of highest-weight vectors of weight lambda, for every label lambda.
 
-    Weight space lambda holds the basis states with occupation numbers
-    lambda; the kernel there of the stacked collective raising maps
-    E_{i,i+1} holds the highest-weight vectors, one per copy of the irrep,
-    so each count should equal the CG multiplicity.  Works on one weight
-    space at a time and forms no d^n x d^n matrix.
+    Weight lambda occurs once in irrep lambda, as its highest weight, so
+    the columns of block lambda of :func:`isotypic_blocks` on weight space
+    lambda are exactly the highest-weight vectors of its copies, one per
+    copy: each count should equal the CG multiplicity.  Forms no d^n x d^n
+    matrix.
     """
-    ws = _WeightSpaces(d, n)
-    return {m: _highest_weight_space(ws, m).shape[1] for m, _, _ in cg_table(n, d)}
+    return {b.label: b.on_representatives[b.label].shape[1] for b in isotypic_blocks(d, n)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,30 +483,25 @@ def _lowered_span(ws: _WeightSpaces, label, irrep_dim: int, top: np.ndarray) -> 
 def highest_weight_blocks(d: int, n: int) -> list[WeightBlock]:
     """One copy of every irrep in (C^d)^(x)n, from highest-weight vectors.
 
-    For each label lambda, the highest-weight vectors of weight lambda (see
-    :func:`highest_weight_counts`) must number exactly the CG multiplicity,
-    and the lowerings of one of them must span exactly the irrep dimension
-    (both read once from :func:`~qsymlie.reptheory.cg_table`); either
-    mismatch raises :class:`HighestWeightError`.  No Casimir is needed: the vectors of weight lambda that every raising
-    operator kills are exactly the highest-weight vectors of the copies of
-    irrep lambda, whatever other labels share its C2 value.  Blocks come in
-    :func:`_block_order`, the order of :func:`isotypic_blocks`.  Raises
-    ``ValueError`` first, before any array is allocated, when the digit
-    table or the kernel matrix of the largest weight space would pass
-    ``ARRAY_BUDGET`` (:func:`_check_size`).
+    For each block of :func:`isotypic_blocks`, in its order, its columns on
+    weight space lambda (see :func:`highest_weight_counts`) must number
+    exactly its CG multiplicity, and the lowerings of the first of them must
+    span exactly its irrep dimension; either mismatch raises
+    :class:`HighestWeightError`.  Raises ``ValueError`` first, before any
+    array is allocated, when the digit table or the largest weight space's
+    matrix would pass ``ARRAY_BUDGET`` (:func:`_check_size`).
     """
     _check_size(d, n)
-    ws = _WeightSpaces(d, n)
     blocks = []
-    for m, dim, k in sorted(cg_table(n, d), key=lambda row: _block_order(row[0])):
-        top = _highest_weight_space(ws, m)
-        if top.shape[1] != k:
+    for b in isotypic_blocks(d, n):
+        top = b.on_representatives[b.label]
+        if top.shape[1] != b.multiplicity:
             raise HighestWeightError(
-                f"weight {m} holds {top.shape[1]} highest-weight vectors, "
-                f"CG multiplicity is {k}"
+                f"weight {b.label} holds {top.shape[1]} highest-weight vectors, "
+                f"CG multiplicity is {b.multiplicity}"
             )
-        basis = _lowered_span(ws, m, dim, top[:, 0])
-        blocks.append(WeightBlock(m, basis, basis.shape[1], k))
+        basis = _lowered_span(b.weight_spaces, b.label, b.irrep_dim, top[:, 0])
+        blocks.append(WeightBlock(b.label, basis, basis.shape[1], b.multiplicity))
     return blocks
 
 

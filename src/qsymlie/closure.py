@@ -73,6 +73,17 @@ def _swap_defects(x: np.ndarray, d: int, n: int):
         yield np.linalg.norm(x[..., p[:, None], p] - x, axis=(-2, -1))
 
 
+def _as_operator(x, dim: int, name: str = "matrix") -> np.ndarray:
+    """``x`` as a dim x dim complex array; raises :class:`DimensionMismatchError`
+    for another shape, then :class:`NonFiniteError` for a NaN or inf entry."""
+    x = _as_square(x, name)
+    if x.shape[0] != dim:
+        raise DimensionMismatchError(f"{name}: dimension {x.shape[0]} != {dim}")
+    if not np.isfinite(x).all():
+        raise NonFiniteError(f"{name} has non-finite entries")
+    return x
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """Named skew-Hermitian generators on (C^d)^(x)n: all d^n x d^n matrices
@@ -113,11 +124,7 @@ class GeneratorSet:
         mats, names, misfit = [], [], None
         for g, name in zip(self.generators, self.names):
             try:
-                g = _as_square(g, name)
-                if g.shape[0] != dim:
-                    raise DimensionMismatchError(f"{name}: dimension {g.shape[0]} != {dim}")
-                if not np.isfinite(g).all():
-                    raise NonFiniteError(f"{name} has non-finite entries")
+                g = _as_operator(g, dim, name)
             except (DimensionMismatchError, NonFiniteError) as exc:
                 misfit = exc  # raised once the generators before it are checked
                 break
@@ -153,8 +160,9 @@ def restrict_to_block(x, block) -> np.ndarray:
     ``block`` is a :class:`~qsymlie.casimir.WeightBlock` (one irrep copy)
     or an :class:`~qsymlie.casimir.IsotypicBlock` (the whole block).  A
     matrix X that maps the block outside itself by more than ``RANK_TOL *
-    max(1, ||X||_F)`` raises :class:`BlockLeakageError`.  A word X is read
-    with rho(a) = P^dag (A-hat P), cannot leak, and must be skew-Hermitian.
+    max(1, ||X||_F)`` raises :class:`BlockLeakageError`, after the checks
+    of :func:`_as_operator` against P's rows.  A word X is read with
+    rho(a) = P^dag (A-hat P), cannot leak, and must be skew-Hermitian.
     """
     p = block.basis
     if callable(x):  # P spans one irrep copy, so rho is a representation
@@ -162,7 +170,7 @@ def restrict_to_block(x, block) -> np.ndarray:
         if not is_skew_hermitian(m):
             raise NonHermitianError(f"is not skew-Hermitian on block {block.label}")
         return m
-    x = _as_square(x)
+    x = _as_operator(x, len(p))
     (m,), leak = _restrict_stack(x[None], p)
     _leakage_gate([block], leak, np.linalg.norm(x))
     return m
@@ -553,17 +561,19 @@ def lie_closure(gens: GeneratorSet, max_dim: int | None = None) -> LieClosureRes
     total traceless dimension reaches ``max_dim`` (default: the ambient
     invariant algebra dimension C(n+d^2-1, d^2-1)); a batch is cut at the
     cap, so ``dim`` never exceeds ``max_dim``, and blocks after the cap are
-    not closed.  A dimension above a run's bound, irrep_dim^2 - 1 on a
-    block, is noise taken for new directions and raises
-    :class:`ClosureError`; so is a trace part above ``RANK_TOL`` in the
-    rows of a run at its bound.
+    not closed; a negative ``max_dim`` raises ``ValueError``.  A dimension
+    above a run's bound, irrep_dim^2 - 1 on a block, is noise taken for new
+    directions and raises :class:`ClosureError`; so is a trace part above
+    ``RANK_TOL`` in the rows of a run at its bound.
     """
     if not gens.generators:
         raise ValueError("need a non-empty generator set")
-    gens.validate()
-    frame = BlockFrame.build(gens.d, gens.n)
     if max_dim is None:
         max_dim = ambient_commutant_dim(gens.n, gens.d)
+    elif max_dim < 0:
+        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
+    gens.validate()
+    frame = BlockFrame.build(gens.d, gens.n)
     centers, traceless, center_dim = levi_split(gens, frame)
     return _closure_of_split(gens.d, gens.n, frame, centers, traceless, center_dim, max_dim)
 
@@ -653,9 +663,10 @@ def membership(x, closure: LieClosureResult) -> tuple[bool, float]:
     Hermitian part of x and the largest ||U x U^dag - x|| over the factor
     permutations U = (1 2) and (1 2 ... n), relative to max(1, ||x||): a
     non-invariant x is not a member, even if its restrictions are.
-    Membership is a residual of at most ``RANK_TOL``.
+    Membership is a residual of at most ``RANK_TOL``.  An x that is not
+    d^n x d^n or not finite raises as in :func:`_as_operator`.
     """
-    x = _as_square(x)
+    x = _as_operator(x, closure.d**closure.n)
     defect = max([np.linalg.norm(x + x.conj().T) / 2, *_swap_defects(x, closure.d, closure.n)])
     frame = closure.frame
     row = frame._rows([_restrict_stack(x[None], b.basis)[0] for b in frame.blocks])[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -654,7 +655,7 @@ class TestIsotypicBlocks:
 class TestHighestWeightBlocks:
     def test_refuses_sizes_over_the_budget_before_any_array(self, monkeypatch):
         # the guard of isotypic_blocks, first: (2, 16)'s 12,870-state weight
-        # space would need a 1.23 GiB kernel matrix; (2, 15)'s 6,435 states
+        # space would need a 1.23 GiB C2 matrix; (2, 15)'s 6,435 states
         # need 0.31 GiB and are admitted
         def fail(*args):
             raise AssertionError("started building the blocks")
@@ -698,54 +699,75 @@ class TestHighestWeightBlocks:
                 leak = np.linalg.norm(fq - b.basis @ (b.basis.T @ fq))
                 assert leak <= 1e-9 * max(1.0, np.linalg.norm(fq))
 
+    @staticmethod
+    def _altered_blocks(monkeypatch, **change):
+        real = cas.isotypic_blocks
+        monkeypatch.setattr(cas, "isotypic_blocks", lambda d, n: [
+            dataclasses.replace(b, **{k: f(b) for k, f in change.items()}) for b in real(d, n)
+        ])
+
     def test_count_gate(self, monkeypatch):
-        real = cas.cg_table
-        monkeypatch.setattr(
-            cas, "cg_table", lambda n, d: [(m, dim, k + 1) for m, dim, k in real(n, d)]
-        )
-        with pytest.raises(cas.HighestWeightError, match="CG multiplicity"):
+        self._altered_blocks(monkeypatch, multiplicity=lambda b: b.multiplicity + 1)
+        with pytest.raises(cas.HighestWeightError,
+                           match=r"weight \(2, 1\) holds 2 highest-weight vectors, "
+                                 "CG multiplicity is 3"):
             cas.highest_weight_blocks(2, 3)
 
     def test_dimension_gate(self, monkeypatch):
-        real = cas.cg_table
-        monkeypatch.setattr(
-            cas, "cg_table", lambda n, d: [(m, dim + 1, k) for m, dim, k in real(n, d)]
-        )
-        with pytest.raises(cas.HighestWeightError, match="irrep dimension"):
+        self._altered_blocks(monkeypatch, irrep_dim=lambda b: b.irrep_dim + 1)
+        with pytest.raises(cas.HighestWeightError,
+                           match=r"highest weight \(1, 1, 0\) span 3 dimensions, "
+                                 "irrep dimension is 4"):
             cas.highest_weight_blocks(3, 2)
 
     @pytest.mark.parametrize("d,n", [(2, 8), (3, 6), (4, 4), (5, 3)])
     def test_rank_cuts_have_margin(self, d, n, monkeypatch):
-        # Both cuts sit at RANK_TOL * max(1, largest value): the kernel of the
-        # raising maps (eigenvalues of sum E^T E, _highest_weight_space) and the
-        # lowered span at each weight (singular values, _lowered_span).  Every
-        # kept value must lie 1e3 above its cut and every dropped one 1e3 below.
-        eigs, svds = [], []
-        real_eig, real_svd = cas.hermitian_eig, np.linalg.svd
-
-        def recording_eig(h):
-            w, v = real_eig(h)
-            eigs.append((w, w[-1]))
-            return w, v
+        # The lowered span at each weight (singular values, _lowered_span) is
+        # cut at RANK_TOL * max(1, largest value): every kept value must lie
+        # 1e3 above its cut and every dropped one 1e3 below.  The highest-
+        # weight vectors come from isotypic_blocks, whose C2 clustering and
+        # C3 refinements (at (3, 6)) must split with wide margins too.
+        svds, clusterings = [], []
+        real_svd = np.linalg.svd
 
         def recording_svd(a, **kwargs):
             u, s, vt = real_svd(a, **kwargs)
             svds.append((s, s.max(initial=0.0)))
             return u, s, vt
 
-        monkeypatch.setattr(cas, "hermitian_eig", recording_eig)
+        def recording_clusters(values):
+            clusterings.append(la.cluster_eigenvalues(values))
+            return clusterings[-1]
+
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        cas.highest_weight_blocks(d, n)
+        monkeypatch.setattr(cas, "cluster_eigenvalues", recording_clusters)
+        blocks = cas.highest_weight_blocks(d, n)
         monkeypatch.undo()
-        for seen in (eigs, svds):
-            dropped_any = False
-            for values, largest in seen:
-                cut = RANK_TOL * max(1.0, largest)
-                kept, dropped = values[values > cut], np.abs(values[values <= cut])
-                assert kept.size == 0 or kept.min() >= 1e3 * cut
-                assert dropped.size == 0 or dropped.max() <= cut / 1e3
-                dropped_any |= dropped.size > 0
-            assert dropped_any  # each cut dropped something, so both sides are measured
+        dropped_any = False
+        for values, largest in svds:
+            cut = RANK_TOL * max(1.0, largest)
+            kept, dropped = values[values > cut], np.abs(values[values <= cut])
+            assert kept.size == 0 or kept.min() >= 1e3 * cut
+            assert dropped.size == 0 or dropped.max() <= cut / 1e3
+            dropped_any |= dropped.size > 0
+        assert dropped_any  # the cut dropped something, so both sides are measured
+        ties = len(blocks) - len({rt.content_sum(b.label) for b in blocks})
+        assert len(clusterings) == 1 + ties and (ties > 0) == ((d, n) == (3, 6))
+        for cl in clusterings:
+            assert cl.relative_gap > 1e6 and cl.relative_spread < 1e-5
+
+    @pytest.mark.parametrize("d,n", [(2, 8), (3, 6), (4, 4), (5, 3)])
+    def test_copy_lies_in_its_isotypic_block(self, d, n):
+        # each copy spans part of the block spectrum prints, and its first
+        # column, the highest-weight vector, is killed by every raising map
+        isotypic = {b.label: b.basis for b in cas.isotypic_blocks(d, n)}
+        for b in cas.highest_weight_blocks(d, n):
+            p, q = isotypic[b.label], b.basis
+            assert np.abs(q - p @ (p.T @ q)).max() <= 1e-12
+            for i in range(d - 1):
+                raising = np.zeros((d, d))
+                raising[i, i + 1] = 1.0
+                assert np.abs(g.collective_columns(raising, q[:, :1], n)).max() <= 1e-12
 
     def test_single_site_is_the_identity(self):
         (b,) = cas.highest_weight_blocks(5, 1)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -165,8 +166,8 @@ class TestCenter:
         assert obj["verified"] is True
 
     def test_four_level_six_sites_verified(self, capsys):
-        # labels (3,3,0,0) and (4,1,1,0) share a content sum; highest-weight
-        # counts need no Casimir to tell them apart
+        # labels (3,3,0,0) and (4,1,1,0) share a content sum; C3 tells
+        # their isotypic blocks apart, and so their highest-weight counts
         code, out, _ = run(capsys, "center", "--d", "4", "--n", "6", "--format", "json")
         assert code == 0
         obj = json.loads(out)
@@ -283,11 +284,14 @@ class TestClosure:
     def test_highest_weight_gate_exits_3(self, capsys, monkeypatch):
         from qsymlie import casimir
 
-        monkeypatch.setattr(casimir, "cg_table",
-                            lambda n, d: [(m, dim + 1, k) for m, dim, k in rt.cg_table(n, d)])
-        code, _, err = run(capsys, "closure", "--preset", "qubits:n=3")
-        assert code == 3
-        assert "irrep dimension" in err
+        real = casimir.isotypic_blocks
+        monkeypatch.setattr(casimir, "isotypic_blocks", lambda d, n: [
+            dataclasses.replace(b, irrep_dim=b.irrep_dim + 1) for b in real(d, n)
+        ])
+        code, out, err = run(capsys, "closure", "--preset", "qubits:n=3")
+        assert (code, out) == (3, "")
+        assert err == ("error: lowerings of the highest weight (2, 1) span 2 dimensions, "
+                       "irrep dimension is 3\n")
 
     def test_unsaturated_exit_code(self, capsys):
         code, out, _ = run(
@@ -610,7 +614,7 @@ class TestExitCodes:
 
     def test_closure_too_large_exits_1_at_once(self, capsys):
         # highest_weight_blocks runs the size guard first: qubits:n=16's
-        # 12,870-state weight space would need a 1.23 GiB kernel matrix
+        # 12,870-state weight space would need a 1.23 GiB C2 matrix
         start = time.perf_counter()
         got, out, err = run(capsys, "closure", "--preset", "qubits:n=16")
         assert time.perf_counter() - start < 2.0

@@ -230,6 +230,11 @@ class TestLieClosure:
         r = cl.lie_closure(gens, max_dim=0)
         assert r.dim == 0 and not r.saturated
 
+    def test_negative_cap_raises(self):
+        gens = single_site_set(1j * SX, 1j * SZ)
+        with pytest.raises(ValueError, match="max_dim must be >= 0, got -1"):
+            cl.lie_closure(gens, max_dim=-1)
+
     def test_central_generators_offer_nothing(self):
         # i*1 and i*C2 have no traceless part on any block: every run gets
         # no partners, so its seed batch has no rows, and only the center counts
@@ -917,6 +922,22 @@ class TestRestrictToBlock:
         with pytest.raises(cl.BlockLeakageError):
             cl.restrict_to_block(leaky, sym)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises(self, qutrit_blocks, bad):
+        # NaN > cut is False, so the leakage gate alone would pass it
+        x = 1j * np.eye(27)
+        x[0, 0] = bad
+        for b in qutrit_blocks:
+            with pytest.raises(la.NonFiniteError, match="^matrix has non-finite entries"):
+                cl.restrict_to_block(x, b)
+
+    def test_wrong_size_matrix_raises(self, qutrit_blocks):
+        for b in qutrit_blocks:
+            with pytest.raises(la.DimensionMismatchError, match="^matrix: dimension 9 != 27"):
+                cl.restrict_to_block(np.eye(9), b)
+            with pytest.raises(la.DimensionMismatchError, match="must be square"):
+                cl.restrict_to_block(np.eye(27)[:9], b)
+
 
 class TestMembership:
     def test_generators_are_members(self, qutrit_closure_h):
@@ -940,6 +961,12 @@ class TestMembership:
         x = random_skew(rng, 27)
         member, res = cl.membership(x, qutrit_closure_h)
         assert not member and res > 0.1
+
+    def test_wrong_size_matrix_raises(self):
+        # checked against d^n = 8 before the factor permutations index it
+        r = cl.lie_closure(cl.preset("qubits:n=3"))
+        with pytest.raises(la.DimensionMismatchError, match="^matrix: dimension 5 != 8"):
+            cl.membership(np.eye(5), r)
 
 
 class TestLemma1BlockAlgebras:
