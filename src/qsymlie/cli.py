@@ -70,12 +70,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_decompose(args) -> int:
-    rows = [
-        {"iweight": list(m), "dim": dim, "multiplicity": k}
-        for m, dim, k in _rt.cg_table(args.n, args.d)
-    ]
-    total = sum(r["multiplicity"] * r["dim"] for r in rows)
-    sq = sum(r["dim"] ** 2 for r in rows)
+    rows, total, sq = [], 0, 0
+    for m, dim, k in _rt.cg_table(args.n, args.d):
+        rows.append({"iweight": list(m), "dim": dim, "multiplicity": k})
+        total += k * dim
+        sq += dim * dim
     cap = _rt.ambient_commutant_dim(args.n, args.d)
     f = _rt.center_dimension(args.n, args.d)
     checks = {

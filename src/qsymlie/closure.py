@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import sqrt
 
@@ -61,16 +62,26 @@ class BlockLeakageError(ClosureError):
     """An operator does not preserve an isotypic block within tolerance."""
 
 
+@lru_cache(maxsize=8)
+def _swap_maps(d: int, n: int) -> tuple[np.ndarray, ...]:
+    """Gather indices of the factor permutations (1 2) and (1 2 ... n), read-only."""
+    maps = tuple(_factor_map(perm, d) for perm in sn_generators(n))
+    for p in maps:
+        p.flags.writeable = False
+    return maps
+
+
 def _swap_defects(x: np.ndarray, d: int, n: int):
     """||U X U^dag - X||_F for U the factor permutations (1 2) and (1 2 ... n).
 
     U permutes basis states, so U X U^dag is X with rows and columns
-    permuted: no d^n x d^n product is formed.  ``x`` may be a (k, d^n, d^n)
-    stack, which gives k defects per permutation.
+    permuted: no d^n x d^n product is formed, and the difference is taken
+    in place.
     """
-    for perm in sn_generators(n):
-        p = _factor_map(perm, d)
-        yield np.linalg.norm(x[..., p[:, None], p] - x, axis=(-2, -1))
+    for p in _swap_maps(d, n):
+        moved = x[p[:, None], p]
+        moved -= x
+        yield np.linalg.norm(moved)
 
 
 def _as_operator(x, dim: int, name: str = "matrix") -> np.ndarray:
@@ -115,36 +126,23 @@ class GeneratorSet:
         with (1 2) and (1 2 ... n), the last two at ``RANK_TOL * max(1, ||X||_F)``.
         Words pass unchecked: :func:`levi_split` reads them.
 
-        The matrices are checked as one stack.  Of several failures, the
-        first generator's first check raises, in the order listed.
+        The matrices are checked one at a time, in the order listed, so of
+        several failures the first generator's first check raises.  X + X^dag
+        is written into one d^n x d^n buffer, shared by all of them.
         """
         if self._words:
             return
         dim = self.d**self.n
-        mats, names, misfit = [], [], None
+        herm = np.empty((dim, dim), dtype=complex)
         for g, name in zip(self.generators, self.names):
-            try:
-                g = _as_operator(g, dim, name)
-            except (DimensionMismatchError, NonFiniteError) as exc:
-                misfit = exc  # raised once the generators before it are checked
-                break
-            mats.append(g)
-            names.append(name)
-        if mats:
-            stack = np.array(mats)
-            cut = RANK_TOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
-            skew = np.linalg.norm(stack + stack.conj().swapaxes(1, 2), axis=(1, 2)) > cut
-            moved = np.zeros(len(mats), dtype=bool)
-            for defects in _swap_defects(stack, self.d, self.n):
-                moved |= defects > cut
-            bad = np.flatnonzero(skew | moved)
-            if len(bad):
-                i = bad[0]
-                if skew[i]:
-                    raise NonHermitianError(f"{names[i]} is not skew-Hermitian")
-                raise ValueError(f"{names[i]} does not commute with factor permutations")
-        if misfit is not None:
-            raise misfit
+            g = _as_operator(g, dim, name)
+            cut = RANK_TOL * max(1.0, np.linalg.norm(g))
+            np.conjugate(g.T, out=herm)
+            herm += g
+            if np.linalg.norm(herm) > cut:
+                raise NonHermitianError(f"{name} is not skew-Hermitian")
+            if any(defect > cut for defect in _swap_defects(g, self.d, self.n)):
+                raise ValueError(f"{name} does not commute with factor permutations")
 
 
 def _restrict_stack(xs: np.ndarray, p: np.ndarray):

@@ -352,43 +352,85 @@ def cg_table(n: int, d: int) -> list[tuple[IWeight, int, int]]:
 
     A recursion picks the nonzero rows one at a time, so its depth is at
     most min(n, d), and carries V, the multinomial, the binomial product and
-    Q along the prefix.  Each label costs a few products of small integers
-    and two exact divisions by Q; a remainder raises ArithmeticError.
+    Q along the prefix.  Within one call the value m of row r falls from
+    its largest, and each factor is updated by exact integer ratio steps: the
+    multinomial's C(rest, m), the row's C(m + d - 1 - r, m) and, for the
+    label whose row r + 1 takes the left = rest - m that is left,
+    C(left + d - 2 - r, left).  Q gains prod_{s<r} (m_s + r + 1 - s) once
+    per call and (m + 1) per step.  A trailing run of t rows equal to 1 is
+    one label in one step, not one call per row: the prefix's rows are
+    0..r-1 and a_s = m_s + r - s, and with the prefix's V, multinomial,
+    binomial product B and Q (the multinomial and Q taken with t as row r),
+
+        mult = V * multinomial * prod_s a_s (a_s - 1) / (Q * prod_s (a_s + t - 1)),
+        dim  = V * B * C(d - r, t) * prod_s a_s (a_s - 1) / (Q * prod_s (a_s + t - 1)),
+
+    the hook-length and hook-content formulas with the prefix's first-column
+    hooks a_s - 1 grown by t.  So the calls number fewer than the labels
+    (26,015 for 37,338 at n = d = 40).  Each label costs a few products of
+    small integers and two exact divisions; a remainder raises
+    ArithmeticError.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     zeros = (0,) * d
     table = [((n,) + zeros[1:], comb(n + d - 1, n), 1)]  # the symmetric power
 
+    def emit(label, v, numerator_dim, numerator_mult, q):
+        dim, rem = divmod(v * numerator_dim, q)
+        mult, rem_mult = divmod(v * numerator_mult, q)
+        if rem or rem_mult:
+            raise ArithmeticError(f"dimension or multiplicity of {label} is not an integer")
+        table.append((label, dim, mult))
+
     def extend(prefix, shifted, rest, v, multinomial, binomials, q):
         # Appends the labels prefix + (m, ...) with m < rest, in order.  The
         # prefix holds rows 0..r-1, shifted[s] = m_s + r - s, v and binomials
         # are its products, multinomial = n! / (prod m_s! * rest!), and q is
-        # Q of the label prefix + (rest,).
+        # Q of the label prefix + (rest,).  Here 2 <= rest and m runs down to
+        # 2; the run prefix + (1,) * rest comes last.
         r = len(prefix)
+        free = d - r  # rows r..d-1 share rest
         grown = tuple([a + 1 for a in shifted])
+        q_grown = q * prod(grown)
+        pad = zeros[: free - 2]
         top = min(rest - 1, prefix[-1]) if prefix else rest - 1
-        choose = comb(rest, top)  # C(rest, m), updated as m falls
-        for m in range(top, (rest + d - r - 1) // (d - r) - 1, -1):
-            left = rest - m
-            v_m = v * prod([a - m for a in shifted])
+        left = rest - top
+        choose = comb(rest, top)  # C(rest, m)
+        row_binomial = comb(top + free - 1, top)  # C(m + d - 1 - r, m)
+        leaf_binomial = comb(left + free - 2, left)  # C(left + d - 2 - r, left)
+        for m in range(top, max((rest + free - 1) // free, 2) - 1, -1):
+            v_m = v
+            for a in shifted:
+                v_m *= a - m
             multinomial_m = multinomial * choose
-            binomials_m = binomials * comb(m + d - 1 - r, m)
-            shifted_m = grown + (m + 1,)
-            q_m = q * prod(shifted_m)
+            binomials_m = binomials * row_binomial
+            q_m = q_grown * (m + 1)
             if left <= m:  # the label whose row r + 1 takes all that is left
-                label = prefix + (m, left) + zeros[: d - r - 2]
-                v_label = v_m * prod([a - left for a in shifted_m])
-                dim, rem = divmod(v_label * binomials_m * comb(left + d - 2 - r, left), q_m)
-                mult, rem_mult = divmod(v_label * multinomial_m, q_m)
-                if rem or rem_mult:
-                    raise ArithmeticError(f"dimension or multiplicity of {label} is not an integer")
-                table.append((label, dim, mult))
-            if min(left - 1, m) >= (left + d - r - 2) // (d - r - 1):  # row r + 1 can take less
-                extend(prefix + (m,), shifted_m, left, v_m, multinomial_m, binomials_m, q_m)
+                v_label = v_m * (m + 1 - left)
+                for a in grown:
+                    v_label *= a - left
+                emit(prefix + (m, left) + pad, v_label, binomials_m * leaf_binomial,
+                     multinomial_m, q_m)
+                leaf_binomial = leaf_binomial * (left + free - 1) // (left + 1)
+            # Row r + 1 can take less than left unless left is 1 or it is the
+            # last row: m >= rest / free leaves room for the rows after it.
+            if left > 1 and free > 2:
+                extend(prefix + (m,), grown + (m + 1,), left, v_m, multinomial_m, binomials_m, q_m)
             choose = choose * m // (left + 1)
+            row_binomial = row_binomial * m // (m + free - 1)
+            left += 1
+        if rest <= free:
+            x = v
+            den = q
+            for a in shifted:
+                x *= a * (a - 1)
+                den *= a + rest - 1
+            emit(prefix + (1,) * rest + zeros[: free - rest], x, binomials * comb(free, rest),
+                 multinomial, den)
 
-    extend((), (), n, 1, 1, 1, 1)
+    if n > 1:
+        extend((), (), n, 1, 1, 1, 1)
     return table
 
 

@@ -125,6 +125,24 @@ class TestDecompose:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_missing_row_fails_every_check_and_exits_3(self, capsys, monkeypatch, fmt):
+        # (2, 1, 0) dropped: sum k*dim = 10 + 1, sum dim^2 = 100 + 1, and 2 labels
+        table = rt.cg_table
+        monkeypatch.setattr(rt, "cg_table", lambda n, d: table(n, d)[::2])
+        code, out, _ = run(capsys, "decompose", "--d", "3", "--n", "3", "--format", fmt)
+        assert code == 3
+        if fmt == "json":
+            obj = json.loads(out)
+            assert obj["ok"] is False
+            assert obj["checks"] == {"sum_mult_dim": 11, "d_pow_n": 27, "sum_dim_sq": 101,
+                                     "commutant_dim": 165, "distinct": 2, "center_dim": 3}
+        else:
+            assert "sum k*dim = 11 = d^n: FAIL" in out
+            assert "sum dim^2 = 101 = C(n+d^2-1,d^2-1) = 165: FAIL" in out
+            assert "distinct irreps = 2 = f(n,d) = 3: FAIL" in out
+            assert "(2, 1, 0)" not in out
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["decompose", "--d", "3"])

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -384,11 +385,29 @@ class TestCGTable:
         for n in range(1, 25):
             self.check(n, d)
 
-    @pytest.mark.parametrize("d,n", [(1200, 2), (2, 2000), (40, 40), (6, 24)])
+    # the benchmark's decompose sizes, and (30, 12), whose labels mostly end
+    # in a run of 1-rows
+    @pytest.mark.parametrize("d,n", [(1200, 2), (2, 2000), (40, 40), (6, 24), (2, 450),
+                                     (3, 120), (4, 48), (5, 30), (30, 12)])
     def test_matches_hook_formulas_at_large_sizes(self, d, n):
         table = self.check(n, d)
         assert len(table) == rt.center_dimension(n, d)
         assert sum(dim * mult for _, dim, mult in table) == d**n
+
+    def test_fewer_calls_than_labels(self):
+        # a run of 1-rows is one label in one step, not one call per row
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code.co_name == "extend"
+
+        sys.setprofile(count)
+        try:
+            table = rt.cg_table(20, 20)
+        finally:
+            sys.setprofile(None)
+        assert 0 < calls < len(table)
 
     def test_descending_order(self):
         for n, d in self.GRID:
