@@ -52,7 +52,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .linalg import _real_or_complex, cluster_eigenvalues, hermitian_eig
+from .linalg import DimensionMismatchError, _real_or_complex, cluster_eigenvalues, hermitian_eig
 from .generators import (
     _placement_sum,
     _WeightSpaces,
@@ -174,7 +174,7 @@ def _apply(x, d: int, n: int, coefficients, classes) -> np.ndarray:
     """The class-sum combination applied to x, one weight space of rows at a time."""
     x = np.asarray(x, dtype=_real_or_complex(x))
     if x.shape[0] != d**n:
-        raise ValueError(f"operand has {x.shape[0]} rows, need d^n = {d**n}")
+        raise DimensionMismatchError(f"operand has {x.shape[0]} rows, need d^n = {d**n}")
     ws = _WeightSpaces(d, n)
     out = np.zeros_like(x)
     for states in ws.spaces.values():

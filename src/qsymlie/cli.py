@@ -159,16 +159,18 @@ def _load_generator_spec(path: str):
     Each Hamiltonian is either a list of term dicts
     {"multi_index": [...], "coeff_re": x, "coeff_im": y} (a combination of
     symmetric basis elements) or a raw matrix {"dim", "re", "im"}.
-    Hermitian inputs H become generators iH; skew-Hermitian inputs are used
-    as given.  ``d``, ``n``, multi-index counts and matrix ``dim`` refuse
-    floats, strings and bools (``linalg._json_int``), and ``d`` must be at
-    least 2 and ``n`` at least 1, as for ``--d`` and ``--n``.  An unreadable
-    file, a missing key, a wrong type or an out-of-range size raises
-    ``ValueError`` (exit 1).  Returns a ``GeneratorSet``.
+    Hamiltonian ``idx`` passes ``linalg._as_operator`` as ``H{idx}`` (d^n x
+    d^n and finite) before it is classified: Hermitian inputs H become
+    generators iH; skew-Hermitian inputs are used as given.  ``d``, ``n``,
+    multi-index counts and matrix ``dim`` refuse floats, strings and bools
+    (``linalg._json_int``), and ``d`` must be at least 2 and ``n`` at least
+    1, as for ``--d`` and ``--n``.  An unreadable file, a missing key, a
+    wrong type, an out-of-range size or a bad matrix raises ``ValueError``
+    (exit 1).  Returns a ``GeneratorSet``.
     """
     from .closure import GeneratorSet
     from .generators import hamiltonian_from_terms
-    from .linalg import _json_int, is_hermitian, is_skew_hermitian, matrix_from_json
+    from .linalg import _as_operator, _json_int, is_hermitian, is_skew_hermitian, matrix_from_json
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -195,8 +197,7 @@ def _load_generator_spec(path: str):
                 raise ValueError(f"generator {idx}: expected a term list or a matrix object")
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"generator {idx}: malformed ({type(exc).__name__}: {exc})") from exc
-        if h.shape[0] != d**n:
-            raise ValueError(f"generator {idx}: matrix dim {h.shape[0]} != d^n = {d ** n}")
+        h = _as_operator(h, d**n, f"H{idx}")
         if is_skew_hermitian(h):
             gens.append(h)
         elif is_hermitian(h):
@@ -210,8 +211,6 @@ def _load_generator_spec(path: str):
 def cmd_closure(args) -> int:
     from . import closure as _closure
 
-    if (args.preset is None) == (args.spec is None):
-        raise ValueError("exactly one of --preset / --spec is required")
     if args.preset is not None:
         gens = _closure.preset(args.preset)
     else:
@@ -257,8 +256,9 @@ def cmd_degeneracy(args) -> int:
 
 
 def _add_closure(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", default=None)
-    p.add_argument("--spec", default=None, help="generator-spec JSON path")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset")
+    source.add_argument("--spec", help="generator-spec JSON path")
     p.add_argument("--max-dim", type=_int_at_least(0), default=None,
                    help="cap on the traceless dimension "
                         "(default: the ambient bound C(n+d^2-1,d^2-1))")

@@ -32,10 +32,8 @@ from math import sqrt
 import numpy as np
 
 from .linalg import (
-    DimensionMismatchError,
-    NonFiniteError,
     NonHermitianError,
-    _as_square,
+    _as_operator,
     is_skew_hermitian,
     real_span_dim,
 )
@@ -82,17 +80,6 @@ def _swap_defects(x: np.ndarray, d: int, n: int):
         moved = x[p[:, None], p]
         moved -= x
         yield np.linalg.norm(moved)
-
-
-def _as_operator(x, dim: int, name: str = "matrix") -> np.ndarray:
-    """``x`` as a dim x dim complex array; raises :class:`DimensionMismatchError`
-    for another shape, then :class:`NonFiniteError` for a NaN or inf entry."""
-    x = _as_square(x, name)
-    if x.shape[0] != dim:
-        raise DimensionMismatchError(f"{name}: dimension {x.shape[0]} != {dim}")
-    if not np.isfinite(x).all():
-        raise NonFiniteError(f"{name} has non-finite entries")
-    return x
 
 
 @dataclass(frozen=True)
@@ -159,7 +146,7 @@ def restrict_to_block(x, block) -> np.ndarray:
     or an :class:`~qsymlie.casimir.IsotypicBlock` (the whole block).  A
     matrix X that maps the block outside itself by more than ``RANK_TOL *
     max(1, ||X||_F)`` raises :class:`BlockLeakageError`, after the checks
-    of :func:`_as_operator` against P's rows.  A word X is read with
+    of :func:`~qsymlie.linalg._as_operator` against P's rows.  A word X is read with
     rho(a) = P^dag (A-hat P), cannot leak, and must be skew-Hermitian.
     """
     p = block.basis
@@ -662,7 +649,7 @@ def membership(x, closure: LieClosureResult) -> tuple[bool, float]:
     permutations U = (1 2) and (1 2 ... n), relative to max(1, ||x||): a
     non-invariant x is not a member, even if its restrictions are.
     Membership is a residual of at most ``RANK_TOL``.  An x that is not
-    d^n x d^n or not finite raises as in :func:`_as_operator`.
+    d^n x d^n or not finite raises as in :func:`~qsymlie.linalg._as_operator`.
     """
     x = _as_operator(x, closure.d**closure.n)
     defect = max([np.linalg.norm(x + x.conj().T) / 2, *_swap_defects(x, closure.d, closure.n)])

@@ -11,6 +11,11 @@ The Hermiticity checks, :func:`hermitian_eig`, :func:`cluster_eigenvalues`
 and :func:`real_span_dim` read their cuts from :mod:`qsymlie.tolerances`
 and take no tolerance argument.  Only :class:`OrthonormalSpan` carries its
 own ``tol``.
+
+:func:`_as_operator` is the one check that an operator is square, of a
+given size and finite.  The generator checks and block restrictions of
+:mod:`qsymlie.closure`, the spans here and the ``--spec`` loader all call it,
+so a bad matrix raises the same typed error, naming it, wherever it enters.
 """
 
 from __future__ import annotations
@@ -41,6 +46,17 @@ def _as_square(a, name: str = "matrix", dtype=complex) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     return a
+
+
+def _as_operator(x, dim: int, name: str = "matrix") -> np.ndarray:
+    """``x`` as a dim x dim complex array; raises :class:`DimensionMismatchError`
+    for another shape, then :class:`NonFiniteError` for a NaN or inf entry."""
+    x = _as_square(x, name)
+    if x.shape[0] != dim:
+        raise DimensionMismatchError(f"{name}: dimension {x.shape[0]} != {dim}")
+    if not np.isfinite(x).all():
+        raise NonFiniteError(f"{name} has non-finite entries")
+    return x
 
 
 def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -221,19 +237,9 @@ class OrthonormalSpan:
         view.flags.writeable = False
         return view
 
-    def _validate(self, x) -> np.ndarray:
-        x = _as_square(x, "candidate")
-        if x.shape[0] != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"candidate dimension {x.shape[0]} != ambient {self.ambient_dim}"
-            )
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteError("candidate has non-finite entries")
-        return x
-
     def project(self, x) -> np.ndarray:
         """Orthogonal projection of ``x`` onto the span."""
-        x = self._validate(x)
+        x = _as_operator(x, self.ambient_dim, "candidate")
         if not self.dim:
             return np.zeros_like(x)
         v = self._rows.T @ (self._rows @ _realvec(x))
@@ -241,7 +247,7 @@ class OrthonormalSpan:
 
     def residual(self, x) -> float:
         """Relative distance of ``x`` from the span: ||x - Px|| / max(1, ||x||)."""
-        x = self._validate(x)
+        x = _as_operator(x, self.ambient_dim, "candidate")
         v = _realvec(x)
         nrm = np.linalg.norm(v)
         rows = self._rows
@@ -269,7 +275,7 @@ def orthonormal_extend(span: OrthonormalSpan, candidate) -> tuple[bool, Orthonor
     appended and ``(True, new_span)`` is returned; otherwise the span is
     returned unchanged with ``False``.
     """
-    x = span._validate(candidate)
+    x = _as_operator(candidate, span.ambient_dim, "candidate")
     v = _realvec(x)
     norm_x = np.linalg.norm(v)
     rows = span._rows

@@ -177,8 +177,10 @@ class TestCasimirAction:
                 assert np.array_equal(on_mu, on_nu[np.ix_(local, local)])
 
     def test_apply_c2_rejects_wrong_row_count(self):
-        with pytest.raises(ValueError):
-            cas.apply_C2(np.eye(8), 3, 2)
+        for apply in (cas.apply_C2, cas.apply_C3):
+            with pytest.raises(la.DimensionMismatchError,
+                               match=r"^operand has 8 rows, need d\^n = 9$"):
+                apply(np.eye(8), 3, 2)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_apply_c3_is_zero_at_two_levels(self, n, rng):

@@ -355,9 +355,18 @@ class TestClosure:
         assert obj["max_dim"] == 0 and obj["dim_reached"] == 0
 
     def test_preset_and_spec_mutually_exclusive(self, capsys):
-        code, _, err = run(capsys, "closure", "--preset", "qubits:n=2", "--spec", "x.json")
-        assert code == 1
-        assert "exactly one" in err
+        # exactly one is required: argparse's own error, after the closure usage line
+        for argv, message in [
+            (["--preset", "qubits:n=2", "--spec", "x.json"],
+             "argument --spec: not allowed with argument --preset"),
+            (["--max-dim", "5"], "one of the arguments --preset --spec is required"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["closure", *argv])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 1 and out == ""
+            assert err.startswith("usage: qsymlie closure ")
+            assert err.endswith(f"\nqsymlie closure: error: {message}\n")
 
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "closure", "--preset", "bogus")
@@ -764,7 +773,16 @@ class TestExitCodes:
             ({"d": 2, "n": 2, "hamiltonians": [
                 [{"multi_index": [1, 1, 0, 0], "coeff_re": 1.0}],
                 {"dim": 2, "re": [1, 0, 0, -1], "im": [0] * 4}]},
-             "generator 1: matrix dim 2 != d^n = 4"),
+             "H1: dimension 2 != 4"),
+            ({"d": 2, "n": 1,
+              "hamiltonians": [{"dim": 2, "re": [1, 0, 0, math.nan], "im": [0] * 4}]},
+             "H0 has non-finite entries"),
+            ({"d": 2, "n": 1,
+              "hamiltonians": [{"dim": 2, "re": [1, 0, 0, math.inf], "im": [0] * 4}]},
+             "H0 has non-finite entries"),
+            ({"d": 2, "n": 2,
+              "hamiltonians": [[{"multi_index": [1, 1, 0, 0], "coeff_re": math.nan}]]},
+             "H0 has non-finite entries"),
             ({"d": 2, "n": 2, "hamiltonians": [[{"multi_index": [1, 1, 0, 0], "coeff_re": 1.0}], 5]},
              "generator 1: expected a term list or a matrix object"),
             ({"d": 1, "n": 1, "hamiltonians": [{"dim": 1, "re": [1], "im": [0]}]},
@@ -779,7 +797,8 @@ class TestExitCodes:
         ids=["term-without-multi_index", "non-dict-term", "matrix-without-im",
              "hamiltonians-not-a-list", "float-d", "string-d", "float-n", "float-matrix-dim",
              "float-multi_index", "string-coefficient", "bool-coefficient", "bool-d", "bool-n",
-             "bool-multi_index", "bool-matrix-dim", "matrix-dim-not-d^n",
+             "bool-multi_index", "bool-matrix-dim", "matrix-dim-not-d^n", "nan-matrix-entry",
+             "inf-matrix-entry", "nan-coefficient",
              "neither-terms-nor-matrix", "d-1", "negative-n", "zero-n", "zero-d"],
     )
     def test_malformed_spec_exits_1(self, capsys, tmp_path, spec, message):

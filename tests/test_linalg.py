@@ -147,16 +147,23 @@ class TestOrthonormalSpan:
         with pytest.raises(ValueError):
             span.basis[0, 0, 0] = 1.0
 
+    @staticmethod
+    def span_calls(span):
+        """Every entry point of a span that reads a candidate matrix."""
+        return (lambda x: la.orthonormal_extend(span, x), span.project, span.residual)
+
     def test_nonfinite_rejected(self):
-        span = la.OrthonormalSpan(2)
+        span = la.span_of([1j * SX])
         bad = np.array([[np.nan, 0], [0, 0]], dtype=complex)
-        with pytest.raises(la.NonFiniteError):
-            la.orthonormal_extend(span, bad)
+        for call in self.span_calls(span):
+            with pytest.raises(la.NonFiniteError, match="^candidate has non-finite entries$"):
+                call(bad)
 
     def test_dim_mismatch_rejected(self):
-        span = la.OrthonormalSpan(2)
-        with pytest.raises(la.DimensionMismatchError):
-            la.orthonormal_extend(span, np.eye(3))
+        span = la.span_of([1j * SX])
+        for call in self.span_calls(span):
+            with pytest.raises(la.DimensionMismatchError, match="^candidate: dimension 3 != 2$"):
+                call(np.eye(3))
 
     def test_projection_and_residual(self, rng):
         span = la.span_of([1j * SX, 1j * SZ])

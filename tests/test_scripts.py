@@ -1,10 +1,13 @@
 """Smoke tests for ``scripts/``: each runs in a fresh process and prints its known numbers.
 
 The scripts import private names of the package (``casimir._block_order``,
-closure run traces), so an API change shows here.  ``preset_reach.py`` is
-left out: it runs for minutes and needs gigabytes.
+closure run traces), so an API change shows here.  ``preset_reach.py``'s
+``main`` runs for minutes and needs gigabytes, so only its ``run`` helper is
+called, on one small ``decompose``.
 """
 
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -40,3 +43,14 @@ def test_casimir_degeneracy_scan():
     lines = run_script("casimir_degeneracy_scan.py", "--max-n", "8").splitlines()
     assert "d=3: C2 first tie at n=6: (4, 1, 1) / (3, 3, 0)" in lines
     assert "d=3: C2 and C3 separate all labels for n <= 8" in lines
+
+
+def test_preset_reach_run():
+    path = ROOT / "scripts" / "preset_reach.py"
+    spec = importlib.util.spec_from_file_location("preset_reach", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    code, text, error, seconds, peak = module.run("decompose", "--d", "2", "--n", "3")
+    assert (code, error) == (0, "")
+    assert [row["iweight"] for row in json.loads(text)["irreps"]] == [[3, 0], [2, 1]]
+    assert seconds > 0 and peak > 0
